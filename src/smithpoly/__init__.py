@@ -11,6 +11,7 @@ from .errors import (
     EmptyInput,
     FactorSetMismatch,
     MultiplicityMismatch,
+    NotIrreducible,
     NotMonic,
     NotRegular,
     NotSquare,
@@ -25,14 +26,7 @@ from .errors import (
 )
 from .factorization import FactoredPoly, factor_over_rationals
 from .families import FamilySpec, family_diagonal, gen_test_matrix
-from .field import (
-    GaussianRational,
-    Rational,
-    field_add,
-    field_mul_inv,
-    format_scalar,
-    parse_scalar,
-)
+from .field import GaussianRational, Rational, format_scalar, parse_scalar
 from .globalsmith import (
     CombinedMultiplier,
     SmithResult,
@@ -65,8 +59,8 @@ from .matpoly import (
     lambda_iso_inverse,
     mat_det,
 )
-from .oracle import OracleReport, elementary_smith, minors_gcd_smith
-from .poly import Poly, multi_xgcd, parse_poly, poly_divmod, poly_gcd, poly_xgcd
+from .oracle import elementary_smith, minors_gcd_smith
+from .poly import Poly, multi_xgcd, parse_poly, poly_gcd, poly_xgcd
 from .residue import (
     Companion,
     ResidueElt,

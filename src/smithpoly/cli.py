@@ -13,6 +13,7 @@ import sys
 from .bench import DEFAULT_SEED, bench_run, format_table, write_csv
 from .errors import (
     BadFamilyParam,
+    NotIrreducible,
     NotRegular,
     ParseError,
     PrimeDoesNotDivideDet,
@@ -21,6 +22,7 @@ from .errors import (
 )
 from .factorization import factor_over_rationals
 from .families import PERMUTATIONS, FamilySpec, gen_test_matrix
+from .field import GaussianRational
 from .globalsmith import smith_with_multipliers
 from .localsmith import local_smith, local_smith_over_K
 from .matio import (
@@ -30,7 +32,7 @@ from .matio import (
     write_matpoly_text,
 )
 from .matpoly import MatPoly, mat_det
-from .poly import parse_poly
+from .poly import Poly, parse_poly, poly_gcd
 from .verify import verify_smith
 
 EXIT_OK = 0
@@ -134,6 +136,7 @@ def _cmd_compute(args) -> int:
 def _cmd_local(args) -> int:
     A = read_matpoly_file(args.file)
     p = parse_poly(args.prime).monic()
+    _check_irreducible(p, args.prime)
     det = mat_det(A)
     if det.is_zero():
         raise NotRegular("det(A) is identically zero")
@@ -158,6 +161,19 @@ def _cmd_local(args) -> int:
     for name, M in (("D", result.diagonal()), ("V", result.V), ("E", result.E)):
         _emit(name, M, args.out, args.json)
     return EXIT_OK
+
+
+def _check_irreducible(p: Poly, text: str):
+    """Residue arithmetic needs R/pR to be a field.  Over Q+iQ there is no
+    factoring, so a squarefree p is the most that can be checked there."""
+    if p.degree < 1:
+        ok = False
+    elif any(isinstance(c, GaussianRational) and c.im for c in p.coeffs):
+        ok = poly_gcd(p, p.derivative()).is_one()
+    else:
+        ok = factor_over_rationals(p).factors == ((p, 1),)
+    if not ok:
+        raise NotIrreducible(f"{text} is not an irreducible polynomial")
 
 
 def _cmd_factor_det(args) -> int:
@@ -254,7 +270,7 @@ def main(argv=None) -> int:
     except ShapeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (BadFamilyParam, PrimeDoesNotDivideDet) as exc:
+    except (BadFamilyParam, NotIrreducible, PrimeDoesNotDivideDet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except SmithError as exc:

@@ -41,9 +41,18 @@ class PrimeDoesNotDivideDet(SmithError):
     pass
 
 
+class NotIrreducible(SmithError):
+    """A polynomial supplied as a prime is constant or factors."""
+
+
 class MultiplicityMismatch(SmithError):
-    """Internal invariant failure: accepted exponents do not sum to the
-    algebraic multiplicity.  Signals a bug, never emitted as a result."""
+    """The local chain construction disagrees with the multiplicity mu.
+
+    Two messages mean the caller's mu is wrong: "claimed multiplicity
+    exceeds what the chains support" (mu too large) and "accepted
+    exponents sum to ..., expected ..." (the last round overshot mu).
+    Every other message is a broken internal invariant: a bug, or a p
+    that is not irreducible."""
 
 
 class PrimeMismatch(SmithError):

@@ -120,18 +120,6 @@ class GaussianRational:
         return format_scalar(self)
 
 
-def field_add(a, b):
-    """Exact sum of two field scalars (Q or Q+iQ)."""
-    return a + b
-
-
-def field_mul_inv(a):
-    """Exact multiplicative inverse; raises ZeroDivisionError for 0."""
-    if not a:
-        raise ZeroDivisionError("inverse of zero")
-    return 1 / a
-
-
 def parse_scalar(text: str):
     """Parse the textual scalar syntax: `-7/3`, `42`, or Gaussian `a+bi`.
 

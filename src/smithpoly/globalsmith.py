@@ -343,6 +343,9 @@ def _row_content(*poly_groups):
     return Fraction(g, lcm)
 
 
+_LOCAL_VARIANTS = {"rpr": local_smith, "k": local_smith_over_K}
+
+
 def smith_with_multipliers(
     A: MatPoly,
     bezout: str = "auto",
@@ -356,57 +359,54 @@ def smith_with_multipliers(
     bezout: "auto" | "whole" | "per-column"; auto picks per-column when
     the chain lengths are spread out (it keeps coefficients small there).
     local_variant: "rpr" computes local forms over R/pR, "k" over the
-    base field.
+    base field.  timings, when given, receives the wall time of each step
+    under "prime factors of det(A)", "local Smith forms", "matrix V",
+    "matrix E" and, with with_U, "matrix U".
     """
     if not A.is_square():
         raise NotSquare("Smith form needs a square matrix")
+    if bezout not in ("auto", "whole", "per-column"):
+        raise ValueError(f"unknown combine mode: {bezout!r}")
+    if triangularize_variant not in ("plain", "reduced"):
+        raise ValueError(
+            f"unknown triangularization variant: {triangularize_variant!r}"
+        )
+    if local_variant not in _LOCAL_VARIANTS:
+        raise ValueError(f"unknown local variant: {local_variant!r}")
+    timings = {} if timings is None else timings
     n = A.rows
     clock = time.perf_counter
 
     t0 = clock()
     factored = factor_determinant(A)
-    if timings is not None:
-        timings["prime factors of det(A)"] = clock() - t0
+    timings["prime factors of det(A)"] = clock() - t0
 
-    if not factored.factors:
-        if timings is not None:
-            timings["local Smith forms"] = 0.0
-            timings["matrix V"] = 0.0
-        identity = MatPoly.identity(n)
-        E = A
-        t0 = clock()
-        U = invert_unimodular(E) if with_U else None
-        if timings is not None:
-            timings["matrix E"] = clock() - t0
-        return SmithResult(D=identity, V=identity, E=E, U=U)
-
-    local_fn = {"rpr": local_smith, "k": local_smith_over_K}[local_variant]
     t0 = clock()
+    local_fn = _LOCAL_VARIANTS[local_variant]
     locals_ = [local_fn(A, p, e) for p, e in factored.factors]
-    if timings is not None:
-        timings["local Smith forms"] = clock() - t0
+    timings["local Smith forms"] = clock() - t0
 
     t0 = clock()
-    if bezout == "auto":
-        mode = _pick_bezout_mode(locals_)
-    else:
-        mode = bezout
-    if len(locals_) == 1:
-        combined = combine_local(A, locals_, factored=factored)
-        D = smith_diagonal(locals_, n)
-        V = combined.matrix
-    else:
+    if locals_:
+        mode = _pick_bezout_mode(locals_) if bezout == "auto" else bezout
         combined = combine_local(A, locals_, mode, factored=factored)
         D = smith_diagonal(locals_, n)
-        V, _ = triangularize(combined, D, triangularize_variant)
-    if timings is not None:
-        timings["matrix V"] = clock() - t0
+        V = combined.matrix
+        if combined.mode != "single":
+            V, _ = triangularize(combined, D, triangularize_variant)
+    else:
+        D = V = MatPoly.identity(n)
+    timings["matrix V"] = clock() - t0
 
     t0 = clock()
-    E = compute_E(A, V, D)
-    U = invert_unimodular(E) if with_U else None
-    if timings is not None:
-        timings["matrix E"] = clock() - t0
+    E = compute_E(A, V, D) if locals_ else A
+    timings["matrix E"] = clock() - t0
+
+    U = None
+    if with_U:
+        t0 = clock()
+        U = invert_unimodular(E)
+        timings["matrix U"] = clock() - t0
     return SmithResult(D=D, V=V, E=E, U=U)
 
 

@@ -1,19 +1,21 @@
 """Local Smith forms A*V = E*diag(p**alpha_1, ..., p**alpha_n) at one
 monic irreducible factor p of det(A).
 
-Three routes with identical contracts:
+``local_smith`` and ``local_smith_over_K`` run one driver,
+``_local_chains``: a breadth-first Jordan chain construction driven by
+nullspaces.  Each round appends the next residuals of the active chains
+to a growing tableau, row-reduces it, accepts the chains whose residuals
+are independent, and extends the rest.  The two differ only in the
+scalar lane the driver runs on:
 
-* ``local_smith`` -- the production algorithm: a breadth-first Jordan
-  chain construction driven by nullspaces over the residue field R/pR.
-  Each round appends the next residuals of the active chains to a growing
-  tableau, row-reduces it, accepts the chains whose residuals are
-  independent, and extends the rest.
-* ``local_smith_over_K`` -- the same construction with all arithmetic in
-  the base field: residue elements become s x s blocks (s = deg p), the
-  tableau becomes a block matrix over K, and chain columns come in
-  supercolumns of s, of which the first is kept.
-* ``local_smith_reference`` -- the simple column-rotation version, kept
-  only as a slow cross-checking oracle.
+* ``local_smith`` -- the residue lane: entries in R/pR, tableau width n,
+  chains extended by carrying through division by p.
+* ``local_smith_over_K`` -- the base-field lane: residue elements become
+  s x s blocks over K (s = deg p), the tableau has width s*n, and chain
+  columns come in supercolumns of s, of which the first is kept.
+
+``local_smith_reference`` is the simple column-rotation version, kept
+only as a slow cross-checking oracle.
 """
 
 from __future__ import annotations
@@ -168,205 +170,55 @@ def _finish_local(A, p, accepted, ranks, beta_loop, mu, method):
     )
 
 
-def _check_local_args(A: MatPoly, p: Poly, mu: int):
-    # a non-monic or constant p is rejected by companion_of
-    if not A.is_square():
-        raise NotSquare("local Smith form needs a square matrix")
-    if mu < 1:
-        raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
-
-
-# -- Algorithm over R/pR ------------------------------------------------------
+# -- the chain construction, shared by both scalar lanes ----------------------
 
 
 def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     """Unimodular local Smith form at p with algebraic multiplicity mu."""
-    _check_local_args(A, p, mu)
-    S = companion_of(p)
-    n = A.rows
-    digits = expand_in_p(A, p).blocks
-
-    def digit(j):
-        return digits[j] if j < len(digits) else None
-
-    # stage 0: tableau is the leading digit of A
-    tableau = [[encode(e, S) for e in row] for row in digits[0].entries]
-    _, pivots, null_basis = rref_over_residue(tableau)
-    r0 = len(null_basis)
-    if r0 == 0:
-        raise PrimeDoesNotDivideDet("leading digit of A is invertible mod p")
-    accepted = [(0, _unit_column(n, c)) for c in pivots]
-    ranks = [r0]
-    R = r0
-    # chain columns, digit-major: rows j*n..j*n+n-1 hold digit j
-    chains = [[v.to_poly() for v in vec] for vec in null_basis]
-    stacked = [list(c) for c in chains]  # all kernel chains, zero-padded
-    null_count = r0
-    k = 0
-    while R < mu:
-        k += 1
-        prev_cols = len(tableau[0])
-        new_cols = [_next_residual(c, digit, p, k, n, S) for c in chains]
-        if not new_cols:
-            raise MultiplicityMismatch("active chains exhausted before mu")
-        for i in range(n):
-            row = tableau[i]
-            for col in new_cols:
-                row.append(col[i])
-        _, pivots, null_basis = rref_over_residue(tableau)
-        new_null = null_basis[null_count:]
-        rk = len(new_null)
-        if rk == 0:
-            raise MultiplicityMismatch(
-                "claimed multiplicity exceeds what the chains support"
-            )
-        null_count = len(null_basis)
-        R += rk
-        ranks.append(rk)
-        for c in pivots:
-            if c >= prev_cols:
-                accepted.append((k, lambda_iso(_blocks(chains[c - prev_cols], n), p)))
-        next_chains = []
-        for vec in new_null:
-            y = vec[:n]
-            u = vec[n:]
-            w = _chain_combination(stacked, u, n * k)
-            col = _extend_chain(w, y, p, n, k)
-            next_chains.append(col)
-        stacked = [[Poly.zero()] * n + c for c in stacked]
-        stacked.extend(list(c) for c in next_chains)
-        chains = next_chains
-    beta_loop = k + 1 if mu > 0 else 0
-    for c in chains:
-        accepted.append((k + 1, lambda_iso(_blocks(c, n), p)))
-    return _finish_local(A, p, accepted, ranks, beta_loop, mu, "rpr")
-
-
-def _unit_column(n, c):
-    col = [Poly.zero()] * n
-    col[c] = Poly.one()
-    return col
-
-
-def _blocks(chain, n):
-    return [chain[j * n : (j + 1) * n] for j in range(len(chain) // n)]
-
-
-def _next_residual(chain, digit, p, k, n, S):
-    """Images of a length-k chain under the next two digit diagonals:
-    rem of the high part plus quo of the low part, entries back in R_s."""
-    hi = [Poly.zero()] * n
-    lo = [Poly.zero()] * n
-    for j in range(k):
-        block = chain[j * n : (j + 1) * n]
-        dh = digit(k - j)
-        dl = digit(k - 1 - j)
-        for i in range(n):
-            if dh is not None:
-                row = dh.entries[i]
-                acc = hi[i]
-                for a, b in zip(row, block):
-                    if a and b:
-                        acc = acc + a * b
-                hi[i] = acc
-            if dl is not None:
-                row = dl.entries[i]
-                acc = lo[i]
-                for a, b in zip(row, block):
-                    if a and b:
-                        acc = acc + a * b
-                lo[i] = acc
-    out = []
-    for i in range(n):
-        val = hi[i] % p + lo[i] // p
-        out.append(encode(val, S))
-    return out
-
-
-def _chain_combination(stacked, u, rows):
-    """stacked (rows x len(u), polys) times the kernel coefficients u."""
-    out = [Poly.zero()] * rows
-    for m, coeff in enumerate(u):
-        cp = coeff.to_poly()
-        if cp.is_zero():
-            continue
-        col = stacked[m]
-        for r in range(rows):
-            e = col[r]
-            if not e.is_zero():
-                out[r] = out[r] + e * cp
-    return out
-
-
-def _extend_chain(w, y, p, n, k):
-    """[rem(w, p); y] + quo(shift-down(w), p), giving a length-(k+1) chain."""
-    total = n * (k + 1)
-    out = []
-    for r in range(total):
-        if r < n * k:
-            e = w[r] % p
-        else:
-            e = y[r - n * k].to_poly()
-        if r >= n:
-            e = e + w[r - n] // p
-        out.append(e)
-    return out
-
-
-# -- variant over K -----------------------------------------------------------
+    return _local_chains(A, p, mu, _ResidueLane)
 
 
 def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     """Same contract as local_smith, arithmetic entirely in the base field."""
-    _check_local_args(A, p, mu)
-    S = companion_of(p)
-    s = S.s
-    n = A.rows
-    blocks = _field_operator_blocks(A, p, S)
+    return _local_chains(A, p, mu, _FieldLane)
 
-    def op_block(j):
-        return blocks[j] if j < len(blocks) else None
 
-    sn = s * n
-    tableau = [list(blocks[0][i]) for i in range(sn)]
-    _, pivots, null_basis = _rref_scalar(tableau)
+def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
+    """Breadth-first Jordan chains at p, in the scalars of `make_lane(A, p)`.
+
+    Round k appends the next residuals of the active chains to the
+    tableau and row-reduces it.  A chain whose residual is a pivot
+    supercolumn is accepted with exponent k; each new kernel vector
+    combines the earlier chains (`stacked`) into a chain one longer.
+    """
+    if not A.is_square():
+        raise NotSquare("local Smith form needs a square matrix")
+    if mu < 1:
+        raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
+    lane = make_lane(A, p)  # companion_of rejects a non-monic or constant p
+    n, s, width, zero = A.rows, lane.s, lane.width, lane.zero
+    tableau = lane.tableau()
+    _, pivots, null_basis = lane.rref(tableau)
     free_super, pivot_super = _group_supercolumns(pivots, len(tableau[0]), s, 0)
     r0 = len(free_super)
     if r0 == 0:
-        raise PrimeDoesNotDivideDet("leading block of A is invertible")
+        raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
     if len(null_basis) != r0 * s:
         raise MultiplicityMismatch("kernel is not a module over R/pR")
     accepted = [(0, _unit_column(n, g)) for g in pivot_super]
     ranks = [r0]
     R = r0
-    chains = [list(vec) for vec in null_basis]  # length sn*k vectors over K
-    stacked = [list(c) for c in chains]
+    chains = [lane.lift(vec) for vec in null_basis]
+    stacked = list(chains)  # every kernel chain so far, zero-padded on top
     null_count = len(null_basis)
     k = 0
     while R < mu:
         k += 1
         prev_cols = len(tableau[0])
-        new_cols = []
-        for chain in chains:
-            col = [Fraction(0)] * sn
-            for j in range(k):
-                blk = op_block(k - j)
-                if blk is None:
-                    continue
-                seg = chain[j * sn : (j + 1) * sn]
-                for r in range(sn):
-                    row = blk[r]
-                    acc = col[r]
-                    for a, b in zip(row, seg):
-                        if a and b:
-                            acc = acc + a * b
-                    col[r] = acc
-            new_cols.append(col)
-        for i in range(sn):
-            row = tableau[i]
-            for col in new_cols:
-                row.append(col[i])
-        _, pivots, null_basis = _rref_scalar(tableau)
+        new_cols = [lane.residual(c, k) for c in chains]
+        for i, row in enumerate(tableau):
+            row.extend(col[i] for col in new_cols)
+        _, pivots, null_basis = lane.rref(tableau)
         new_null = null_basis[null_count:]
         if len(new_null) % s != 0:
             raise MultiplicityMismatch("kernel growth is not a whole supercolumn")
@@ -382,31 +234,36 @@ def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
             pivots, len(tableau[0]), s, prev_cols
         )
         for g in pivot_super:
-            accepted.append((k, _field_chain_to_poly(chains[g * s], p, s, n)))
+            accepted.append((k, lane.decode(chains[g * s])))
         next_chains = []
-        for vec in new_null:
-            y = vec[:sn]
-            u = vec[sn:]
-            col = [Fraction(0)] * (sn * k)
-            for m, coeff in enumerate(u):
-                if not coeff:
-                    continue
-                src = stacked[m]
-                for r in range(sn * k):
-                    if src[r]:
-                        col[r] = col[r] + coeff * src[r]
-            next_chains.append(col + list(y))
-        stacked = [[Fraction(0)] * sn + c for c in stacked]
-        stacked.extend(list(c) for c in next_chains)
+        for vec in map(lane.lift, new_null):
+            head = _chain_combination(stacked, vec[width:], width * k, zero)
+            next_chains.append(lane.extend(head, vec[:width], k))
+        stacked = [[zero] * width + c for c in stacked] + next_chains
         chains = next_chains
-    beta_loop = k + 1
     for g in range(len(chains) // s):
-        accepted.append((k + 1, _field_chain_to_poly(chains[g * s], p, s, n)))
-    return _finish_local(A, p, accepted, ranks, beta_loop, mu, "k")
+        accepted.append((k + 1, lane.decode(chains[g * s])))
+    return _finish_local(A, p, accepted, ranks, k + 1, mu, lane.method)
 
 
-def _rref_scalar(rows):
-    return _rref(rows, Fraction(0), Fraction(1))
+def _unit_column(n, c):
+    col = [Poly.zero()] * n
+    col[c] = Poly.one()
+    return col
+
+
+def _chain_combination(stacked, u, rows, zero):
+    """stacked (rows x len(u)) times the kernel coefficients u."""
+    out = [zero] * rows
+    for m, coeff in enumerate(u):
+        if not coeff:
+            continue
+        col = stacked[m]
+        for r in range(rows):
+            e = col[r]
+            if e:
+                out[r] = out[r] + e * coeff
+    return out
 
 
 def _group_supercolumns(pivots, ncols, s, base):
@@ -425,6 +282,116 @@ def _group_supercolumns(pivots, ncols, s, base):
         else:
             raise MultiplicityMismatch("supercolumn split between pivot and free")
     return free, full
+
+
+class _ResidueLane:
+    """Scalars in R/pR: tableau width n, supercolumns of one.  Chain
+    entries are polynomials, digit-major (rows j*n..j*n+n-1 hold digit j),
+    and extending a chain carries by division by p."""
+
+    method = "rpr"
+    s = 1
+    zero = Poly.zero()
+
+    def __init__(self, A: MatPoly, p: Poly):
+        self.p = p
+        self.S = companion_of(p)
+        self.n = self.width = A.rows
+        self.digits = expand_in_p(A, p).blocks
+
+    def tableau(self):
+        return [[encode(e, self.S) for e in row] for row in self.digits[0].entries]
+
+    def rref(self, rows):
+        return rref_over_residue(rows)
+
+    def lift(self, vec):
+        return [v.to_poly() for v in vec]
+
+    def residual(self, chain, k):
+        """Images of a length-k chain under the next two digit diagonals:
+        rem of the high part plus quo of the low part, entries back in R_s."""
+        n, p, digits = self.n, self.p, self.digits
+        hi = [Poly.zero()] * n
+        lo = [Poly.zero()] * n
+        for j in range(k):
+            block = chain[j * n : (j + 1) * n]
+            for acc, d in ((hi, k - j), (lo, k - 1 - j)):
+                if d >= len(digits):
+                    continue
+                for i, row in enumerate(digits[d].entries):
+                    e = acc[i]
+                    for a, b in zip(row, block):
+                        if a and b:
+                            e = e + a * b
+                    acc[i] = e
+        return [encode(hi[i] % p + lo[i] // p, self.S) for i in range(n)]
+
+    def extend(self, head, y, k):
+        """[rem(head, p); y] + quo(shift-down(head), p): k+1 digit blocks."""
+        n, p = self.n, self.p
+        out = [e % p for e in head] + y
+        for r in range(n, n * (k + 1)):
+            out[r] = out[r] + head[r - n] // p
+        return out
+
+    def decode(self, chain):
+        n = self.n
+        return lambda_iso([chain[j : j + n] for j in range(0, len(chain), n)], self.p)
+
+
+class _FieldLane:
+    """Scalars in K: residue elements become s x s blocks (s = deg p), the
+    tableau has width s*n, and chains come in supercolumns of s, of which
+    the first is decoded.  Extending a chain is a plain append."""
+
+    method = "k"
+    zero = Fraction(0)
+
+    def __init__(self, A: MatPoly, p: Poly):
+        self.p = p
+        S = companion_of(p)
+        self.s = S.s
+        self.width = S.s * A.rows
+        self.blocks = _field_operator_blocks(A, p, S)
+
+    def tableau(self):
+        return [list(row) for row in self.blocks[0]]
+
+    def rref(self, rows):
+        return _rref(rows, Fraction(0), Fraction(1))
+
+    def lift(self, vec):
+        return vec
+
+    def residual(self, chain, k):
+        sn, blocks = self.width, self.blocks
+        col = [Fraction(0)] * sn
+        for j in range(k):
+            if k - j >= len(blocks):
+                continue
+            blk = blocks[k - j]
+            seg = chain[j * sn : (j + 1) * sn]
+            for r in range(sn):
+                acc = col[r]
+                for a, b in zip(blk[r], seg):
+                    if a and b:
+                        acc = acc + a * b
+                col[r] = acc
+        return col
+
+    def extend(self, head, y, k):
+        return head + y
+
+    def decode(self, vec):
+        """The polynomial column sum_j p**j * digit_j of a stacked
+        coefficient vector over K."""
+        s, sn = self.s, self.width
+        blocks = [
+            [Poly(vec[b : b + s]) for b in range(j, j + sn, s)]
+            for j in range(0, len(vec), sn)
+        ]
+        return lambda_iso(blocks, self.p)
 
 
 def _field_operator_blocks(A: MatPoly, p: Poly, S: Companion):
@@ -507,21 +474,6 @@ def _matmul_scalar(a, b):
         [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a
     ]
-
-
-def _field_chain_to_poly(vec, p: Poly, s: int, n: int):
-    """Decode a stacked coefficient vector over K into the polynomial
-    column sum_j p**j * digit_j."""
-    sn = s * n
-    k = len(vec) // sn
-    blocks = []
-    for j in range(k):
-        block = []
-        for l in range(n):
-            base = j * sn + l * s
-            block.append(Poly(vec[base : base + s]))
-        blocks.append(block)
-    return lambda_iso(blocks, p)
 
 
 # -- preliminary column-rotation version (test oracle) -----------------------

@@ -7,7 +7,6 @@ unimodular row/column reduction.  Size-guarded; correctness anchors only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,21 +15,6 @@ from .matpoly import MatPoly, mat_det
 from .poly import Poly, poly_gcd
 
 _MAX_MINOR_SIZE = 5
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    D_oracle: MatPoly
-    method: str
-    agrees: bool
-
-
-def compare_with(result_D: MatPoly, A: MatPoly, method: str = "minors") -> OracleReport:
-    fn = {"minors": minors_gcd_smith, "elementary": lambda m: elementary_smith(m)[1]}[
-        method
-    ]
-    D = fn(A)
-    return OracleReport(D_oracle=D, method=method, agrees=(D == result_D))
 
 
 def minors_gcd_smith(A: MatPoly) -> MatPoly:

@@ -197,11 +197,6 @@ class Poly:
             raise ValueError("division is not exact")
         return q
 
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -301,11 +296,6 @@ _ONE = Poly.__new__(Poly)
 object.__setattr__(_ONE, "coeffs", (Fraction(1),))
 _X = Poly.__new__(Poly)
 object.__setattr__(_X, "coeffs", (Fraction(0), Fraction(1)))
-
-
-def poly_divmod(f: Poly, p: Poly):
-    """Quotient and remainder with deg r < deg p."""
-    return f.divmod(p)
 
 
 # -- GCDs ----------------------------------------------------------------

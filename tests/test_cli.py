@@ -72,6 +72,27 @@ def test_local_prime_not_dividing(tmp_path):
     assert run("local", str(a), "--prime", "l-9") == 5
 
 
+@pytest.mark.parametrize("variant", ["rpr", "k"])
+@pytest.mark.parametrize(
+    "diagonal", [[X**2 - 1, Poly.one()], [X - 1, X + 1]], ids=["square", "split"]
+)
+def test_local_rejects_reducible_prime(tmp_path, capsys, diagonal, variant):
+    """l^2-1 = (l-1)(l+1): R/pR is not a field, so the local form is refused
+    with the bad-arguments exit code rather than answered or crashed."""
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.diag(diagonal))
+    assert run("local", str(a), "--prime", "l^2-1", "--variant", variant) == 5
+    assert "not an irreducible polynomial" in capsys.readouterr().err
+
+
+def test_local_rejects_constant_prime(tmp_path, capsys):
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.diag([X, X]))
+    assert run("local", str(a), "--prime", "2") == 5
+    assert run("local", str(a), "--prime", "0") == 5
+    capsys.readouterr()
+
+
 def test_factor_det_output(tmp_path, capsys):
     a = tmp_path / "A.mp"
     run("gen", "--family", "1", "--param", "4", "--seed", "1", "--out", str(a))

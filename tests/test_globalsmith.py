@@ -339,12 +339,31 @@ def test_unimodular_sandwich_invariance_small():
 
 def test_timings_labels():
     A = instance(1, 4, "none")
+    steps = {"prime factors of det(A)", "local Smith forms", "matrix V", "matrix E"}
     timings = {}
     smith_with_multipliers(A, timings=timings)
-    assert set(timings) == {
-        "prime factors of det(A)",
-        "local Smith forms",
-        "matrix V",
-        "matrix E",
-    }
+    assert set(timings) == steps
     assert all(v >= 0 for v in timings.values())
+    timings = {}
+    smith_with_multipliers(A, with_U=True, timings=timings)
+    assert set(timings) == steps | {"matrix U"}
+    assert all(v >= 0 for v in timings.values())
+
+
+@pytest.mark.parametrize(
+    "option", ["bezout", "triangularize_variant", "local_variant"]
+)
+def test_bad_option_rejected_before_any_work(option, monkeypatch):
+    """A bad option raises ValueError even on a single-prime input, where
+    it would otherwise never be read, and before det(A) is computed."""
+    import smithpoly.globalsmith as gs
+
+    A = instance(3, 2, "none")
+    assert len(factored(3, 2, "none").factors) == 1
+
+    def fail(_):
+        raise AssertionError("determinant computed before options were checked")
+
+    monkeypatch.setattr(gs, "factor_determinant", fail)
+    with pytest.raises(ValueError, match="nope"):
+        smith_with_multipliers(A, **{option: "nope"})

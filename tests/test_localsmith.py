@@ -140,16 +140,17 @@ def test_reference_on_prime_power_scalar():
     assert res.alphas == (1,)
 
 
-def test_errors():
+@pytest.mark.parametrize("fn", ALL_LOCAL)
+def test_errors(fn):
     A = MatPoly.diag([X, X])
     with pytest.raises(NotSquare):
-        local_smith(MatPoly.zeros(2, 3), X, 1)
+        fn(MatPoly.zeros(2, 3), X, 1)
     with pytest.raises(PrimeDoesNotDivideDet):
-        local_smith(A, X, 0)
+        fn(A, X, 0)
     with pytest.raises(PrimeDoesNotDivideDet):
-        local_smith(MatPoly.identity(2), X, 1)
+        fn(MatPoly.identity(2), X, 1)
     with pytest.raises(MultiplicityMismatch):
-        local_smith(A, X, 5)  # true multiplicity is 2
+        fn(A, X, 5)  # true multiplicity is 2
 
 
 # -- randomized equivalence ------------------------------------------------

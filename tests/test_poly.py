@@ -9,7 +9,6 @@ from smithpoly.poly import (
     Poly,
     multi_xgcd,
     parse_poly,
-    poly_divmod,
     poly_gcd,
     poly_lcm,
     poly_xgcd,
@@ -20,14 +19,14 @@ X = Poly.x()
 
 
 def test_divmod_examples():
-    q, r = poly_divmod(X**2 + 1, X - 1)
+    q, r = (X**2 + 1).divmod(X - 1)
     assert q * (X - 1) + r == X**2 + 1
     assert q == X + 1 and r == Poly([2])
     p = X**3 + 2 * X + 5
-    assert poly_divmod(p, p) == (Poly.one(), Poly.zero())
-    assert poly_divmod(Poly.zero(), p) == (Poly.zero(), Poly.zero())
+    assert p.divmod(p) == (Poly.one(), Poly.zero())
+    assert Poly.zero().divmod(p) == (Poly.zero(), Poly.zero())
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(p, Poly.zero())
+        p.divmod(Poly.zero())
 
 
 def test_divmod_roundtrip_random():
@@ -37,7 +36,7 @@ def test_divmod_roundtrip_random():
         p = random_poly(rng, rng.below(6))
         if p.is_zero():
             continue
-        q, r = poly_divmod(f, p)
+        q, r = f.divmod(p)
         assert q * p + r == f
         assert r.degree < p.degree
 
