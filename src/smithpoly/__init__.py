@@ -54,9 +54,7 @@ from .matpoly import (
     MatPoly,
     PAdicExpansion,
     expand_in_p,
-    is_unimodular,
     lambda_iso,
-    lambda_iso_inverse,
     mat_det,
 )
 from .oracle import elementary_smith, minors_gcd_smith
@@ -67,7 +65,6 @@ from .residue import (
     companion_of,
     encode,
     residue_div,
-    residue_inv,
     residue_mul,
 )
 from .verify import VerifyReport, verify_smith

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 
-from .bench import DEFAULT_SEED, bench_run, format_table, write_csv
 from .errors import (
     BadFamilyParam,
     NotIrreducible,
@@ -23,7 +22,7 @@ from .errors import (
 from .factorization import factor_over_rationals
 from .families import PERMUTATIONS, FamilySpec, gen_test_matrix
 from .field import GaussianRational
-from .globalsmith import smith_with_multipliers
+from .globalsmith import factor_determinant, smith_with_multipliers
 from .localsmith import local_smith, local_smith_over_K
 from .matio import (
     read_matpoly_file,
@@ -56,10 +55,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compute", help="Smith form with multipliers")
     p.add_argument("file")
     p.add_argument("--with-U", action="store_true", dest="with_u")
-    p.add_argument("--bezout", choices=["whole", "per-column"], default=None)
-    p.add_argument(
-        "--triangularize", choices=["plain", "reduced"], default="reduced"
-    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
 
@@ -87,15 +82,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--D", required=True, dest="d_file")
     p.add_argument("--F", dest="f_file", default=None)
     p.add_argument("--V", dest="v_file", default=None)
-
-    p = sub.add_parser("bench", help="median-of-N timings over a family sweep")
-    p.add_argument("--family", type=int, required=True, choices=range(1, 7))
-    p.add_argument("--params", required=True, help="range a..b or single value")
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--permute", choices=PERMUTATIONS, default="none")
-    p.add_argument("--seed", type=_u64, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -118,12 +104,7 @@ def _emit(name: str, A: MatPoly, out_dir, as_json: bool):
 
 def _cmd_compute(args) -> int:
     A = read_matpoly_file(args.file)
-    result = smith_with_multipliers(
-        A,
-        bezout=args.bezout or "auto",
-        triangularize_variant=args.triangularize,
-        with_U=args.with_u,
-    )
+    result = smith_with_multipliers(A, with_U=args.with_u)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     for name, M in (("D", result.D), ("V", result.V), ("E", result.E)):
@@ -177,11 +158,7 @@ def _check_irreducible(p: Poly, text: str):
 
 
 def _cmd_factor_det(args) -> int:
-    A = read_matpoly_file(args.file)
-    det = mat_det(A)
-    if det.is_zero():
-        raise NotRegular("det(A) is identically zero")
-    fact = factor_over_rationals(det)
+    fact = factor_determinant(read_matpoly_file(args.file))
     print(f"unit {fact.unit}")
     for p, e in fact.factors:
         print(f"factor {p.human_text()} {e}")
@@ -216,38 +193,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.overall else EXIT_VERIFY_FAILED
 
 
-def _cmd_bench(args) -> int:
-    params = _parse_params(args.params)
-    rows = bench_run(
-        args.family,
-        params,
-        permutation=args.permute,
-        repetitions=args.repeat,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    print(format_table(rows))
-    if args.csv:
-        write_csv(rows, args.csv)
-    return EXIT_OK
-
-
-def _parse_params(text: str) -> list:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise BadFamilyParam(f"bad parameter range {text!r}") from None
-        if hi_i < lo_i:
-            raise BadFamilyParam(f"empty parameter range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise BadFamilyParam(f"bad parameter {text!r}") from None
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -257,7 +202,6 @@ def main(argv=None) -> int:
         "factor-det": _cmd_factor_det,
         "gen": _cmd_gen,
         "verify": _cmd_verify,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

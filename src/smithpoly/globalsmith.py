@@ -4,7 +4,6 @@ and triangularize the combination into a unimodular right multiplier."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,7 +16,7 @@ from .errors import (
     SmithError,
 )
 from .factorization import FactoredPoly, factor_over_rationals
-from .localsmith import local_smith, local_smith_over_K
+from .localsmith import local_smith
 from .matpoly import MatPoly, mat_det
 from .poly import Poly, multi_xgcd
 
@@ -40,7 +39,6 @@ class SmithResult:
 class CombinedMultiplier:
     matrix: MatPoly
     mode: str  # "single" | "whole" | "per-column"
-    local_methods: tuple
 
 
 def factor_determinant(A: MatPoly) -> FactoredPoly:
@@ -62,8 +60,13 @@ def combine_local(
     """Splice per-prime multipliers into one matrix whose i-th column is a
     root function of maximal order for every prime simultaneously.
 
-    The result is checked before return: column i of A times it must be
-    divisible by d_i, and its determinant must avoid every prime.
+    mode "whole" weighs each local V by one Bezout coefficient of the top
+    prime powers; "per-column" takes coefficients per column from that
+    column's exponents.  The two agree modulo every diagonal entry, so
+    triangularize returns the same V from either.
+
+    With check, the result is checked before return: column i of A times
+    it must be divisible by d_i, and its determinant must avoid every prime.
     """
     if not locals_:
         raise EmptyInput("no local results to combine")
@@ -77,9 +80,7 @@ def combine_local(
             )
     primes = [loc.p for loc in locals_]
     if len(locals_) == 1:
-        combined = CombinedMultiplier(
-            matrix=locals_[0].V, mode="single", local_methods=(locals_[0].method,)
-        )
+        combined = CombinedMultiplier(matrix=locals_[0].V, mode="single")
         if check:
             _check_combined(A, locals_, combined)
         return combined
@@ -94,10 +95,7 @@ def combine_local(
         acc = MatPoly.zeros(n, n)
         for loc, cj, fj in zip(locals_, gs, fs):
             acc = acc + loc.V.scale(cj * fj)
-        combined = CombinedMultiplier(
-            matrix=acc, mode="whole",
-            local_methods=tuple(loc.method for loc in locals_),
-        )
+        combined = CombinedMultiplier(matrix=acc, mode="whole")
     elif mode == "per-column":
         cols = []
         for i in range(n):
@@ -116,8 +114,7 @@ def combine_local(
                         col[r] = col[r] + scale * vcol[r]
             cols.append(col)
         combined = CombinedMultiplier(
-            matrix=MatPoly.from_columns(cols), mode="per-column",
-            local_methods=tuple(loc.method for loc in locals_),
+            matrix=MatPoly.from_columns(cols), mode="per-column"
         )
     else:
         raise ValueError(f"unknown combine mode: {mode!r}")
@@ -168,14 +165,14 @@ def smith_diagonal(locals_: list, n: int) -> MatPoly:
     return MatPoly.diag([smith_diagonal_entry(locals_, i) for i in range(n)])
 
 
-def triangularize(
-    combined: CombinedMultiplier, D: MatPoly, variant: str = "reduced"
-):
+def triangularize(combined: CombinedMultiplier, D: MatPoly):
     """Extract a unimodular V from the combined multiplier by column
     Hermite steps, working from the last column towards the first
-    nontrivial one.  `reduced` replaces each working column head with its
-    remainder modulo the matching diagonal entry first, which keeps
-    degrees small.
+    nontrivial one.  Each working column head is first replaced by its
+    remainder modulo the matching diagonal entry, which keeps degrees
+    small and makes V depend on the combined multiplier only modulo the
+    diagonal: the whole-matrix and per-column splices agree there, so
+    they give the same V.
 
     Each column is condensed to its gcd by division-with-remainder row
     operations (always pivoting on the minimum-degree entry); the
@@ -186,8 +183,6 @@ def triangularize(
     Returns (V, B1): V unimodular and B1 the triangularized working matrix
     (zero above the diagonal in every processed column).
     """
-    if variant not in ("plain", "reduced"):
-        raise ValueError(f"unknown triangularization variant: {variant!r}")
     B = [list(row) for row in combined.matrix.entries]
     n = len(B)
     ds = [D[i, i] for i in range(n)]
@@ -209,9 +204,8 @@ def triangularize(
                 vrow[piv] = vrow[piv] + q * vrow[r]
 
     for i in range(n - 1, stop - 1, -1):
-        if variant == "reduced":
-            for r in range(i + 1):
-                B[r][i] = B[r][i] % ds[i]
+        for r in range(i + 1):
+            B[r][i] = B[r][i] % ds[i]
         while True:
             nz = [r for r in range(i + 1) if not B[r][i].is_zero()]
             if not nz:
@@ -343,74 +337,32 @@ def _row_content(*poly_groups):
     return Fraction(g, lcm)
 
 
-_LOCAL_VARIANTS = {"rpr": local_smith, "k": local_smith_over_K}
-
-
-def smith_with_multipliers(
-    A: MatPoly,
-    bezout: str = "auto",
-    triangularize_variant: str = "reduced",
-    with_U: bool = False,
-    local_variant: str = "rpr",
-    timings: dict | None = None,
-) -> SmithResult:
-    """Steps 0-3 end to end.
-
-    bezout: "auto" | "whole" | "per-column"; auto picks per-column when
-    the chain lengths are spread out (it keeps coefficients small there).
-    local_variant: "rpr" computes local forms over R/pR, "k" over the
-    base field.  timings, when given, receives the wall time of each step
-    under "prime factors of det(A)", "local Smith forms", "matrix V",
-    "matrix E" and, with with_U, "matrix U".
-    """
-    if not A.is_square():
-        raise NotSquare("Smith form needs a square matrix")
-    if bezout not in ("auto", "whole", "per-column"):
-        raise ValueError(f"unknown combine mode: {bezout!r}")
-    if triangularize_variant not in ("plain", "reduced"):
-        raise ValueError(
-            f"unknown triangularization variant: {triangularize_variant!r}"
-        )
-    if local_variant not in _LOCAL_VARIANTS:
-        raise ValueError(f"unknown local variant: {local_variant!r}")
-    timings = {} if timings is None else timings
+def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
+    """Steps 0-3 end to end: factor det(A), a local Smith form at each
+    prime, their Bezout splice, triangularization into V, E = A V D^-1,
+    and with with_U the inverse U of E."""
     n = A.rows
-    clock = time.perf_counter
-
-    t0 = clock()
     factored = factor_determinant(A)
-    timings["prime factors of det(A)"] = clock() - t0
-
-    t0 = clock()
-    local_fn = _LOCAL_VARIANTS[local_variant]
-    locals_ = [local_fn(A, p, e) for p, e in factored.factors]
-    timings["local Smith forms"] = clock() - t0
-
-    t0 = clock()
+    locals_ = [local_smith(A, p, e) for p, e in factored.factors]
     if locals_:
-        mode = _pick_bezout_mode(locals_) if bezout == "auto" else bezout
+        mode = _pick_bezout_mode(locals_)
         combined = combine_local(A, locals_, mode, factored=factored)
         D = smith_diagonal(locals_, n)
         V = combined.matrix
         if combined.mode != "single":
-            V, _ = triangularize(combined, D, triangularize_variant)
+            V, _ = triangularize(combined, D)
+        E = compute_E(A, V, D)
     else:
         D = V = MatPoly.identity(n)
-    timings["matrix V"] = clock() - t0
-
-    t0 = clock()
-    E = compute_E(A, V, D) if locals_ else A
-    timings["matrix E"] = clock() - t0
-
-    U = None
-    if with_U:
-        t0 = clock()
-        U = invert_unimodular(E)
-        timings["matrix U"] = clock() - t0
+        E = A
+    U = invert_unimodular(E) if with_U else None
     return SmithResult(D=D, V=V, E=E, U=U)
 
 
 def _pick_bezout_mode(locals_: list) -> str:
+    """The cheaper splice: per-column when the chain lengths are spread
+    out (it keeps coefficients small there), else whole.  Both give the
+    same V after triangularization."""
     top = max(loc.alphas[-1] for loc in locals_)
     nonzero = [a for loc in locals_ for a in loc.alphas if a > 0]
     return "per-column" if top - min(nonzero) >= 2 else "whole"

@@ -51,7 +51,6 @@ class LocalSmithResult:
     alphas: tuple
     ranks: tuple
     beta: int
-    method: str = "rpr"
 
     @property
     def mu(self) -> int:
@@ -131,7 +130,7 @@ def rref_over_residue(matrix):
 # -- shared assembly ---------------------------------------------------------
 
 
-def _finish_local(A, p, accepted, ranks, beta_loop, mu, method):
+def _finish_local(A, p, accepted, ranks, beta_loop, mu):
     alphas = tuple(a for a, _ in accepted)
     if any(alphas[i] > alphas[i + 1] for i in range(len(alphas) - 1)):
         raise MultiplicityMismatch("exponents not nondecreasing")
@@ -165,16 +164,18 @@ def _finish_local(A, p, accepted, ranks, beta_loop, mu, method):
             col.append(q)
         e_cols.append(col)
     E = MatPoly.from_columns(e_cols)
-    return LocalSmithResult(
-        p=p, V=V, E=E, alphas=alphas, ranks=ranks, beta=beta, method=method
-    )
+    return LocalSmithResult(p=p, V=V, E=E, alphas=alphas, ranks=ranks, beta=beta)
 
 
 # -- the chain construction, shared by both scalar lanes ----------------------
 
 
 def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
-    """Unimodular local Smith form at p with algebraic multiplicity mu."""
+    """Unimodular local Smith form at p with algebraic multiplicity mu.
+
+    mu must be the exact multiplicity of p in det(A).  A larger mu raises
+    MultiplicityMismatch; a smaller one is not always detected and can
+    return a wrong local form."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
@@ -243,7 +244,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         chains = next_chains
     for g in range(len(chains) // s):
         accepted.append((k + 1, lane.decode(chains[g * s])))
-    return _finish_local(A, p, accepted, ranks, k + 1, mu, lane.method)
+    return _finish_local(A, p, accepted, ranks, k + 1, mu)
 
 
 def _unit_column(n, c):
@@ -289,7 +290,6 @@ class _ResidueLane:
     entries are polynomials, digit-major (rows j*n..j*n+n-1 hold digit j),
     and extending a chain carries by division by p."""
 
-    method = "rpr"
     s = 1
     zero = Poly.zero()
 
@@ -345,7 +345,6 @@ class _FieldLane:
     tableau has width s*n, and chains come in supercolumns of s, of which
     the first is decoded.  Extending a chain is a plain append."""
 
-    method = "k"
     zero = Fraction(0)
 
     def __init__(self, A: MatPoly, p: Poly):
@@ -529,7 +528,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
     mu = sum(alphas)
     ranks = [sum(1 for a in alphas if a >= j + 1) for j in range(max(alphas))] if mu else []
     accepted = list(zip(alphas, cols))
-    return _finish_local(A, p, accepted, ranks, beta_loop, mu, "reference")
+    return _finish_local(A, p, accepted, ranks, beta_loop, mu)
 
 
 def _matvec_poly(A: MatPoly, x):

@@ -1,6 +1,6 @@
-"""Matrix polynomials: products, exact determinants, unimodularity,
-expansion in powers of an irreducible p, and the digit/polynomial
-isomorphism used by the local Smith form algorithms."""
+"""Matrix polynomials: products, exact determinants, expansion in powers
+of an irreducible p, and the digit/polynomial isomorphism used by the
+local Smith form algorithms."""
 
 from __future__ import annotations
 
@@ -262,32 +262,16 @@ def _interpolate(points, values) -> Poly:
     return result
 
 
-def is_unimodular(A: MatPoly) -> bool:
-    """True iff det(A) is a nonzero constant."""
-    if not A.is_square():
-        raise NotSquare("unimodularity needs a square matrix")
-    d = mat_det(A)
-    return d.degree == 0
-
-
 # -- expansion in powers of p --------------------------------------------
 
 
 @dataclass(frozen=True)
 class PAdicExpansion:
     """Digits of a matrix in powers of a monic irreducible p, every digit
-    entry of degree < deg p; reassembling is exact."""
+    entry of degree < deg p; lambda_iso reassembles them exactly."""
 
     p: Poly
     blocks: tuple  # of MatPoly
-
-    def reassemble(self) -> MatPoly:
-        acc = MatPoly.zeros(self.blocks[0].rows, self.blocks[0].cols)
-        pk = Poly.one()
-        for blk in self.blocks:
-            acc = acc + blk.map_entries(lambda e, f=pk: e * f)
-            pk = pk * self.p
-        return acc
 
     def __len__(self):
         return len(self.blocks)
@@ -347,17 +331,3 @@ def lambda_iso(blocks, p: Poly) -> list:
                 out[i] = out[i] + e * pk
         pk = pk * p
     return out
-
-
-def lambda_iso_inverse(vec, p: Poly, k: int) -> list:
-    """Digits of each component in powers of p, zero-padded to k blocks."""
-    digits = []
-    for e in vec:
-        ds = []
-        for _ in range(k):
-            e, r = e.divmod(p)
-            ds.append(r)
-        if not e.is_zero():
-            raise DegreeTooHigh("vector does not fit in k digit blocks")
-        digits.append(ds)
-    return [[digits[i][j] for i in range(len(vec))] for j in range(k)]

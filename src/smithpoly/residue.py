@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeZero, DimensionMismatch, NotMonic, PrimeMismatch
+from .errors import (
+    DegreeZero,
+    DimensionMismatch,
+    NotIrreducible,
+    NotMonic,
+    PrimeMismatch,
+)
 from .poly import Poly
 
 
@@ -143,7 +149,9 @@ def residue_mul(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
 
 
 def residue_div(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
-    """Solve [y, Sy, ..., S^(s-1)y] z = x; defined whenever y != 0."""
+    """Solve [y, Sy, ..., S^(s-1)y] z = x; defined whenever y != 0 and p
+    is irreducible.  A singular system means y is a zero divisor, so p is
+    not irreducible (NotIrreducible)."""
     if len(x.coeffs) != S.s or len(y.coeffs) != S.s:
         raise DimensionMismatch("length does not match deg p")
     _check(x, y)
@@ -163,7 +171,9 @@ def residue_div(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
                 piv = r
                 break
         if piv is None:
-            raise ZeroDivisionError("singular multiplication matrix")
+            raise NotIrreducible(
+                f"{S.p.human_text()} is not irreducible: R/pR has zero divisors"
+            )
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [c * inv for c in aug[col]]
@@ -172,7 +182,3 @@ def residue_div(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return ResidueElt(tuple(aug[i][n] for i in range(n)), S)
-
-
-def residue_inv(y: ResidueElt, S: Companion) -> ResidueElt:
-    return residue_div(residue_one(S), y, S)

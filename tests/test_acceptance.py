@@ -132,8 +132,8 @@ def test_variant_agreement_local_algorithms():
 
 
 def test_variant_agreement_global_routes():
-    """Whole-matrix vs per-column splicing and plain vs degree-reduced
-    triangularization all yield valid Smith forms with identical D."""
+    """Whole-matrix and per-column splicing, each triangularized, give the
+    identical V, the pipeline's, and it makes a valid Smith form."""
     for key in GROUND_TRUTH:
         A = instance(*key)
         locs = list(locals_rpr(*key))
@@ -141,15 +141,16 @@ def test_variant_agreement_global_routes():
         assert D == pipeline(*key).D, key
         if len(locs) == 1:
             continue
-        for mode in ("whole", "per-column"):
-            comb = combine_local(A, locs, mode, factored=factored(*key))
-            for variant in ("plain", "reduced"):
-                V, _ = triangularize(comb, D, variant)
-                E = compute_E(A, V, D)
-                assert (A @ V) == (E @ D), (key, mode, variant)
-                assert mat_det(V).degree == 0, (key, mode, variant)
-                assert mat_det(E).degree == 0, (key, mode, variant)
-    _report("variant agreement: Bezout modes x triangularization variants")
+        V_whole, V_cols = (
+            triangularize(combine_local(A, locs, mode, factored=factored(*key)), D)[0]
+            for mode in ("whole", "per-column")
+        )
+        assert V_whole == V_cols == pipeline(*key).V, key
+        E = compute_E(A, V_whole, D)
+        assert (A @ V_whole) == (E @ D), key
+        assert mat_det(V_whole).degree == 0, key
+        assert mat_det(E).degree == 0, key
+    _report("variant agreement: whole-matrix vs per-column splicing give one V")
 
 
 def test_combined_multiplier_properties():

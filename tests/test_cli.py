@@ -93,6 +93,21 @@ def test_local_rejects_constant_prime(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("variant, code", [("rpr", 5), ("k", 1)])
+def test_local_rejects_prime_split_over_gaussians(tmp_path, capsys, variant, code):
+    """l^2+1 is irreducible over Q but splits as (l-i)(l+i) over Q(i).
+    The residue lane meets a zero divisor and exits with the bad-arguments
+    code; the base-field lane finds the chains inconsistent (exit 1)."""
+    from smithpoly.field import GaussianRational
+
+    i = GaussianRational(0, 1)
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.diag([Poly([-i, 1]), Poly([i, 1])]))
+    assert run("local", str(a), "--prime", "l^2+1", "--variant", variant) == code
+    err = capsys.readouterr().err
+    assert ("zero divisors" if variant == "rpr" else "supercolumn split") in err
+
+
 def test_factor_det_output(tmp_path, capsys):
     a = tmp_path / "A.mp"
     run("gen", "--family", "1", "--param", "4", "--seed", "1", "--out", str(a))
@@ -149,16 +164,6 @@ def test_local_on_gaussian_matrix(tmp_path, capsys):
     assert "exponents: 1 2" in out
     # the Q-only factoring front end refuses this matrix
     assert run("factor-det", str(a)) == 1
-
-
-def test_bench_command(tmp_path, capsys):
-    csv_file = tmp_path / "b.csv"
-    assert run("bench", "--family", "3", "--params", "1..2", "--repeat", "1",
-               "--csv", str(csv_file)) == 0
-    out = capsys.readouterr().out
-    assert "prime factors of det(A)" in out
-    assert csv_file.exists()
-    assert len(csv_file.read_text().splitlines()) == 3
 
 
 def test_stdout_emission(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import pytest
 
-from corpus import SEED, instance
-from smithpoly.bench import STEP_LABELS, bench_run, format_table, write_csv
+from corpus import instance
 from smithpoly.errors import BadFamilyParam, ShapeMismatch
 from smithpoly.families import FamilySpec, family_diagonal, gen_test_matrix
 from smithpoly.matpoly import MatPoly, mat_det
@@ -124,37 +123,3 @@ def test_verify_with_F_direction():
     F = invert_unimodular(r.V)
     rep = verify_smith(instance(6, 3, "none"), r.E, r.D, F=F)
     assert rep.overall
-
-
-def test_bench_table_shape(tmp_path):
-    rows = bench_run(2, [1, 2, 3, 4], repetitions=1, seed=SEED)
-    assert len(rows) == 4
-    text = format_table(rows)
-    for label in STEP_LABELS:
-        assert label in text
-    csv_path = tmp_path / "t.csv"
-    write_csv(rows, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 5
-    assert lines[0].split(",")[0:3] == ["family", "param", "permutation"]
-    for label in STEP_LABELS[:1]:
-        assert label in lines[0]
-
-
-def test_bench_parallel_jobs_same_instances():
-    """--jobs parallelizes across instances only; rows match the
-    sequential run in shape and instance identity."""
-    seq = bench_run(3, [1, 2], repetitions=1, seed=SEED)
-    par = bench_run(3, [1, 2], repetitions=1, seed=SEED, jobs=2)
-    assert [(r.family, r.param, r.permutation) for r in seq] == [
-        (r.family, r.param, r.permutation) for r in par
-    ]
-
-
-def test_bench_step_sum_close_to_total():
-    """Per-step medians must account for the run within 10%."""
-    rows = bench_run(3, [1, 2, 3, 4], repetitions=2, seed=SEED)
-    for r in rows:
-        step_sum = sum(r.steps.values())
-        assert step_sum <= r.total * 1.10
-        assert step_sum >= r.total * 0.90

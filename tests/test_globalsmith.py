@@ -19,7 +19,7 @@ from smithpoly.globalsmith import (
     smith_with_multipliers,
     triangularize,
 )
-from smithpoly.localsmith import local_smith
+from smithpoly.localsmith import local_smith, local_smith_over_K
 from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly, multi_xgcd
@@ -111,10 +111,10 @@ def test_combine_factor_set_mismatch():
 
 
 def test_triangularize_already_lower():
-    B = MatPoly([[X, Poly.zero()], [Poly.one(), X**2]])
+    # each column is already reduced modulo its diagonal entry
+    B = MatPoly([[Poly.one(), Poly.zero()], [X, X + 1]])
     D = MatPoly.diag([X, X**2])
-    comb = CombinedMultiplier(matrix=B, mode="whole", local_methods=("rpr",))
-    V, B1 = triangularize(comb, D, "plain")
+    V, B1 = triangularize(CombinedMultiplier(matrix=B, mode="whole"), D)
     assert V == MatPoly.identity(2)
     assert B1 == B
 
@@ -123,18 +123,18 @@ def test_triangularize_unit_column_swaps_rows():
     # last column (1; 0): the gcd must land in the last row via a reversal
     B = MatPoly([[X, Poly.one()], [Poly.one(), Poly.zero()]])
     D = MatPoly.diag([Poly.one(), X])
-    comb = CombinedMultiplier(matrix=B, mode="whole", local_methods=("rpr",))
-    V, B1 = triangularize(comb, D, "plain")
+    V, B1 = triangularize(CombinedMultiplier(matrix=B, mode="whole"), D)
     assert B1[0, 1].is_zero() and B1[1, 1].is_one()
     assert V == MatPoly([[Poly.zero(), Poly.one()], [Poly.one(), Poly.zero()]])
     assert mat_det(V).degree == 0
 
 
 def test_triangularize_column_reversal():
+    # the last column (1; l) has degree below deg d_2, so reducing it
+    # changes nothing and det(B1) stays a constant multiple of det(B)
     B = MatPoly([[Poly.one(), Poly.one()], [Poly.zero(), X]])
-    D = MatPoly.diag([Poly.one(), X])
-    comb = CombinedMultiplier(matrix=B, mode="whole", local_methods=("rpr",))
-    V, B1 = triangularize(comb, D, "plain")
+    D = MatPoly.diag([Poly.one(), X**2])
+    V, B1 = triangularize(CombinedMultiplier(matrix=B, mode="whole"), D)
     assert mat_det(V).degree == 0
     # processed column (the last) is zero above the diagonal
     assert B1[0, 1].is_zero()
@@ -142,14 +142,13 @@ def test_triangularize_column_reversal():
     assert r.is_zero() and q.degree == 0
 
 
-@pytest.mark.parametrize("variant", ["plain", "reduced"])
-def test_triangularize_variants_give_valid_forms(variant):
+def test_triangularize_gives_valid_form():
     key = (5, 2, "none")
     A = instance(*key)
     locs = list(locals_rpr(*key))
     comb = combine_local(A, locs, "per-column", factored=factored(*key))
     D = smith_diagonal(locs, A.rows)
-    V, B1 = triangularize(comb, D, variant)
+    V, B1 = triangularize(comb, D)
     assert mat_det(V).degree == 0
     n = A.rows
     for i in range(n):
@@ -158,9 +157,6 @@ def test_triangularize_variants_give_valid_forms(variant):
     E = compute_E(A, V, D)
     assert (A @ V) == (E @ D)
     assert mat_det(E).degree == 0
-    if variant == "plain":
-        q, r = mat_det(B1).divmod(mat_det(comb.matrix))
-        assert r.is_zero() and q.degree == 0
 
 
 # -- compute_E / invert_unimodular -------------------------------------------
@@ -173,9 +169,8 @@ def test_triangularize_rejects_invalid_multiplier():
 
     B = MatPoly.diag([X, X])
     D = MatPoly.diag([Poly.one(), X])
-    comb = CombinedMultiplier(matrix=B, mode="whole", local_methods=("rpr",))
     with pytest.raises(SmithError):
-        triangularize(comb, D, "reduced")
+        triangularize(CombinedMultiplier(matrix=B, mode="whole"), D)
 
 
 def test_pipeline_on_random_rational_matrices():
@@ -289,19 +284,30 @@ def test_not_regular_rejected():
         smith_with_multipliers(MatPoly([[X, X], [X, X]]))
 
 
+def _by_hand(A, local_fn, mode):
+    """The pipeline of smith_with_multipliers, with the local algorithm
+    and the splice chosen by the caller."""
+    factored_ = factor_determinant(A)
+    locs = [local_fn(A, p, e) for p, e in factored_.factors]
+    D = smith_diagonal(locs, A.rows)
+    comb = combine_local(A, locs, mode, factored=factored_)
+    V = comb.matrix if comb.mode == "single" else triangularize(comb, D)[0]
+    return D, V, compute_E(A, V, D)
+
+
 def test_bezout_mode_override_matches_auto():
+    """Either splice, triangularized, gives the V the pipeline returns."""
     key = (4, 4, "none")
     A = instance(*key)
     r_auto = pipeline(*key)
     for mode in ("whole", "per-column"):
-        r = smith_with_multipliers(A, bezout=mode)
-        assert r.D == r_auto.D
-        assert verify_smith(A, r.E, r.D, V=r.V).overall
+        assert _by_hand(A, local_smith, mode) == (r_auto.D, r_auto.V, r_auto.E)
 
 
 def test_all_option_combinations_agree_random():
-    """Every (bezout, triangularize, local variant) combination returns a
-    verified Smith form with the oracle diagonal."""
+    """The default result has the oracle diagonal and verifies, and the
+    pipeline run by hand with either splice and either local algorithm
+    returns the same D, V and E."""
     import itertools
 
     from conftest import random_matrix
@@ -313,15 +319,13 @@ def test_all_option_combinations_agree_random():
         if mat_det(A).is_zero():
             continue
         done += 1
-        D_ref = minors_gcd_smith(A)
-        for bez, tri, lv in itertools.product(
-            ("whole", "per-column"), ("plain", "reduced"), ("rpr", "k")
+        r = smith_with_multipliers(A)
+        assert r.D == minors_gcd_smith(A)
+        assert verify_smith(A, r.E, r.D, V=r.V).overall
+        for local_fn, mode in itertools.product(
+            (local_smith, local_smith_over_K), ("whole", "per-column")
         ):
-            r = smith_with_multipliers(
-                A, bezout=bez, triangularize_variant=tri, local_variant=lv
-            )
-            assert r.D == D_ref, (bez, tri, lv)
-            assert verify_smith(A, r.E, r.D, V=r.V).overall, (bez, tri, lv)
+            assert _by_hand(A, local_fn, mode) == (r.D, r.V, r.E), (local_fn, mode)
 
 
 def test_unimodular_sandwich_invariance_small():
@@ -337,33 +341,24 @@ def test_unimodular_sandwich_invariance_small():
         assert r.diagonal() == want
 
 
-def test_timings_labels():
-    A = instance(1, 4, "none")
-    steps = {"prime factors of det(A)", "local Smith forms", "matrix V", "matrix E"}
-    timings = {}
-    smith_with_multipliers(A, timings=timings)
-    assert set(timings) == steps
-    assert all(v >= 0 for v in timings.values())
-    timings = {}
-    smith_with_multipliers(A, with_U=True, timings=timings)
-    assert set(timings) == steps | {"matrix U"}
-    assert all(v >= 0 for v in timings.values())
-
-
 @pytest.mark.parametrize(
     "option", ["bezout", "triangularize_variant", "local_variant"]
 )
-def test_bad_option_rejected_before_any_work(option, monkeypatch):
-    """A bad option raises ValueError even on a single-prime input, where
-    it would otherwise never be read, and before det(A) is computed."""
-    import smithpoly.globalsmith as gs
+def test_bad_option_rejected_before_any_work(option):
+    """The route options are gone: smith_with_multipliers refuses them
+    rather than ignoring them."""
+    with pytest.raises(TypeError, match=option):
+        smith_with_multipliers(instance(3, 2, "none"), **{option: "nope"})
 
-    A = instance(3, 2, "none")
-    assert len(factored(3, 2, "none").factors) == 1
 
-    def fail(_):
-        raise AssertionError("determinant computed before options were checked")
-
-    monkeypatch.setattr(gs, "factor_determinant", fail)
-    with pytest.raises(ValueError, match="nope"):
-        smith_with_multipliers(A, **{option: "nope"})
+def test_unchecked_combine_is_the_checked_one():
+    """check=False skips the self-check and nothing else."""
+    for key in [(1, 4, "revcols"), (4, 4, "none"), (5, 2, "none")]:
+        A = instance(*key)
+        locs = list(locals_rpr(*key))
+        for mode in ("whole", "per-column"):
+            checked = combine_local(A, locs, mode, factored=factored(*key))
+            unchecked = combine_local(
+                A, locs, mode, factored=factored(*key), check=False
+            )
+            assert unchecked == checked, (key, mode)

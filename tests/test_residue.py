@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from smithpoly.errors import DegreeZero, DimensionMismatch, NotMonic, PrimeMismatch
+from smithpoly.errors import (
+    DegreeZero,
+    DimensionMismatch,
+    NotIrreducible,
+    NotMonic,
+    PrimeMismatch,
+)
 from smithpoly.field import GaussianRational
 from smithpoly.poly import Poly, parse_poly
 from smithpoly.prng import SplitMix64
@@ -12,7 +18,6 @@ from smithpoly.residue import (
     companion_of,
     encode,
     residue_div,
-    residue_inv,
     residue_mul,
     residue_one,
 )
@@ -61,6 +66,14 @@ def test_div_examples():
     assert residue_div(zero, x, S) == zero
     with pytest.raises(ZeroDivisionError):
         residue_div(x, zero, S)
+
+
+def test_div_by_zero_divisor():
+    """l^2-1 = (l-1)(l+1): l-1 is a nonzero zero divisor of R/pR, and
+    dividing by it says p is not irreducible."""
+    S = companion_of(X**2 - 1)
+    with pytest.raises(NotIrreducible, match="zero divisors"):
+        residue_div(residue_one(S), encode(X - 1, S), S)
 
 
 def test_dimension_and_prime_guards():
@@ -118,7 +131,7 @@ def test_inverses_random(ptxt):
         x = encode(random_poly(rng, S.s - 1), S)
         if x.is_zero():
             continue
-        assert residue_mul(x, residue_inv(x, S), S) == one
+        assert residue_mul(x, one / x, S) == one
         count += 1
 
 
