@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd as _igcd, isqrt
 
 from .errors import UnsupportedField
@@ -179,22 +180,11 @@ def _gf_from_int(f: list[int], p: int) -> list[int]:
 
 
 def _gf_sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _gf_strip(out)
+    return _gf_from_int(_z_sub(a, b), p)
 
 
 def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _gf_strip([c % p for c in out])
+    return _gf_from_int(_z_mul(a, b), p)
 
 
 def _gf_divmod(a, b, p):
@@ -348,22 +338,6 @@ def _z_trunc(a, m):
     return _gf_strip(out)
 
 
-def _z_divmod_monic(a, b):
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _gf_strip(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if not c:
-            continue
-        q[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] -= c * b[j]
-    return _gf_strip(q), _gf_strip(a[:db])
-
-
 def _hensel_step(m, f, g, h, s, t):
     """Quadratic lift: from f=gh, sg+th=1 (mod m) to the same mod m**2.
 
@@ -371,7 +345,7 @@ def _hensel_step(m, f, g, h, s, t):
     """
     M = m * m
     e = _z_trunc(_z_sub(f, _z_mul(g, h)), M)
-    q, r = _z_divmod_monic(_z_mul(s, e), h)
+    q, r = _int_divmod(_z_mul(s, e), h)
     q = _z_trunc(q, M)
     r = _z_trunc(r, M)
     u = _z_add(_z_mul(t, e), _z_mul(q, g))
@@ -379,7 +353,7 @@ def _hensel_step(m, f, g, h, s, t):
     H = _z_trunc(_z_add(h, r), M)
     u = _z_add(_z_mul(s, G), _z_mul(t, H))
     b = _z_trunc(_z_sub(u, [1]), M)
-    c, d = _z_divmod_monic(_z_mul(s, b), H)
+    c, d = _int_divmod(_z_mul(s, b), H)
     c = _z_trunc(c, M)
     d = _z_trunc(d, M)
     u = _z_add(_z_mul(t, b), _z_mul(c, G))
@@ -510,7 +484,7 @@ def _zassenhaus(ints: list[int]) -> list[Poly]:
     s = 1
     while 2 * s <= len(remaining):
         found = None
-        for subset in _subsets(remaining, s):
+        for subset in combinations(remaining, s):
             g = [b]
             for i in subset:
                 g = _z_trunc(_z_mul(g, lifted[i]), pl)
@@ -535,19 +509,13 @@ def _zassenhaus(ints: list[int]) -> list[Poly]:
     return factors
 
 
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
 def _int_divmod(a, b):
     """Division of integer polys when it stays integral; (None, None) if a
-    coefficient fails to divide."""
+    coefficient fails to divide.  A monic b always divides."""
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
-        return None, None
+        return [], _gf_strip(a)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatch,
     MultiplicityMismatch,
+    NotIrreducible,
     NotRegular,
     NotSquare,
     PrimeDoesNotDivideDet,
@@ -200,7 +201,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
     n, s, width, zero = A.rows, lane.s, lane.width, lane.zero
     tableau = lane.tableau()
     _, pivots, null_basis = lane.rref(tableau)
-    free_super, pivot_super = _group_supercolumns(pivots, len(tableau[0]), s, 0)
+    free_super, pivot_super = _group_supercolumns(pivots, len(tableau[0]), s, 0, p)
     r0 = len(free_super)
     if r0 == 0:
         raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
@@ -220,6 +221,9 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         for i, row in enumerate(tableau):
             row.extend(col[i] for col in new_cols)
         _, pivots, null_basis = lane.rref(tableau)
+        _, pivot_super = _group_supercolumns(
+            pivots, len(tableau[0]), s, prev_cols, p
+        )
         new_null = null_basis[null_count:]
         if len(new_null) % s != 0:
             raise MultiplicityMismatch("kernel growth is not a whole supercolumn")
@@ -231,9 +235,6 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         null_count = len(null_basis)
         R += rk
         ranks.append(rk)
-        _, pivot_super = _group_supercolumns(
-            pivots, len(tableau[0]), s, prev_cols
-        )
         for g in pivot_super:
             accepted.append((k, lane.decode(chains[g * s])))
         next_chains = []
@@ -267,9 +268,10 @@ def _chain_combination(stacked, u, rows, zero):
     return out
 
 
-def _group_supercolumns(pivots, ncols, s, base):
+def _group_supercolumns(pivots, ncols, s, base, p):
     """Split the columns appended at/after `base` into supercolumns of s;
-    each must be wholly pivot or wholly free."""
+    each must be wholly pivot or wholly free.  A split one means the
+    kernel is not an R/pR-module, so R/pR is not a field."""
     pivot_set = set(c for c in pivots if c >= base)
     count = (ncols - base) // s
     free, full = [], []
@@ -281,7 +283,10 @@ def _group_supercolumns(pivots, ncols, s, base):
         elif hits == 0:
             free.append(g)
         else:
-            raise MultiplicityMismatch("supercolumn split between pivot and free")
+            raise NotIrreducible(
+                f"{p.human_text()} is not irreducible: a supercolumn splits "
+                "between pivot and free"
+            )
     return free, full
 
 

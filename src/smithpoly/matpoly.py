@@ -4,8 +4,10 @@ local Smith form algorithms."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegreeTooHigh, DimensionMismatch, NotMonic, NotSquare
 from .field import GaussianRational
@@ -162,10 +164,18 @@ def _as_entry(e):
 
 # -- determinants -------------------------------------------------------
 
+_GAUSSIAN_ONE = GaussianRational(1)
+
 
 def mat_det(A: MatPoly) -> Poly:
-    """Exact determinant; fraction-free elimination for small inputs,
-    evaluation/interpolation when the Bareiss route would swell."""
+    """Exact determinant by evaluation and interpolation.
+
+    Each row is scaled by the lcm of its coefficient denominators, which
+    makes every entry an integer (or Gaussian-integer) polynomial and
+    multiplies det(A) by the product of the scales.  The entries are
+    evaluated by Horner at n * max_degree + 1 integer points, fraction-free
+    Bareiss elimination gives the determinant at each point, and Newton
+    interpolation recovers the scaled det(A)."""
     if not A.is_square():
         raise NotSquare("determinant needs a square matrix")
     n = A.rows
@@ -174,75 +184,64 @@ def mat_det(A: MatPoly) -> Poly:
     d = A.max_degree()
     if d < 0:
         return Poly.zero()
-    if n <= 2 or (n <= 7 and n * d <= 64):
-        return _det_bareiss(A)
-    return _det_interp(A)
+    gaussian = any(
+        isinstance(c, GaussianRational)
+        for row in A.entries
+        for e in row
+        for c in e.coeffs
+    )
+    one = _GAUSSIAN_ONE if gaussian else 1
+    scale = 1
+    rows = []
+    for row in A.entries:
+        m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
+        scale *= m
+        if gaussian:
+            rows.append([[one * c * m for c in e.coeffs] for e in row])
+        else:
+            rows.append([[(c * m).numerator for c in e.coeffs] for e in row])
+    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(n * d + 1)]
+    values = [
+        _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
+        for x in points
+    ]
+    return _interpolate([Fraction(x) for x in points], values).scale(
+        Fraction(1, scale)
+    )
 
 
-def _det_bareiss(A: MatPoly) -> Poly:
-    n = A.rows
-    m = [list(row) for row in A.entries]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+def _denominators(c):
+    if isinstance(c, GaussianRational):
+        return c.re.denominator, c.im.denominator
+    return (c.denominator,)
 
 
-def _det_interp(A: MatPoly) -> Poly:
-    n = A.rows
-    bound = n * A.max_degree() + 1
-    points = []
-    k = 0
-    while len(points) < bound:
-        points.append(Fraction(k))
-        if k > 0 and len(points) < bound:
-            points.append(Fraction(-k))
-        k += 1
-    values = []
-    for x in points:
-        scalar = [[e.eval(x) for e in row] for row in A.entries]
-        values.append(_scalar_det(scalar))
-    return _interpolate(points, values)
+def _horner(coeffs, x, one):
+    acc = one * 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def _scalar_det(m):
-    n = len(m)
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
+def _bareiss(m, one):
+    """Fraction-free elimination: every quotient is exact, by `//` on int
+    and by `/` on Gaussian integers held as GaussianRational."""
+    div = operator.floordiv if type(one) is int else operator.truediv
+    sign, prev = 1, one
+    while len(m) > 1:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            return one * 0
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
             sign = -sign
-        pivot = m[k][k]
-        det = det * pivot
-        inv = 1 / pivot
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det * sign
+        (pivot, *top), rest = m[0], m[1:]
+        m = [
+            [div(pivot * a - row[0] * b, prev) for a, b in zip(row[1:], top)]
+            for row in rest
+        ]
+        prev = pivot
+    return m[0][0] * sign
 
 
 def _interpolate(points, values) -> Poly:

@@ -93,11 +93,11 @@ def test_local_rejects_constant_prime(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("variant, code", [("rpr", 5), ("k", 1)])
+@pytest.mark.parametrize("variant, code", [("rpr", 5), ("k", 5)])
 def test_local_rejects_prime_split_over_gaussians(tmp_path, capsys, variant, code):
     """l^2+1 is irreducible over Q but splits as (l-i)(l+i) over Q(i).
-    The residue lane meets a zero divisor and exits with the bad-arguments
-    code; the base-field lane finds the chains inconsistent (exit 1)."""
+    The residue lane meets a zero divisor, the base-field lane a kernel
+    that splits a supercolumn; both exit with the bad-arguments code."""
     from smithpoly.field import GaussianRational
 
     i = GaussianRational(0, 1)
@@ -105,7 +105,8 @@ def test_local_rejects_prime_split_over_gaussians(tmp_path, capsys, variant, cod
     write_matpoly_file(a, MatPoly.diag([Poly([-i, 1]), Poly([i, 1])]))
     assert run("local", str(a), "--prime", "l^2+1", "--variant", variant) == code
     err = capsys.readouterr().err
-    assert ("zero divisors" if variant == "rpr" else "supercolumn split") in err
+    assert "l^2+1 is not irreducible" in err
+    assert ("zero divisors" if variant == "rpr" else "supercolumn splits") in err
 
 
 def test_factor_det_output(tmp_path, capsys):

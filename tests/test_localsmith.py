@@ -4,6 +4,7 @@ from conftest import random_matrix
 from corpus import factored, instance, locals_over_k, locals_rpr
 from smithpoly.errors import (
     MultiplicityMismatch,
+    NotIrreducible,
     NotSquare,
     PrimeDoesNotDivideDet,
     PrimeMismatch,
@@ -151,6 +152,19 @@ def test_errors(fn):
         fn(MatPoly.identity(2), X, 1)
     with pytest.raises(MultiplicityMismatch):
         fn(A, X, 5)  # true multiplicity is 2
+
+
+@pytest.mark.parametrize("fn", ALL_LOCAL)
+def test_prime_split_over_gaussians_is_not_irreducible(fn):
+    """l^2+1 = (l-i)(l+i): R/pR is not a field.  Both lanes say so, whether
+    the split shows at the first round or only at a later one."""
+    i = GaussianRational(0, 1)
+    p = X**2 + 1
+    a, b = X - i, X + i
+    with pytest.raises(NotIrreducible, match=r"l\^2\+1 is not irreducible"):
+        fn(MatPoly.diag([a, b]), p, 1)
+    with pytest.raises(NotIrreducible, match=r"l\^2\+1 is not irreducible"):
+        fn(MatPoly.diag([p * a, p**2]), p, 3)
 
 
 # -- randomized equivalence ------------------------------------------------

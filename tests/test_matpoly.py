@@ -1,15 +1,18 @@
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
 from conftest import random_matrix, random_poly
 from corpus import instance
 from smithpoly.errors import DegreeTooHigh, NotMonic, NotSquare
+from smithpoly.field import GaussianRational
 from smithpoly.matpoly import (
     MatPoly,
     expand_in_p,
     lambda_iso,
     mat_det,
 )
-from smithpoly.matpoly import _det_bareiss, _det_interp
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
 
@@ -45,12 +48,50 @@ def test_det_multiplicative_random():
         assert mat_det(A @ B) == mat_det(A) * mat_det(B)
 
 
-def test_det_bareiss_interp_agree():
+def _leibniz_det(A):
+    """Permutation-sum determinant, independent of mat_det."""
+    n = A.rows
+    total = Poly.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = Poly.const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * A[i, j]
+        total = total + term
+    return total
+
+
+def _random_coeff(rng, kind):
+    a = rng.randint(-5, 5)
+    if kind == "int":
+        return a
+    if kind == "fraction":
+        return Fraction(a, 1 + rng.below(6))
+    return GaussianRational(Fraction(a, 1 + rng.below(3)), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "gaussian"])
+def test_det_matches_leibniz_random(kind):
     rng = SplitMix64(89)
-    for _ in range(25):
-        n = 2 + rng.below(4)
-        A = random_matrix(rng, n, rng.below(4))
-        assert _det_bareiss(A) == _det_interp(A)
+    for n in range(1, 5):
+        for deg in range(4):
+            A = MatPoly(
+                [
+                    [
+                        Poly([_random_coeff(rng, kind) for _ in range(deg + 1)])
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            assert mat_det(A) == _leibniz_det(A), (n, deg)
+            if n > 1:
+                rows = list(A.entries)
+                rows[-1] = rows[0]
+                assert mat_det(MatPoly(rows)).is_zero(), (n, deg)
+    assert mat_det(MatPoly.zeros(3, 3)).is_zero()
 
 
 def test_unimodular_examples():
