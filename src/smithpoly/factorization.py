@@ -51,8 +51,8 @@ def factor_over_rationals(f: Poly) -> FactoredPoly:
         raise ValueError("cannot factor the zero polynomial")
     if any(isinstance(c, GaussianRational) and c.im != 0 for c in f.coeffs):
         raise UnsupportedField(
-            "factorization over Q+iQ is not provided; supply the "
-            "factorization explicitly"
+            "factorization over Q+iQ is not provided; compute a local form "
+            "at a monic irreducible p with local_smith or `smith local --prime`"
         )
     unit = Fraction(f.lc())
     work = f.monic()

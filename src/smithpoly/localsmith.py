@@ -11,8 +11,8 @@ scalar lane the driver runs on:
 * ``local_smith`` -- the residue lane: entries in R/pR, tableau width n,
   chains extended by carrying through division by p.
 * ``local_smith_over_K`` -- the base-field lane: residue elements become
-  s x s blocks over K (s = deg p), the tableau has width s*n, and chain
-  columns come in supercolumns of s, of which the first is kept.
+  their s coefficients over K (s = deg p), the tableau has width s*n, and
+  chain columns come in supercolumns of s, of which the first is kept.
 
 ``local_smith_reference`` is the simple column-rotation version, kept
 only as a slow cross-checking oracle.
@@ -35,7 +35,6 @@ from .errors import (
 from .matpoly import MatPoly, expand_in_p, lambda_iso
 from .poly import Poly
 from .residue import (
-    Companion,
     ResidueElt,
     companion_of,
     encode,
@@ -89,8 +88,8 @@ def _rref(rows, zero, one):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv_src = m[r][c]
-        m[r] = [e / inv_src for e in m[r]]
+        inv = one / m[r][c]
+        m[r] = [e * inv for e in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -346,21 +345,30 @@ class _ResidueLane:
 
 
 class _FieldLane:
-    """Scalars in K: residue elements become s x s blocks (s = deg p), the
-    tableau has width s*n, and chains come in supercolumns of s, of which
-    the first is decoded.  Extending a chain is a plain append."""
+    """Scalars in K: each residue entry becomes its s coefficients (s =
+    deg p), the tableau has width s*n, and chains come in supercolumns of
+    s, of which the first is decoded.  Residuals are the residue lane's,
+    flattened; extending a chain is a plain append."""
 
     zero = Fraction(0)
 
     def __init__(self, A: MatPoly, p: Poly):
         self.p = p
-        S = companion_of(p)
-        self.s = S.s
-        self.width = S.s * A.rows
-        self.blocks = _field_operator_blocks(A, p, S)
+        self.residue = _ResidueLane(A, p)
+        self.s = self.residue.S.s
+        self.width = self.s * A.rows
 
     def tableau(self):
-        return [list(row) for row in self.blocks[0]]
+        """Column (jj, b) holds the coefficients of digit_0[:, jj] * l**b
+        mod p: multiplication by digit_0 as a matrix over K."""
+        s, S, x = self.s, self.residue.S, Poly.x()
+        rows = [[] for _ in range(self.width)]
+        for i, row in enumerate(self.residue.digits[0].entries):
+            for e in row:
+                for b in range(s):
+                    for a, c in enumerate(encode(e * x**b, S).coeffs):
+                        rows[i * s + a].append(c)
+        return rows
 
     def rref(self, rows):
         return _rref(rows, Fraction(0), Fraction(1))
@@ -369,20 +377,9 @@ class _FieldLane:
         return vec
 
     def residual(self, chain, k):
-        sn, blocks = self.width, self.blocks
-        col = [Fraction(0)] * sn
-        for j in range(k):
-            if k - j >= len(blocks):
-                continue
-            blk = blocks[k - j]
-            seg = chain[j * sn : (j + 1) * sn]
-            for r in range(sn):
-                acc = col[r]
-                for a, b in zip(blk[r], seg):
-                    if a and b:
-                        acc = acc + a * b
-                col[r] = acc
-        return col
+        s = self.s
+        digits = [Poly(chain[t : t + s]) for t in range(0, len(chain), s)]
+        return [c for r in self.residue.residual(digits, k) for c in r.coeffs]
 
     def extend(self, head, y, k):
         return head + y
@@ -396,88 +393,6 @@ class _FieldLane:
             for j in range(0, len(vec), sn)
         ]
         return lambda_iso(blocks, self.p)
-
-
-def _field_operator_blocks(A: MatPoly, p: Poly, S: Companion):
-    """Block matrices over K representing multiplication by A on the digit
-    expansion: the j-th block combines digit j (via powers of the companion
-    matrix) with the carry of digit j-1."""
-    s = S.s
-    n = A.rows
-    digits = expand_in_p(A, p).blocks
-    q = len(digits)
-    smat = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in S.matrix]
-    spow = [_eye_scalar(s)]
-    for _ in range(s - 1):
-        spow.append(_matmul_scalar(smat, spow[-1]))
-    zmat = [[Fraction(0)] * s for _ in range(s)]
-    zmat[0][s - 1] = Fraction(1)
-    zpow = [None] * s
-    zpow[0] = [[Fraction(0)] * s for _ in range(s)]
-    for m in range(1, s):
-        acc = [[Fraction(0)] * s for _ in range(s)]
-        for l in range(m):
-            term = _matmul_scalar(spow[l], _matmul_scalar(zmat, spow[m - 1 - l]))
-            for i in range(s):
-                for j in range(s):
-                    acc[i][j] = acc[i][j] + term[i][j]
-        zpow[m] = acc
-
-    def coeff(j, m, i, jj):
-        if j >= q:
-            return Fraction(0)
-        e = digits[j][i, jj]
-        return e.coeffs[m] if m <= e.degree else Fraction(0)
-
-    blocks = []
-    zero_tail = []
-    for j in range(q + 2):
-        big = [[Fraction(0)] * (s * n) for _ in range(s * n)]
-        nonzero = False
-        for i in range(n):
-            for jj in range(n):
-                blk = None
-                for m in range(s):
-                    c1 = coeff(j, m, i, jj)
-                    c2 = coeff(j - 1, m, i, jj) if j >= 1 else Fraction(0)
-                    if not c1 and not c2:
-                        continue
-                    if blk is None:
-                        blk = [[Fraction(0)] * s for _ in range(s)]
-                    for a in range(s):
-                        for b in range(s):
-                            v = blk[a][b]
-                            if c1:
-                                v = v + c1 * spow[m][a][b]
-                            if c2:
-                                v = v + c2 * zpow[m][a][b]
-                            blk[a][b] = v
-                if blk is not None:
-                    nonzero = True
-                    for a in range(s):
-                        for b in range(s):
-                            if blk[a][b]:
-                                big[i * s + a][jj * s + b] = blk[a][b]
-        blocks.append(big)
-        zero_tail.append(not nonzero)
-    while blocks and zero_tail[-1]:
-        blocks.pop()
-        zero_tail.pop()
-    return blocks
-
-
-def _eye_scalar(s):
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(s)] for i in range(s)
-    ]
-
-
-def _matmul_scalar(a, b):
-    bt = list(zip(*b))
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt]
-        for row in a
-    ]
 
 
 # -- preliminary column-rotation version (test oracle) -----------------------

@@ -138,12 +138,6 @@ class MatPoly:
         f = _as_entry(f)
         return MatPoly([[e * f for e in row] for row in self.entries])
 
-    def transpose(self) -> "MatPoly":
-        return MatPoly(list(zip(*self.entries)))
-
-    def map_entries(self, fn) -> "MatPoly":
-        return MatPoly([[fn(e) for e in row] for row in self.entries])
-
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -271,9 +265,6 @@ class PAdicExpansion:
 
     p: Poly
     blocks: tuple  # of MatPoly
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:

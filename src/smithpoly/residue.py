@@ -1,8 +1,8 @@
-"""Arithmetic in the residue field R/pR via the companion matrix of p.
+"""Arithmetic in the residue field R/pR, held as polynomials reduced mod p.
 
 Elements are length-s coefficient vectors over the base field, s = deg p.
-Multiplication uses the companion-matrix form x*y = [y, Sy, ..., S^(s-1)y]x;
-division solves that s x s system exactly instead of forming an inverse.
+A product is the polynomial product reduced mod p; a quotient multiplies
+by the inverse that the extended Euclidean algorithm gives.
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ from .errors import (
     NotMonic,
     PrimeMismatch,
 )
-from .poly import Poly
+from .poly import Poly, poly_xgcd
 
 
 @dataclass(frozen=True)
 class Companion:
-    """s x s companion matrix of a monic p: subdiagonal ones, last column
-    holding the negated low-order coefficients."""
+    """The monic prime p of R/pR and its degree s."""
 
     p: Poly
     s: int
-    matrix: tuple  # rows, each a tuple of field scalars
 
     def same_prime(self, other: "Companion") -> bool:
         return self is other or self.p == other.p
@@ -35,19 +33,10 @@ class Companion:
 
 def companion_of(p: Poly) -> Companion:
     if not p.is_monic():
-        raise NotMonic("companion matrix needs a monic polynomial")
-    s = p.degree
-    if s < 1:
-        raise DegreeZero("companion matrix needs degree >= 1")
-    zero = Fraction(0)
-    rows = []
-    for i in range(s):
-        row = [zero] * s
-        if i >= 1:
-            row[i - 1] = Fraction(1)
-        row[s - 1] = -p.coeffs[i]
-        rows.append(tuple(row))
-    return Companion(p=p, s=s, matrix=tuple(rows))
+        raise NotMonic("residue arithmetic needs a monic polynomial")
+    if p.degree < 1:
+        raise DegreeZero("residue arithmetic needs degree >= 1")
+    return Companion(p=p, s=p.degree)
 
 
 @dataclass(frozen=True)
@@ -120,38 +109,19 @@ def encode(f: Poly, S: Companion) -> ResidueElt:
     return ResidueElt(tuple(cs), S)
 
 
-def _matvec(rows, v):
-    out = []
-    for row in rows:
-        acc = Fraction(0)
-        for a, b in zip(row, v):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
 def residue_mul(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
     if len(x.coeffs) != S.s or len(y.coeffs) != S.s:
         raise DimensionMismatch("length does not match deg p")
     _check(x, y)
     if S.s == 1:
         return ResidueElt((x.coeffs[0] * y.coeffs[0],), S)
-    w = list(y.coeffs)
-    acc = [x.coeffs[0] * c for c in w]
-    for j in range(1, S.s):
-        w = _matvec(S.matrix, w)
-        xj = x.coeffs[j]
-        if xj:
-            for i in range(S.s):
-                acc[i] = acc[i] + xj * w[i]
-    return ResidueElt(tuple(acc), S)
+    return encode(x.to_poly() * y.to_poly(), S)
 
 
 def residue_div(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
-    """Solve [y, Sy, ..., S^(s-1)y] z = x; defined whenever y != 0 and p
-    is irreducible.  A singular system means y is a zero divisor, so p is
-    not irreducible (NotIrreducible)."""
+    """x times the inverse of y from u*y + v*p = gcd(y, p); defined whenever
+    y != 0 and p is irreducible.  A gcd other than 1 means y is a zero
+    divisor, so p is not irreducible (NotIrreducible)."""
     if len(x.coeffs) != S.s or len(y.coeffs) != S.s:
         raise DimensionMismatch("length does not match deg p")
     _check(x, y)
@@ -159,26 +129,9 @@ def residue_div(x: ResidueElt, y: ResidueElt, S: Companion) -> ResidueElt:
         raise ZeroDivisionError("division by zero residue")
     if S.s == 1:
         return ResidueElt((x.coeffs[0] / y.coeffs[0],), S)
-    cols = [list(y.coeffs)]
-    for _ in range(1, S.s):
-        cols.append(_matvec(S.matrix, cols[-1]))
-    n = S.s
-    aug = [[cols[j][i] for j in range(n)] + [x.coeffs[i]] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise NotIrreducible(
-                f"{S.p.human_text()} is not irreducible: R/pR has zero divisors"
-            )
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return ResidueElt(tuple(aug[i][n] for i in range(n)), S)
+    g, u, _ = poly_xgcd(y.to_poly(), S.p)
+    if not g.is_one():
+        raise NotIrreducible(
+            f"{S.p.human_text()} is not irreducible: R/pR has zero divisors"
+        )
+    return encode(x.to_poly() * u, S)

@@ -13,9 +13,6 @@ class VerifyReport:
     checks: tuple  # of (name, passed, witness)
     overall: bool
 
-    def failures(self):
-        return [c for c in self.checks if not c[1]]
-
     def lines(self):
         out = []
         for name, ok, witness in self.checks:

@@ -109,6 +109,22 @@ def test_local_rejects_prime_split_over_gaussians(tmp_path, capsys, variant, cod
     assert ("zero divisors" if variant == "rpr" else "supercolumn splits") in err
 
 
+@pytest.mark.parametrize("variant", ["rpr", "k"])
+def test_local_rejects_prime_split_with_singular_E(tmp_path, capsys, variant):
+    """On diag(l^2+1, (l^2+1)(l-i)) at l^2+1 every chain round looks
+    consistent, yet E = diag(1, l-i) is singular at l = i, a root of p.
+    The E mod p check refuses it with the bad-arguments exit code."""
+    from smithpoly.field import GaussianRational
+
+    p = X**2 + 1
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.diag([p, p * Poly([-GaussianRational(0, 1), 1])]))
+    assert run("local", str(a), "--prime", "l^2+1", "--variant", variant) == 5
+    captured = capsys.readouterr()
+    assert "l^2+1 is not irreducible" in captured.err
+    assert "exponents" not in captured.out
+
+
 def test_factor_det_output(tmp_path, capsys):
     a = tmp_path / "A.mp"
     run("gen", "--family", "1", "--param", "4", "--seed", "1", "--out", str(a))

@@ -42,7 +42,7 @@ def test_unit_and_rational_coefficients():
 
 def test_gaussian_rejected():
     i = GaussianRational(0, 1)
-    with pytest.raises(UnsupportedField):
+    with pytest.raises(UnsupportedField, match="local_smith"):
         factor_over_rationals(Poly([i, 1]))
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_matrix
@@ -277,19 +279,16 @@ def test_distinct_primes_run_concurrently():
         assert rs.V == rp.V and rs.alphas == rp.alphas and rs.E == rp.E
 
 
-def test_base_field_operator_blocks_structure():
-    """For a 1x1 matrix [l] at a quadratic prime, the leading operator
-    block is the companion matrix itself and the next block is the carry
-    of multiplication by lambda (a single 1 in the top-right corner)."""
-    from smithpoly.localsmith import _field_operator_blocks
+def test_base_field_lane_structure():
+    """For a 1x1 matrix [l] at a quadratic prime, the base-field tableau is
+    the companion matrix of p and the round-1 residuals are the carry of
+    multiplication by lambda: l * l = p - 1 carries 1, l * 1 carries 0."""
+    from smithpoly.localsmith import _FieldLane
 
-    p = X**2 + 1
-    S = companion_of(p)
-    blocks = _field_operator_blocks(MatPoly([[X]]), p, S)
-    assert [[c for c in row] for row in blocks[0]] == [list(r) for r in S.matrix]
-    carry = blocks[1]
-    assert carry[0][1] == 1
-    assert sum(1 for row in carry for c in row if c) == 1
+    lane = _FieldLane(MatPoly([[X]]), X**2 + 1)
+    assert lane.tableau() == [[0, -1], [1, 0]]
+    assert lane.residual([Fraction(0), Fraction(1)], 1) == [1, 0]
+    assert lane.residual([Fraction(1), Fraction(0)], 1) == [0, 0]
 
 
 def test_gaussian_prime_local_form():
