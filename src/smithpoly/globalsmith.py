@@ -5,6 +5,7 @@ and triangularize the combination into a unimodular right multiplier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DivisibilityFailure,
@@ -17,7 +18,7 @@ from .errors import (
 )
 from .factorization import FactoredPoly, factor_over_rationals
 from .localsmith import local_smith
-from .matpoly import MatPoly, mat_det
+from .matpoly import MatPoly, _bareiss, _denominators, _integer_rows, mat_det
 from .poly import Poly, multi_xgcd
 
 
@@ -253,88 +254,80 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
 
 
 def invert_unimodular(E: MatPoly) -> MatPoly:
-    """Exact inverse of a unimodular matrix polynomial.
+    """Exact inverse of a unimodular matrix polynomial by x-adic lifting.
 
-    Row-reduces E to unit upper triangular T while mirroring the
-    operations on an identity, then back-substitutes column by column.
-    Worked rows are rescaled to primitive form after every update (a
-    constant row scaling, still an elementary operation here), which
-    stops pure-redundancy coefficient growth.
+    Rows are scaled to integer (or Gaussian-integer) coefficients,
+    E' = R E, and E'_j is the coefficient of x^j, j <= d = deg E.  If E is
+    unimodular, c = det E'(0) = det E' != 0 and N = adj(E') is an integer
+    polynomial matrix with E' N = c I.  Its coefficients follow from
+    N_0 = adj(E'_0), N_k = -N_0 (sum_{j=1..min(k,d)} E'_j N_{k-j}) / c.
+
+    The recurrence has order d, so after max(d, 1) zero N_k in a row all
+    later N_k vanish: N is then a polynomial whose product with E' equals
+    c I in every coefficient, and E^-1 = N R / c exactly.  As deg adj(E')
+    <= (n - 1) d, c = 0, an inexact quotient, or no such run by k = n d
+    means E is not unimodular.
     """
     if not E.is_square():
         raise NotSquare("inverse needs a square matrix")
-    n = E.rows
-    M = [list(row) for row in E.entries]
-    Q = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+    n, d = E.rows, max(E.max_degree(), 0)
+    one, scales, rows = _integer_rows(E)
+    zero, gaussian = one * 0, type(one) is not int
+    E0 = [[cs[0] if cs else zero for cs in row] for row in rows]
+    c = _bareiss(list(E0), one)
+    if not c:
+        raise NotUnimodular("E(0) is singular")
+    ratio = (lambda v: v / c) if gaussian else (lambda v: Fraction(v, c))
 
-    def strip(r):
-        c = _row_content(M[r], Q[r])
-        if c != 1:
-            inv = 1 / c
-            M[r] = [x.scale(inv) for x in M[r]]
-            Q[r] = [x.scale(inv) for x in Q[r]]
+    def exact(v):
+        q = ratio(v)
+        if any(den != 1 for den in _denominators(q)):
+            raise NotUnimodular("adj(E) has a non-integral coefficient")
+        return q if gaussian else q.numerator
 
-    for j in range(n):
-        while True:
-            nz = [r for r in range(j, n) if not M[r][j].is_zero()]
-            if not nz:
-                raise NotUnimodular("determinant is not a nonzero constant")
-            if len(nz) == 1:
-                if nz[0] != j:
-                    M[j], M[nz[0]] = M[nz[0]], M[j]
-                    Q[j], Q[nz[0]] = Q[nz[0]], Q[j]
-                break
-            piv = min(nz, key=lambda r: M[r][j].degree)
-            for r in nz:
-                if r != piv:
-                    q = M[r][j] // M[piv][j]
-                    if not q.is_zero():
-                        M[r] = [x - q * y for x, y in zip(M[r], M[piv])]
-                        Q[r] = [x - q * y for x, y in zip(Q[r], Q[piv])]
-                        strip(r)
-        piv = M[j][j]
-        if not piv.is_constant():
-            raise NotUnimodular("determinant is not a nonzero constant")
-        if not piv.is_one():
-            c = 1 / piv.lc()
-            M[j] = [x.scale(c) for x in M[j]]
-            Q[j] = [x.scale(c) for x in Q[j]]
-    inv_cols = []
-    for c in range(n):
-        w = [Poly.zero()] * n
-        for i in range(n - 1, -1, -1):
-            acc = Q[i][c]
-            for m in range(i + 1, n):
-                if M[i][m] and w[m]:
-                    acc = acc - M[i][m] * w[m]
-            w[i] = acc
-        inv_cols.append(w)
-    return MatPoly.from_columns(inv_cols)
+    # sparse rows of E'_j and of N_0: (column, value) per nonzero entry
+    e_rows = [
+        [[(m, cs[j]) for m, cs in enumerate(row) if j < len(cs) and cs[j]] for row in rows]
+        for j in range(d + 1)
+    ]
+    N = [_adjugate(E0, one)]
+    adj_rows = [[(m, v) for m, v in enumerate(row) if v] for row in N[0]]
+    run, stop = 0, max(d, 1)
+    while run < stop:
+        k = len(N)
+        if k > n * stop:
+            raise NotUnimodular("the inverse of E is not a polynomial")
+        S = [[zero] * n for _ in range(n)]
+        for j in range(1, min(k, d) + 1):
+            for srow, erow in zip(S, e_rows[j] if N[k - j] else ()):
+                for m, v in erow:
+                    srow[:] = [a + v * b for a, b in zip(srow, N[k - j][m])]
+        Nk = [
+            [exact(-sum((v * S[m][col] for m, v in arow), zero)) for col in range(n)]
+            for arow in adj_rows
+        ]
+        nonzero = any(x for row in Nk for x in row)
+        N.append(Nk if nonzero else None)
+        run = 0 if nonzero else run + 1
+    return MatPoly(
+        [
+            [Poly([ratio(b[r][col] * scales[col]) if b else 0 for b in N]) for col in range(n)]
+            for r in range(n)
+        ]
+    )
 
 
-def _row_content(*poly_groups):
-    """Common rational content of all coefficients in the given polys;
-    1 when any coefficient is not rational."""
-    from fractions import Fraction
-    from math import gcd as igcd
-
-    lcm = 1
-    coeffs = []
-    for group in poly_groups:
-        for f in group:
-            for c in f.coeffs:
-                if not isinstance(c, Fraction):
-                    return Fraction(1)
-                coeffs.append(c)
-                lcm = lcm * c.denominator // igcd(lcm, c.denominator)
-    g = 0
-    for c in coeffs:
-        g = igcd(g, int(c * lcm))
-        if g == 1 and lcm == 1:
-            return Fraction(1)
-    if g == 0:
-        return Fraction(1)
-    return Fraction(g, lcm)
+def _adjugate(m, one):
+    """adj(m) by cofactors: (-1)^(i+j) det(m without row j and column i)."""
+    n = len(m)
+    return [
+        [
+            (-1) ** (i + j)
+            * _bareiss([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j], one)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import DegreeTooHigh, DimensionMismatch, NotMonic, NotSquare
 from .field import GaussianRational
@@ -178,6 +178,21 @@ def mat_det(A: MatPoly) -> Poly:
     d = A.max_degree()
     if d < 0:
         return Poly.zero()
+    one, scales, rows = _integer_rows(A)
+    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(n * d + 1)]
+    values = [
+        _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
+        for x in points
+    ]
+    return _interpolate([Fraction(x) for x in points], values).scale(
+        Fraction(1, prod(scales))
+    )
+
+
+def _integer_rows(A: MatPoly):
+    """(one, scales, rows): rows[i][j] lists the coefficients of scales[i] *
+    A[i, j], scales[i] the lcm of row i's denominators; int over Q, Gaussian
+    integers held as GaussianRational (and one = GaussianRational(1)) else."""
     gaussian = any(
         isinstance(c, GaussianRational)
         for row in A.entries
@@ -185,23 +200,13 @@ def mat_det(A: MatPoly) -> Poly:
         for c in e.coeffs
     )
     one = _GAUSSIAN_ONE if gaussian else 1
-    scale = 1
-    rows = []
+    exact = (lambda v: one * v) if gaussian else (lambda v: v.numerator)
+    scales, rows = [], []
     for row in A.entries:
         m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
-        scale *= m
-        if gaussian:
-            rows.append([[one * c * m for c in e.coeffs] for e in row])
-        else:
-            rows.append([[(c * m).numerator for c in e.coeffs] for e in row])
-    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(n * d + 1)]
-    values = [
-        _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
-        for x in points
-    ]
-    return _interpolate([Fraction(x) for x in points], values).scale(
-        Fraction(1, scale)
-    )
+        scales.append(m)
+        rows.append([[exact(c * m) for c in e.coeffs] for e in row])
+    return one, scales, rows
 
 
 def _denominators(c):
@@ -219,7 +224,8 @@ def _horner(coeffs, x, one):
 
 def _bareiss(m, one):
     """Fraction-free elimination: every quotient is exact, by `//` on int
-    and by `/` on Gaussian integers held as GaussianRational."""
+    and by `/` on Gaussian integers held as GaussianRational.  The empty
+    matrix has determinant one."""
     div = operator.floordiv if type(one) is int else operator.truediv
     sign, prev = 1, one
     while len(m) > 1:
@@ -235,7 +241,7 @@ def _bareiss(m, one):
             for row in rest
         ]
         prev = pivot
-    return m[0][0] * sign
+    return m[0][0] * sign if m else one
 
 
 def _interpolate(points, values) -> Poly:

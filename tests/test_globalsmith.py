@@ -7,6 +7,7 @@ from smithpoly.errors import (
     DivisibilityFailure,
     FactorSetMismatch,
     NotRegular,
+    NotSquare,
     NotUnimodular,
 )
 from smithpoly.globalsmith import (
@@ -229,21 +230,101 @@ def test_invert_examples():
     shear = MatPoly([[Poly.one(), X], [Poly.zero(), Poly.one()]])
     inv = invert_unimodular(shear)
     assert inv == MatPoly([[Poly.one(), -X], [Poly.zero(), Poly.one()]])
-    with pytest.raises(NotUnimodular):
+    # d = 3 with N_1 = N_2 = 0 before the nonzero N_3: the lift must wait
+    # for three zero blocks in a row
+    cubic = MatPoly([[Poly.one(), X**3], [Poly.zero(), Poly.one()]])
+    assert invert_unimodular(cubic) == MatPoly(
+        [[Poly.one(), -(X**3)], [Poly.zero(), Poly.one()]]
+    )
+    # d = 0
+    assert invert_unimodular(MatPoly([[2, 1], [1, 1]])) == MatPoly([[1, -1], [-1, 2]])
+    with pytest.raises(NotUnimodular, match="singular"):
         invert_unimodular(MatPoly.diag([X, Poly.one()]))
-    with pytest.raises(NotUnimodular):
+    with pytest.raises(NotUnimodular, match="singular"):
         invert_unimodular(MatPoly([[X, X], [X, X]]))
+    # E(0) invertible, but 1/(1+x) is no polynomial: stopped at the degree cap
+    with pytest.raises(NotUnimodular, match="not a polynomial"):
+        invert_unimodular(MatPoly.diag([1 + X, Poly.one()]))
+    # 1/(2+x) = 1/2 - x/4 + ...: N_1 = -1/2 is no integer
+    with pytest.raises(NotUnimodular, match="non-integral"):
+        invert_unimodular(MatPoly([[2 + X]]))
+    with pytest.raises(NotSquare):
+        invert_unimodular(MatPoly([[Poly.one(), X]]))
+
+
+def _adjugate_over_det(E: MatPoly) -> MatPoly:
+    """E^-1 as adj(E) / det(E), every cofactor from mat_det of a minor."""
+    n = E.rows
+    det = mat_det(E)
+    assert det.is_constant() and not det.is_zero()
+
+    def cofactor(i, j):
+        if n == 1:
+            return Poly.one()
+        minor = MatPoly(
+            [[E[r, c] for c in range(n) if c != j] for r in range(n) if r != i]
+        )
+        return mat_det(minor).scale((-1) ** (i + j))
+
+    return MatPoly(
+        [[cofactor(j, i).scale(1 / det.coeffs[0]) for j in range(n)] for i in range(n)]
+    )
 
 
 def test_invert_random_unimodular_products():
+    """Permuted, row-scaled products of unit lower and unit upper factors:
+    U is adj(E) / det(E) and U E = I."""
     rng = SplitMix64(139)
     from smithpoly.families import _unit_lower, _unit_upper
 
-    for n in (2, 4):
-        for _ in range(5):
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
             E = _unit_lower(n, rng) @ _unit_upper(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            E = MatPoly(
+                [[e.scale(c) for e in E.entries[p]] for p, c in zip(perm, scales)]
+            )
             U = invert_unimodular(E)
+            assert U == _adjugate_over_det(E)
             assert (U @ E) == MatPoly.identity(n)
+
+
+def test_invert_rational_rows_with_full_constant_term():
+    """Rows with different denominators and a non-triangular E(0)."""
+    F = Fraction
+    C = MatPoly([[F(1, 2), F(1, 3)], [F(1, 5), F(-2, 7)]])
+    E = C @ MatPoly([[Poly.one(), X**2 * F(1, 3)], [Poly.zero(), Poly.one()]])
+    E = E @ MatPoly([[Poly.one(), Poly.zero()], [X - F(5, 4), Poly.one()]])
+    U = invert_unimodular(E)
+    assert (U @ E) == MatPoly.identity(2)
+    assert (E @ U) == MatPoly.identity(2)
+    assert all(type(c) is Fraction for row in U.entries for e in row for c in e.coeffs)
+
+
+def test_invert_gaussian_unimodular_product():
+    """Unit lower times unit upper over Q+iQ; E(0) is not triangular."""
+    from smithpoly.field import GaussianRational as G
+
+    h = Fraction(3, 2)
+    L = MatPoly(
+        [
+            [Poly.one(), Poly.zero(), Poly.zero()],
+            [Poly([G(2), G(1, 2)]), Poly.one(), Poly.zero()],
+            [Poly([G(0, -1), 0, 1]), Poly([0, G(h, -1)]), Poly.one()],
+        ]
+    )
+    R = MatPoly(
+        [
+            [Poly.one(), Poly([G(1, 1), G(0, 1)]), Poly([G(-1), 0, G(1, -1)])],
+            [Poly.zero(), Poly.one(), Poly([G(0, h), 1])],
+            [Poly.zero(), Poly.zero(), Poly.one()],
+        ]
+    )
+    E = L @ R
+    U = invert_unimodular(E)
+    assert (U @ E) == MatPoly.identity(3)
 
 
 # -- smith_with_multipliers ---------------------------------------------------
