@@ -23,7 +23,7 @@ from .factorization import factor_over_rationals
 from .families import PERMUTATIONS, FamilySpec, gen_test_matrix
 from .field import GaussianRational
 from .globalsmith import factor_determinant, smith_with_multipliers
-from .localsmith import local_smith, local_smith_over_K, rref_over_residue
+from .localsmith import invertible_mod_p, local_smith, local_smith_over_K
 from .matio import (
     read_matpoly_file,
     write_matpoly_file,
@@ -32,7 +32,6 @@ from .matio import (
 )
 from .matpoly import MatPoly, mat_det
 from .poly import Poly, parse_poly, poly_gcd
-from .residue import companion_of, encode
 from .verify import verify_smith
 
 EXIT_OK = 0
@@ -134,7 +133,12 @@ def _cmd_local(args) -> int:
         raise PrimeDoesNotDivideDet(f"{args.prime} does not divide det(A)")
     fn = local_smith if args.variant == "rpr" else local_smith_over_K
     result = fn(A, p, mu)
-    _check_unimodular_at(result.E, p)
+    if not invertible_mod_p(result.E, p):
+        # a local form at an irreducible p has E invertible mod p; a
+        # singular one means R/pR is not a field: p splits over the base field
+        raise NotIrreducible(
+            f"{p.human_text()} is not irreducible: E is singular mod p"
+        )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     print(f"prime: {p.human_text()}")
@@ -151,23 +155,12 @@ def _check_irreducible(p: Poly, text: str):
     factoring, so a squarefree p is the most that can be checked there."""
     if p.degree < 1:
         ok = False
-    elif any(isinstance(c, GaussianRational) and c.im for c in p.coeffs):
+    elif any(isinstance(c, GaussianRational) for c in p.coeffs):
         ok = poly_gcd(p, p.derivative()).is_one()
     else:
         ok = factor_over_rationals(p).factors == ((p, 1),)
     if not ok:
         raise NotIrreducible(f"{text} is not an irreducible polynomial")
-
-
-def _check_unimodular_at(E: MatPoly, p: Poly):
-    """A local form at an irreducible p has E invertible mod p.  A singular
-    E mod p means R/pR is not a field: p splits over the base field."""
-    S = companion_of(p)
-    _, pivots, _ = rref_over_residue([[encode(e, S) for e in row] for row in E.entries])
-    if len(pivots) < E.rows:
-        raise NotIrreducible(
-            f"{p.human_text()} is not irreducible: E is singular mod p"
-        )
 
 
 def _cmd_factor_det(args) -> int:

@@ -1,11 +1,16 @@
 """Irreducible factorization over the rationals.
 
-The pipeline is squarefree decomposition (Yun), rational-root extraction,
-then Zassenhaus on each squarefree remainder: reduce modulo a small odd
-prime, split with distinct-degree / equal-degree factorization, Hensel
-lift, and recombine factor subsets with exact trial division.  Degrees at
-the scale this package targets (a few dozen) are well within reach of
-this classical route.
+The pipeline is squarefree decomposition (Yun), then Zassenhaus on each
+squarefree part: reduce modulo a small odd prime, split with
+distinct-degree / equal-degree factorization, Hensel lift, and recombine
+factor subsets with exact trial division.  Linear factors need no search
+of their own: each is one modular factor, found among the subsets of
+size one.  Degrees at the scale this package targets (a few dozen) are
+well within reach of this classical route.
+
+Coefficients must be rational.  A Q+iQ polynomial is refused even when
+every imaginary part is zero, since factors over Q are not factors over
+Q(i).
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ def factor_over_rationals(f: Poly) -> FactoredPoly:
     """Factor a nonzero polynomial over Q into monic irreducibles."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if any(isinstance(c, GaussianRational) and c.im != 0 for c in f.coeffs):
+    if any(isinstance(c, GaussianRational) for c in f.coeffs):
         raise UnsupportedField(
             "factorization over Q+iQ is not provided; compute a local form "
             "at a monic irreducible p with local_smith or `smith local --prime`"
@@ -101,69 +106,7 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     """Monic irreducible factors of a monic squarefree polynomial."""
     if f.degree < 1:
         return []
-    if f.degree == 1:
-        return [f.monic()]
-    ints = _int_primitive(f)
-    out = []
-    for root in _rational_roots(ints):
-        out.append(Poly([-root, 1]))
-        f = f.exact_div(out[-1])
-    if f.degree == 1:
-        out.append(f.monic())
-        return out
-    if f.degree >= 2:
-        out.extend(h.monic() for h in _zassenhaus(_int_primitive(f)))
-    return out
-
-
-# -- rational roots ---------------------------------------------------------
-
-
-def _divisors_bounded(n: int, limit: int = 2000):
-    """All positive divisors of n, or None when there would be too many
-    (or n needs factors beyond the trial-division bound)."""
-    n = abs(n)
-    if n == 0:
-        return None
-    fact = {}
-    d = 2
-    while d * d <= n and d < 1_000_000:
-        while n % d == 0:
-            fact[d] = fact.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        if n < 1_000_000_000_000:
-            fact[n] = fact.get(n, 0) + 1
-        else:
-            return None
-    divs = [1]
-    for p, e in fact.items():
-        divs = [x * p**i for x in divs for i in range(e + 1)]
-        if len(divs) > limit:
-            return None
-    return sorted(divs)
-
-
-def _rational_roots(ints: list[int]) -> list[Fraction]:
-    """Rational roots of a primitive squarefree integer polynomial."""
-    ps = _divisors_bounded(ints[0])
-    qs = _divisors_bounded(ints[-1])
-    if ps is None or qs is None:
-        return []  # recombination will still find linear factors
-    roots = []
-    f = Poly(ints)
-    for q in qs:
-        for p in ps:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand.numerator != p and cand.numerator != -p:
-                    continue  # not in lowest terms, already tried
-                if f.eval(cand) == 0:
-                    roots.append(cand)
-                    f = f.exact_div(Poly([-cand, 1]))
-                    if f.degree < 1:
-                        return roots
-    return roots
+    return [h.monic() for h in _zassenhaus(_int_primitive(f))]
 
 
 # -- arithmetic in GF(p), ascending int lists -------------------------------
@@ -460,7 +403,7 @@ def _is_prime(n: int) -> bool:
 
 def _zassenhaus(ints: list[int]) -> list[Poly]:
     """Irreducible factors (as Polys) of a primitive squarefree integer
-    polynomial of degree >= 2."""
+    polynomial of degree >= 1."""
     n = len(ints) - 1
     if n == 1:
         return [Poly(ints)]

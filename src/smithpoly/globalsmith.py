@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DivisibilityFailure,
     EmptyInput,
     FactorSetMismatch,
     NotRegular,
@@ -17,8 +16,15 @@ from .errors import (
     SmithError,
 )
 from .factorization import FactoredPoly, factor_over_rationals
-from .localsmith import local_smith
-from .matpoly import MatPoly, _bareiss, _denominators, _integer_rows, mat_det
+from .localsmith import invertible_mod_p, local_smith
+from .matpoly import (
+    MatPoly,
+    _bareiss,
+    _denominators,
+    _integer_rows,
+    compute_E,
+    mat_det,
+)
 from .poly import Poly, multi_xgcd
 
 
@@ -61,16 +67,21 @@ def combine_local(
     """Splice per-prime multipliers into one matrix whose i-th column is a
     root function of maximal order for every prime simultaneously.
 
-    mode "whole" weighs each local V by one Bezout coefficient of the top
-    prime powers; "per-column" takes coefficients per column from that
-    column's exponents.  The two agree modulo every diagonal entry, so
-    triangularize returns the same V from either.
+    Column i is sum_j c_j f_j V_j[:, i], where f_j is the product of the
+    other primes p_k raised to e_k and the c_j are Bezout coefficients,
+    sum_j c_j f_j = 1.  The mode only picks the exponents e: the top
+    exponent of each prime for every column ("whole"), or column i's own
+    exponents, at least 1 ("per-column").  The two agree modulo every
+    diagonal entry, so triangularize returns the same V from either.
 
     With check, the result is checked before return: column i of A times
-    it must be divisible by d_i, and its determinant must avoid every prime.
+    it must be divisible by d_i (compute_E), and it must be invertible
+    mod every prime (invertible_mod_p).
     """
     if not locals_:
         raise EmptyInput("no local results to combine")
+    if mode not in ("whole", "per-column"):
+        raise ValueError(f"unknown combine mode: {mode!r}")
     n = A.rows
     if factored is not None:
         want = {p: e for p, e in factored.factors}
@@ -79,46 +90,29 @@ def combine_local(
             raise FactorSetMismatch(
                 "local results do not match the determinant factorization"
             )
-    primes = [loc.p for loc in locals_]
     if len(locals_) == 1:
         combined = CombinedMultiplier(matrix=locals_[0].V, mode="single")
-        if check:
-            _check_combined(A, locals_, combined)
-        return combined
-
-    if mode == "whole":
-        top = [loc.alphas[-1] for loc in locals_]
-        fs = [_product_without(primes, top, j) for j in range(len(locals_))]
-        bounds = [primes[j].degree * top[j] for j in range(len(locals_))]
-        gs, g = multi_xgcd(fs, bounds)
-        if not g.is_one():
-            raise FactorSetMismatch("local primes are not pairwise distinct")
-        acc = MatPoly.zeros(n, n)
-        for loc, cj, fj in zip(locals_, gs, fs):
-            acc = acc + loc.V.scale(cj * fj)
-        combined = CombinedMultiplier(matrix=acc, mode="whole")
-    elif mode == "per-column":
+    else:
+        primes = [loc.p for loc in locals_]
+        top = tuple(loc.alphas[-1] for loc in locals_)
+        weights = {}  # exponent vector -> [c_j f_j]
         cols = []
         for i in range(n):
-            exps = [max(loc.alphas[i], 1) for loc in locals_]
-            fs = [_product_without(primes, exps, j) for j in range(len(locals_))]
-            bounds = [primes[j].degree * exps[j] for j in range(len(locals_))]
-            gs, g = multi_xgcd(fs, bounds)
-            if not g.is_one():
-                raise FactorSetMismatch("local primes are not pairwise distinct")
+            exps = top if mode == "whole" else tuple(max(loc.alphas[i], 1) for loc in locals_)
+            if exps not in weights:
+                fs = [_product_without(primes, exps, j) for j in range(len(locals_))]
+                bounds = [p.degree * e for p, e in zip(primes, exps)]
+                gs, g = multi_xgcd(fs, bounds)
+                if not g.is_one():
+                    raise FactorSetMismatch("local primes are not pairwise distinct")
+                weights[exps] = [cj * fj for cj, fj in zip(gs, fs)]
             col = [Poly.zero()] * n
-            for loc, cj, fj in zip(locals_, gs, fs):
-                scale = cj * fj
-                vcol = loc.V.column(i)
-                for r in range(n):
-                    if not vcol[r].is_zero():
-                        col[r] = col[r] + scale * vcol[r]
+            for loc, w in zip(locals_, weights[exps]):
+                for r, v in enumerate(loc.V.column(i)):
+                    if not v.is_zero():
+                        col[r] = col[r] + v * w
             cols.append(col)
-        combined = CombinedMultiplier(
-            matrix=MatPoly.from_columns(cols), mode="per-column"
-        )
-    else:
-        raise ValueError(f"unknown combine mode: {mode!r}")
+        combined = CombinedMultiplier(matrix=MatPoly.from_columns(cols), mode=mode)
     if check:
         _check_combined(A, locals_, combined)
     return combined
@@ -133,37 +127,21 @@ def _product_without(primes, exps, j) -> Poly:
 
 
 def _check_combined(A: MatPoly, locals_: list, combined: CombinedMultiplier):
-    n = A.rows
     B = combined.matrix
-    AB = A @ B
-    for i in range(n):
-        d = smith_diagonal_entry(locals_, i)
-        for r in range(n):
-            if not AB[r, i].divmod(d)[1].is_zero():
-                raise SmithError(
-                    "combined multiplier broke column divisibility: "
-                    f"column {i + 1} is not a multiple of its diagonal entry"
-                )
-    det = mat_det(B)
+    # raises DivisibilityFailure unless d_i divides column i of A B
+    compute_E(A, B, smith_diagonal(locals_, A.rows))
     for loc in locals_:
-        if (det % loc.p).is_zero():
+        if not invertible_mod_p(B, loc.p):
             raise SmithError(
-                "combined multiplier determinant lost independence at "
-                f"{loc.p.human_text()}"
+                f"combined multiplier is singular mod {loc.p.human_text()}"
             )
 
 
-def smith_diagonal_entry(locals_: list, i: int) -> Poly:
-    d = Poly.one()
-    for loc in locals_:
-        a = loc.alphas[i]
-        if a:
-            d = d * loc.p**a
-    return d
-
-
 def smith_diagonal(locals_: list, n: int) -> MatPoly:
-    return MatPoly.diag([smith_diagonal_entry(locals_, i) for i in range(n)])
+    diag = [Poly.one()] * n
+    for loc in locals_:
+        diag = [d * loc.p**a if a else d for d, a in zip(diag, loc.alphas)]
+    return MatPoly.diag(diag)
 
 
 def triangularize(combined: CombinedMultiplier, D: MatPoly):
@@ -232,25 +210,6 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
                     q = B[r][i] // B[piv][i]
                     row_sub(r, piv, q, i + 1)
     return MatPoly(vacc), MatPoly(B)
-
-
-def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
-    """E with E*D = A*V, by exact division of column i by d_i."""
-    AV = A @ V
-    n = AV.rows
-    cols = []
-    for i in range(AV.cols):
-        d = D[i, i]
-        col = []
-        for r in range(n):
-            q, rem = AV[r, i].divmod(d)
-            if not rem.is_zero():
-                raise DivisibilityFailure(
-                    f"column {i + 1} of A*V is not divisible by d_{i + 1}"
-                )
-            col.append(q)
-        cols.append(col)
-    return MatPoly.from_columns(cols)
 
 
 def invert_unimodular(E: MatPoly) -> MatPoly:

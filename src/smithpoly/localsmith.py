@@ -32,7 +32,7 @@ from .errors import (
     PrimeDoesNotDivideDet,
     PrimeMismatch,
 )
-from .matpoly import MatPoly, expand_in_p, lambda_iso
+from .matpoly import MatPoly, compute_E, expand_in_p, lambda_iso
 from .poly import Poly
 from .residue import (
     ResidueElt,
@@ -127,6 +127,15 @@ def rref_over_residue(matrix):
     return _rref(matrix, residue_zero(S), residue_one(S))
 
 
+def invertible_mod_p(M: MatPoly, p: Poly) -> bool:
+    """Whether the square M is invertible mod p, that is det M mod p != 0:
+    M reduced into R/pR has full rank.  A zero divisor met on the way
+    raises NotIrreducible, since then p is not irreducible."""
+    S = companion_of(p)
+    _, pivots, _ = rref_over_residue([[encode(e, S) for e in row] for row in M.entries])
+    return len(pivots) == M.rows
+
+
 # -- shared assembly ---------------------------------------------------------
 
 
@@ -150,20 +159,7 @@ def _finish_local(A, p, accepted, ranks, beta_loop, mu):
     if ranks != derived:
         raise MultiplicityMismatch("rank ladder disagrees with exponents")
     V = MatPoly.from_columns([col for _, col in accepted])
-    AV = A @ V
-    e_cols = []
-    for i, a in enumerate(alphas):
-        pk = p**a
-        col = []
-        for r in range(A.rows):
-            q, rem = AV[r, i].divmod(pk)
-            if not rem.is_zero():
-                raise MultiplicityMismatch(
-                    "A*V column not divisible by its diagonal power"
-                )
-            col.append(q)
-        e_cols.append(col)
-    E = MatPoly.from_columns(e_cols)
+    E = compute_E(A, V, MatPoly.diag([p**a for a in alphas]))
     return LocalSmithResult(p=p, V=V, E=E, alphas=alphas, ranks=ranks, beta=beta)
 
 

@@ -1,6 +1,6 @@
-"""Matrix polynomials: products, exact determinants, expansion in powers
-of an irreducible p, and the digit/polynomial isomorphism used by the
-local Smith form algorithms."""
+"""Matrix polynomials: products, exact division of the columns of A*V by a
+diagonal, exact determinants, expansion in powers of an irreducible p, and
+the digit/polynomial isomorphism used by the local Smith form algorithms."""
 
 from __future__ import annotations
 
@@ -9,7 +9,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import DegreeTooHigh, DimensionMismatch, NotMonic, NotSquare
+from .errors import (
+    DegreeTooHigh,
+    DimensionMismatch,
+    DivisibilityFailure,
+    NotMonic,
+    NotSquare,
+)
 from .field import GaussianRational
 from .poly import Poly
 
@@ -154,6 +160,24 @@ def _as_entry(e):
     if isinstance(e, (int, Fraction, GaussianRational)):
         return Poly((e,))
     raise TypeError(f"bad matrix entry: {type(e).__name__}")
+
+
+def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
+    """E with E*D = A*V, by exact division of column i of A*V by d_i."""
+    AV = A @ V
+    cols = []
+    for i in range(AV.cols):
+        d = D[i, i]
+        col = []
+        for r in range(AV.rows):
+            q, rem = AV[r, i].divmod(d)
+            if not rem.is_zero():
+                raise DivisibilityFailure(
+                    f"column {i + 1} of A*V is not divisible by d_{i + 1}"
+                )
+            col.append(q)
+        cols.append(col)
+    return MatPoly.from_columns(cols)
 
 
 # -- determinants -------------------------------------------------------

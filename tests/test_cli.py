@@ -183,6 +183,22 @@ def test_local_on_gaussian_matrix(tmp_path, capsys):
     assert run("factor-det", str(a)) == 1
 
 
+def test_compute_refuses_gaussian_matrix_with_rational_det(tmp_path, capsys):
+    """det = l(l-1) carries Gaussian coefficients with zero imaginary parts;
+    factoring refuses it with a typed error, not a raw TypeError."""
+    a = tmp_path / "A.mp"
+    a.write_text(
+        "matpoly 2 2 over Q+iQ\n"
+        "entry 1 1: 0 1\n"
+        "entry 1 2: 2+i\n"
+        "entry 2 2: -1 1\n"
+    )
+    assert run("compute", str(a)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_stdout_emission(tmp_path, capsys):
     a = tmp_path / "A.mp"
     run("gen", "--family", "6", "--param", "3", "--seed", "2", "--out", str(a))

@@ -4,9 +4,9 @@ import pytest
 
 from conftest import random_poly
 from smithpoly.errors import UnsupportedField
-from smithpoly.factorization import factor_over_rationals
+from smithpoly.factorization import _select_prime, factor_over_rationals
 from smithpoly.field import GaussianRational
-from smithpoly.poly import Poly, poly_gcd
+from smithpoly.poly import Poly, _int_primitive, poly_gcd
 from smithpoly.prng import SplitMix64
 
 X = Poly.x()
@@ -44,6 +44,43 @@ def test_gaussian_rejected():
     i = GaussianRational(0, 1)
     with pytest.raises(UnsupportedField, match="local_smith"):
         factor_over_rationals(Poly([i, 1]))
+
+
+def test_gaussian_with_zero_imaginary_parts_rejected():
+    """Factors over Q are not factors over Q(i): l^2+1 splits there."""
+    G = GaussianRational
+    for f in (Poly([G(0), G(-1), G(1)]), Poly([G(1), G(0), G(1)])):
+        with pytest.raises(UnsupportedField, match="local_smith"):
+            factor_over_rationals(f)
+
+
+def test_linear_factors_come_from_recombination():
+    """Every linear factor is one modular factor that recombination finds;
+    l-1, ..., l-12 collide mod 3, 5, 7 and 11, so the prime is 13."""
+    twelve = Poly.one()
+    for k in range(1, 13):
+        twelve = twelve * (X - k)
+    assert _select_prime(_int_primitive(twelve)) == 13
+    mixed = (2 * X - 1) * (3 * X + 2) * (X - Fraction(7, 11)) * (X**2 + 1) ** 2
+    cases = [
+        (twelve, 1, {X - k: 1 for k in range(1, 13)}),
+        (
+            mixed,
+            6,
+            {
+                X - Fraction(1, 2): 1,
+                X + Fraction(2, 3): 1,
+                X - Fraction(7, 11): 1,
+                X**2 + 1: 2,
+            },
+        ),
+    ]
+    for f, unit, want in cases:
+        fac = factor_over_rationals(f)
+        assert fac.unit == unit and dict(fac.factors) == want
+        assert fac.expand() == f
+        for p, _ in fac.factors:
+            assert factor_over_rationals(p).factors == ((p, 1),)
 
 
 def test_zero_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from smithpoly.errors import (
     NotRegular,
     NotSquare,
     NotUnimodular,
+    SmithError,
 )
 from smithpoly.globalsmith import (
     CombinedMultiplier,
@@ -106,6 +109,42 @@ def test_combine_factor_set_mismatch():
     locs = list(locals_rpr(*key))
     with pytest.raises(FactorSetMismatch):
         combine_local(A, locs[:1], factored=factored(*key))
+
+
+def _with_column(loc, i, change):
+    """loc with column i of its V replaced by change(column)."""
+    cols = loc.V.columns()
+    cols[i] = change(cols[i])
+    return dataclasses.replace(loc, V=MatPoly.from_columns(cols))
+
+
+@pytest.mark.parametrize("mode", ["whole", "per-column"])
+@pytest.mark.parametrize("j", [0, 1])
+def test_combine_rejects_multiplier_singular_mod_a_prime(mode, j):
+    """B agrees with V_j mod p_j, so p_j times the first column of V_j makes
+    B singular mod p_j while every column of A B stays divisible."""
+    key = (1, 4, "none")
+    A = instance(*key)
+    locs = list(locals_rpr(*key))
+    p = locs[j].p
+    locs[j] = _with_column(locs[j], 0, lambda col: [e * p for e in col])
+    with pytest.raises(SmithError, match=f"singular mod {re.escape(p.human_text())}$"):
+        combine_local(A, locs, mode, factored=factored(*key))
+
+
+@pytest.mark.parametrize("mode", ["whole", "per-column"])
+def test_combine_rejects_column_not_divisible(mode):
+    """One added to the top entry of the last column of V at l-1 adds the
+    first column of A, not a multiple of (l-1)^2, to that column of A B."""
+    key = (1, 4, "none")
+    A = instance(*key)
+    locs = list(locals_rpr(*key))
+    assert locs[0].p == X - 1 and locs[0].alphas[-1] == 2
+    assert not all((e % (X - 1) ** 2).is_zero() for e in A.column(0))
+    n = A.rows
+    locs[0] = _with_column(locs[0], n - 1, lambda col: [col[0] + 1] + col[1:])
+    with pytest.raises(DivisibilityFailure, match=f"column {n} "):
+        combine_local(A, locs, mode, factored=factored(*key))
 
 
 # -- triangularize -----------------------------------------------------------
