@@ -22,7 +22,7 @@ from math import gcd as _igcd, isqrt
 
 from .errors import UnsupportedField
 from .field import GaussianRational
-from .poly import Poly, poly_gcd, _int_primitive
+from .poly import Poly, _int_divmod, _int_mul, _int_primitive, _strip, poly_gcd
 from .prng import SplitMix64
 
 
@@ -112,14 +112,8 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
 # -- arithmetic in GF(p), ascending int lists -------------------------------
 
 
-def _gf_strip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _gf_from_int(f: list[int], p: int) -> list[int]:
-    return _gf_strip([c % p for c in f])
+    return _strip([c % p for c in f])
 
 
 def _gf_sub(a, b, p):
@@ -136,7 +130,7 @@ def _gf_divmod(a, b, p):
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
-        return [], _gf_strip(a)
+        return [], _strip(a)
     inv = pow(b[-1], p - 2, p)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
@@ -147,7 +141,7 @@ def _gf_divmod(a, b, p):
         q[i - db] = f
         for j in range(db + 1):
             a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _gf_strip(q), _gf_strip(a[:db])
+    return _strip(q), _strip(a[:db])
 
 
 def _gf_monic(a, p):
@@ -177,7 +171,7 @@ def _gf_pow_mod(a, n, m, p):
 
 
 def _gf_deriv(a, p):
-    return _gf_strip([(i * c) % p for i, c in enumerate(a)][1:])
+    return _strip([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def _gf_is_squarefree(a, p):
@@ -214,7 +208,7 @@ def _gf_equal_degree(f, d, p, rng: SplitMix64):
     exponent = (p**d - 1) // 2
     while True:
         a = [rng.below(p) for _ in range(n)]
-        a = _gf_strip(a)
+        a = _strip(a)
         if len(a) < 2:
             continue
         g = _gf_gcd(a, f, p)
@@ -244,29 +238,21 @@ def _gf_factor_squarefree(f, p, seed):
 
 
 def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _gf_strip(out)
+    return _strip(_int_mul(a, b)) if a and b else []
 
 
 def _z_add(a, b):
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] += c
-    return _gf_strip(out)
+    return _strip(out)
 
 
 def _z_sub(a, b):
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    return _gf_strip(out)
+    return _strip(out)
 
 
 def _z_trunc(a, m):
@@ -278,7 +264,7 @@ def _z_trunc(a, m):
         if c > half:
             c -= m
         out.append(c)
-    return _gf_strip(out)
+    return _strip(out)
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -317,7 +303,7 @@ def _gf_xgcd(a, b, p):
     if not old_r:
         return [], [], []
     inv = pow(old_r[-1], p - 2, p)
-    scale = lambda v: _gf_strip([(c * inv) % p for c in v])
+    scale = lambda v: _strip([(c * inv) % p for c in v])
     return scale(old_r), scale(old_s), scale(old_t)
 
 
@@ -450,24 +436,3 @@ def _zassenhaus(ints: list[int]) -> list[Poly]:
     if len(f) > 1:
         factors.append(Poly(_z_primitive(f)))
     return factors
-
-
-def _int_divmod(a, b):
-    """Division of integer polys when it stays integral; (None, None) if a
-    coefficient fails to divide.  A monic b always divides."""
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _gf_strip(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if not c:
-            continue
-        if c % b[-1] != 0:
-            return None, None
-        fct = c // b[-1]
-        q[i - db] = fct
-        for j in range(db + 1):
-            a[i - db + j] -= fct * b[j]
-    return q, _gf_strip(a[:db])

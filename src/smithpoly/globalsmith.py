@@ -76,7 +76,9 @@ def combine_local(
 
     With check, the result is checked before return: column i of A times
     it must be divisible by d_i (compute_E), and it must be invertible
-    mod every prime (invertible_mod_p).
+    mod every prime (invertible_mod_p).  A single local form is its own
+    splice, and its E already came from compute_E, so only the second
+    half runs there.
     """
     if not locals_:
         raise EmptyInput("no local results to combine")
@@ -128,8 +130,9 @@ def _product_without(primes, exps, j) -> Poly:
 
 def _check_combined(A: MatPoly, locals_: list, combined: CombinedMultiplier):
     B = combined.matrix
-    # raises DivisibilityFailure unless d_i divides column i of A B
-    compute_E(A, B, smith_diagonal(locals_, A.rows))
+    if combined.mode != "single":
+        # raises DivisibilityFailure unless d_i divides column i of A B
+        compute_E(A, B, smith_diagonal(locals_, A.rows))
     for loc in locals_:
         if not invertible_mod_p(B, loc.p):
             raise SmithError(
@@ -230,7 +233,7 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     if not E.is_square():
         raise NotSquare("inverse needs a square matrix")
     n, d = E.rows, max(E.max_degree(), 0)
-    one, scales, rows = _integer_rows(E)
+    one, scales, rows = _integer_rows(E.entries)
     zero, gaussian = one * 0, type(one) is not int
     E0 = [[cs[0] if cs else zero for cs in row] for row in rows]
     c = _bareiss(list(E0), one)
@@ -300,10 +303,11 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
         mode = _pick_bezout_mode(locals_)
         combined = combine_local(A, locals_, mode, factored=factored)
         D = smith_diagonal(locals_, n)
-        V = combined.matrix
-        if combined.mode != "single":
+        if combined.mode == "single":
+            V, E = locals_[0].V, locals_[0].E
+        else:
             V, _ = triangularize(combined, D)
-        E = compute_E(A, V, D)
+            E = compute_E(A, V, D)
     else:
         D = V = MatPoly.identity(n)
         E = A

@@ -330,9 +330,10 @@ class _ResidueLane:
     def extend(self, head, y, k):
         """[rem(head, p); y] + quo(shift-down(head), p): k+1 digit blocks."""
         n, p = self.n, self.p
-        out = [e % p for e in head] + y
+        qr = [e.divmod(p) for e in head]
+        out = [r for _, r in qr] + y
         for r in range(n, n * (k + 1)):
-            out[r] = out[r] + head[r - n] // p
+            out[r] = out[r] + qr[r - n][0]
         return out
 
     def decode(self, chain):

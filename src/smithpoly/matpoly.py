@@ -17,7 +17,7 @@ from .errors import (
     NotSquare,
 )
 from .field import GaussianRational
-from .poly import Poly
+from .poly import Poly, _cleared, _from_ints, _int_divmod, _int_mul
 
 
 class MatPoly:
@@ -44,11 +44,6 @@ class MatPoly:
         return MatPoly(
             [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "MatPoly":
-        z = Poly.zero()
-        return MatPoly([[z] * cols for _ in range(rows)])
 
     @staticmethod
     def diag(entries) -> "MatPoly":
@@ -125,9 +120,20 @@ class MatPoly:
             raise DimensionMismatch("shapes differ")
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
+        """Product; rational factors multiply on integers, the rows of self
+        and the columns of other each scaled by their lcm of denominators."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
         bt = list(zip(*other.entries))
+        one_a, ra, rows = _integer_rows(self.entries)
+        one_b, cb, cols = _integer_rows(bt)
+        if type(one_a) is int and type(one_b) is int:
+            return MatPoly(
+                [
+                    [_from_ints(_int_dot(row, col), a * b) for b, col in zip(cb, cols)]
+                    for a, row in zip(ra, rows)
+                ]
+            )
         out = []
         for row in self.entries:
             new_row = []
@@ -139,10 +145,6 @@ class MatPoly:
                 new_row.append(acc)
             out.append(new_row)
         return MatPoly(out)
-
-    def scale(self, f) -> "MatPoly":
-        f = _as_entry(f)
-        return MatPoly([[e * f for e in row] for row in self.entries])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -202,7 +204,7 @@ def mat_det(A: MatPoly) -> Poly:
     d = A.max_degree()
     if d < 0:
         return Poly.zero()
-    one, scales, rows = _integer_rows(A)
+    one, scales, rows = _integer_rows(A.entries)
     points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(n * d + 1)]
     values = [
         _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
@@ -213,24 +215,35 @@ def mat_det(A: MatPoly) -> Poly:
     )
 
 
-def _integer_rows(A: MatPoly):
-    """(one, scales, rows): rows[i][j] lists the coefficients of scales[i] *
-    A[i, j], scales[i] the lcm of row i's denominators; int over Q, Gaussian
-    integers held as GaussianRational (and one = GaussianRational(1)) else."""
+def _integer_rows(entries):
+    """(one, scales, rows) for rows of Poly entries: rows[i][j] lists the
+    coefficients of scales[i] * entries[i][j], scales[i] the lcm of row i's
+    denominators; int over Q, Gaussian integers held as GaussianRational
+    (and one = GaussianRational(1)) else."""
     gaussian = any(
-        isinstance(c, GaussianRational)
-        for row in A.entries
-        for e in row
-        for c in e.coeffs
+        isinstance(c, GaussianRational) for row in entries for e in row for c in e.coeffs
     )
     one = _GAUSSIAN_ONE if gaussian else 1
-    exact = (lambda v: one * v) if gaussian else (lambda v: v.numerator)
     scales, rows = [], []
-    for row in A.entries:
+    for row in entries:
         m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
         scales.append(m)
-        rows.append([[exact(c * m) for c in e.coeffs] for e in row])
+        if gaussian:
+            rows.append([[one * (c * m) for c in e.coeffs] for e in row])
+        elif m == 1:
+            rows.append([[c.numerator for c in e.coeffs] for e in row])
+        else:
+            rows.append([[c.numerator * (m // c.denominator) for c in e.coeffs] for e in row])
     return one, scales, rows
+
+
+def _int_dot(row, col) -> list:
+    """sum_k row[k] * col[k] for integer coefficient lists."""
+    acc = []
+    for a, b in zip(row, col):
+        if a and b:
+            _int_mul(a, b, acc)
+    return acc
 
 
 def _denominators(c):
@@ -300,16 +313,7 @@ class PAdicExpansion:
 def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("expansion needs a monic p of degree >= 1")
-    digit_grids = []
-    for row in A.entries:
-        row_digits = []
-        for e in row:
-            ds = []
-            while not e.is_zero():
-                e, r = e.divmod(p)
-                ds.append(r)
-            row_digits.append(ds)
-        digit_grids.append(row_digits)
+    digit_grids = [[_digits(e, p) for e in row] for row in A.entries]
     q = max(
         (len(d) for row in digit_grids for d in row),
         default=0,
@@ -326,6 +330,24 @@ def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:
             )
         )
     return PAdicExpansion(p=p, blocks=tuple(blocks))
+
+
+def _digits(e: Poly, p: Poly) -> list:
+    """The digits of e in powers of the monic p, lowest first: repeated
+    division by p, on integers when p and e are rational and p integral."""
+    ip, ie = _cleared(p.coeffs), _cleared(e.coeffs)
+    if ip is None or ip[1] != 1 or ie is None:
+        ds = []
+        while not e.is_zero():
+            e, r = e.divmod(p)
+            ds.append(r)
+        return ds
+    (b, _), (a, den) = ip, ie
+    ds = []
+    while a:
+        a, r = _int_divmod(a, b)
+        ds.append(_from_ints(r, den))
+    return ds
 
 
 # -- digit <-> polynomial isomorphism -------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
 
 from .errors import EmptyInput, ParseError
 from .field import GaussianRational, format_scalar, parse_scalar
@@ -164,14 +164,25 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly"):
-        """Exact quotient and remainder: self = q*other + r, deg r < deg other."""
+        """Exact quotient and remainder: self = q*other + r, deg r < deg other.
+
+        Rational operands divide on integers (_int_divmod) when the divisor,
+        its denominators cleared, has leading coefficient +-1, as every
+        monic integer p does; other divisors and Gaussian coefficients take
+        the field loop."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
         b = other.coeffs
         db = len(b) - 1
-        if len(a) - 1 < db:
+        if len(self.coeffs) - 1 < db:
             return _ZERO, self
+        ib = _cleared(b)
+        ia = _cleared(self.coeffs) if ib and ib[0][-1] in (1, -1) else None
+        if ia is not None:
+            (a, da), (b, sb) = ia, ib
+            q, r = _int_divmod(a, b)
+            return _from_ints([c * sb for c in q], da), _from_ints(r, da)
+        a = list(self.coeffs)
         inv_lc = 1 / b[-1]
         q = [Fraction(0)] * (len(a) - db)
         for i in range(len(a) - 1, db - 1, -1):
@@ -261,6 +272,61 @@ def _as_poly(v):
     return None
 
 
+def _cleared(coeffs):
+    """(ints, m): the coefficients times m, the lcm of their denominators,
+    as ints; None unless every coefficient is a Fraction."""
+    if not all(isinstance(c, Fraction) for c in coeffs):
+        return None
+    m = lcm(*[c.denominator for c in coeffs])
+    if m == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (m // c.denominator) for c in coeffs], m
+
+
+def _from_ints(ints, den=1) -> "Poly":
+    """The Poly with Fraction coefficients ints[k] / den; strips ints in place."""
+    _strip(ints)
+    out = Poly.__new__(Poly)
+    object.__setattr__(
+        out,
+        "coeffs",
+        tuple(map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints)),
+    )
+    return out
+
+
+def _int_divmod(a, b):
+    """Quotient and remainder of integer coefficient lists (ascending) when
+    every quotient coefficient is an integer, else (None, None).  A divisor
+    with leading coefficient +-1 always divides."""
+    a = list(a)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [], _strip(a)
+    lc, low = b[-1], b[:db]
+    unit = lc in (1, -1)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if not c:
+            continue
+        if unit:
+            f = c * lc
+        else:
+            f, rem = divmod(c, lc)
+            if rem:
+                return None, None
+        q[i - db] = f
+        a[i - db : i] = [x - f * y for x, y in zip(a[i - db : i], low)]
+    return q, _strip(a[:db])
+
+
+def _strip(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def _int_convolve(a, b):
     """Fast path: rational-only convolution through integers.
 
@@ -268,26 +334,26 @@ def _int_convolve(a, b):
     then restores a single common denominator.  Returns None when either
     operand has a non-rational coefficient.
     """
-    if not all(isinstance(c, Fraction) for c in a):
+    ca, cb = _cleared(a), _cleared(b)
+    if ca is None or cb is None:
         return None
-    if not all(isinstance(c, Fraction) for c in b):
-        return None
-    da = 1
-    for c in a:
-        da = da * c.denominator // _igcd(da, c.denominator)
-    db = 1
-    for c in b:
-        db = db * c.denominator // _igcd(db, c.denominator)
-    ia = [int(c * da) for c in a]
-    ib = [int(c * db) for c in b]
-    out = [0] * (len(ia) + len(ib) - 1)
-    for i, ai in enumerate(ia):
-        if not ai:
-            continue
-        for j, bj in enumerate(ib):
-            out[i + j] += ai * bj
-    d = da * db
-    return Poly([Fraction(c, d) for c in out])
+    (ia, da), (ib, db) = ca, cb
+    return _from_ints(_int_mul(ia, ib), da * db)
+
+
+def _int_mul(a: list, b: list, acc=None) -> list:
+    """acc + a*b for integer coefficient lists (ascending), a and b
+    nonempty; acc (a new list by default) is extended and updated in place."""
+    n = len(a) + len(b) - 1
+    if acc is None:
+        acc = [0] * n
+    elif len(acc) < n:
+        acc.extend([0] * (n - len(acc)))
+    lb = len(b)
+    for i, ai in enumerate(a):
+        if ai:
+            acc[i : i + lb] = [x + ai * y for x, y in zip(acc[i : i + lb], b)]
+    return acc
 
 
 _ZERO = Poly.__new__(Poly)
@@ -323,12 +389,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def _int_primitive(f: Poly):
     """Primitive integer coefficient list for a rational poly, else None."""
-    if not all(isinstance(c, Fraction) for c in f.coeffs):
+    cleared = _cleared(f.coeffs)
+    if cleared is None:
         return None
-    d = 1
-    for c in f.coeffs:
-        d = d * c.denominator // _igcd(d, c.denominator)
-    ints = [int(c * d) for c in f.coeffs]
+    ints = cleared[0]
     g = 0
     for c in ints:
         g = _igcd(g, c)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeMismatch
 from .matpoly import MatPoly, mat_det
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ def verify_smith(
         right = E @ D
         ok = left == right
         add("product identity A*V = E*D", ok, "" if ok else _first_diff(left, right))
+    identity = ok
 
     diag = [D[i, i] for i in range(n)]
     off_ok = all(
@@ -76,17 +78,22 @@ def verify_smith(
             break
     add("divisibility chain", chain_ok, witness)
 
-    det_e = mat_det(E)
-    add("unimodular E", det_e.degree == 0, f"det E = {det_e.human_text()}")
+    det_a = mat_det(A)
     side = F if F is not None else V
     det_side = mat_det(side)
-    name = "unimodular F" if F is not None else "unimodular V"
-    add(name, det_side.degree == 0, f"det = {det_side.human_text()}")
-
-    det_a = mat_det(A)
     prod_d = diag[0]
     for d in diag[1:]:
         prod_d = prod_d * d
+    # with the identity and a diagonal D, det E follows from the other two
+    det_e = None
+    if identity and off_ok:
+        det_e = _det_E(det_a, det_side, prod_d, F is not None)
+    if det_e is None:
+        det_e = mat_det(E)
+    add("unimodular E", det_e.degree == 0, f"det E = {det_e.human_text()}")
+    name = "unimodular F" if F is not None else "unimodular V"
+    add(name, det_side.degree == 0, f"det = {det_side.human_text()}")
+
     if prod_d.is_zero():
         add("determinant product", det_a.is_zero(), "diagonal product is zero")
     else:
@@ -107,3 +114,13 @@ def _first_diff(X: MatPoly, Y: MatPoly) -> str:
             if X[i, j] != Y[i, j]:
                 return f"first difference at entry ({i + 1},{j + 1})"
     return ""
+
+
+def _det_E(det_a: Poly, det_side: Poly, prod_d: Poly, side_is_F: bool):
+    """det E from det A * det V = det E * prod(d_i), or from
+    det A = det E * prod(d_i) * det F; None when the divisor is zero."""
+    num, den = (det_a, prod_d * det_side) if side_is_F else (det_a * det_side, prod_d)
+    if den.is_zero():
+        return None
+    q, r = num.divmod(den)
+    return q if r.is_zero() else None

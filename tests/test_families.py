@@ -123,3 +123,28 @@ def test_verify_with_F_direction():
     F = invert_unimodular(r.V)
     rep = verify_smith(instance(6, 3, "none"), r.E, r.D, F=F)
     assert rep.overall
+
+
+def _det_E_cases():
+    from corpus import pipeline
+    from smithpoly.globalsmith import invert_unimodular
+
+    r = pipeline(1, 4, "none")
+    yield instance(1, 4, "none"), r.E, r.D, {"V": r.V}
+    r = pipeline(6, 3, "none")
+    yield instance(6, 3, "none"), r.E, r.D, {"F": invert_unimodular(r.V)}
+    E, I = MatPoly.diag([X, 1]), MatPoly.identity(2)
+    yield E, E, I, {"V": I}  # identity holds, E not unimodular
+    yield E, E, I, {"F": I}
+    yield E, MatPoly.diag([X * X, 1]), I, {"V": I}  # identity fails
+    yield MatPoly.diag([X, 0]), MatPoly.diag([X, 5]), MatPoly.diag([1, 0]), {"V": I}
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_verify_smith_det_E_witness_matches_mat_det(case):
+    """det E comes from det A and det V (or det F) when the product
+    identity holds; the check reads as if det E had been computed."""
+    A, E, D, side = list(_det_E_cases())[case]
+    rep = verify_smith(A, E, D, **side)
+    det_e = mat_det(E)
+    assert ("unimodular E", det_e.degree == 0, f"det E = {det_e.human_text()}") in rep.checks

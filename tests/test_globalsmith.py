@@ -75,7 +75,8 @@ def test_combine_two_linear_factors_formula():
     comb = combine_local(A, [l1, l2], "whole")
     gs, g = multi_xgcd([X - 1, X], [1, 1])
     assert g.is_one() and gs == [Poly([-1]), Poly([1])]
-    expected = l1.V.scale(gs[0] * (X - 1)) + l2.V.scale(gs[1] * X)
+    w1, w2 = gs[0] * (X - 1), gs[1] * X
+    expected = l1.V @ MatPoly.diag([w1, w1]) + l2.V @ MatPoly.diag([w2, w2])
     assert comb.matrix == expected
     det = mat_det(comb.matrix)
     assert not (det % X).is_zero()

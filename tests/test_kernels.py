@@ -1,0 +1,201 @@
+"""Property tests for the integer kernels behind Poly.divmod, expand_in_p
+and MatPoly @, each against a plain reference written here over the field.
+
+Rational operands must give exactly the reference's coefficients, type
+included (every coefficient a Fraction).  Gaussian operands take the field
+loop; their quotients and remainders keep the reference's types too."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smithpoly import DivisibilityFailure, MatPoly, Poly, compute_E, expand_in_p, lambda_iso
+from smithpoly.field import GaussianRational
+
+settings.register_profile(
+    "kernels", max_examples=60, deadline=None, derandomize=True, database=None
+)
+KERNELS = settings.get_profile("kernels")
+
+small_ints = st.integers(min_value=-9, max_value=9)
+rationals = st.one_of(
+    small_ints.map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+def coeff_lists(scalars, max_size=8):
+    return st.lists(scalars, max_size=max_size)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _types(cs):
+    return [type(c) for c in cs]
+
+
+def reference_divmod(a, b):
+    """Schoolbook long division over the field, leading term first."""
+    a, b = _trim(a), _trim(b)
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [], a
+    q = [Fraction(0)] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            f = a[i] / b[-1]
+            q[i - db] = f
+            for j in range(db):
+                a[i - db + j] = a[i - db + j] - f * b[j]
+    return _trim(q), _trim(a[:db])
+
+
+def _divisors():
+    monic = st.lists(small_ints, max_size=4).map(lambda cs: cs + [1])
+    negated = st.lists(small_ints, max_size=4).map(lambda cs: cs + [-1])
+    non_unit = st.tuples(
+        st.lists(small_ints, max_size=4), st.sampled_from([2, -3, 6])
+    ).map(lambda t: t[0] + [t[1]])
+    rational_monic = st.lists(rationals, max_size=4).map(lambda cs: cs + [Fraction(1)])
+    # leading coefficient +-1 only after the denominators are cleared
+    halved = st.lists(small_ints, min_size=1, max_size=4).map(
+        lambda cs: [Fraction(c) for c in cs] + [Fraction(1, 2)]
+    )
+    gaussian = st.lists(gaussians, max_size=3).map(lambda cs: cs + [GaussianRational(0, 1)])
+    return st.one_of(monic, negated, non_unit, rational_monic, halved, gaussian)
+
+
+@KERNELS
+@given(a=st.one_of(coeff_lists(rationals), coeff_lists(gaussians, 5)), b=_divisors())
+def test_divmod_matches_long_division(a, b):
+    f, g = Poly(a), Poly(b)
+    q, r = f.divmod(g)
+    ref_q, ref_r = reference_divmod(f.coeffs, g.coeffs)
+    assert list(q.coeffs) == ref_q and list(r.coeffs) == ref_r
+    assert _types(q.coeffs) == _types(ref_q)
+    assert _types(r.coeffs) == _types(ref_r)
+    rational = all(isinstance(c, Fraction) for c in f.coeffs + g.coeffs)
+    if rational:
+        assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
+@KERNELS
+@given(b=_divisors(), size=st.integers(min_value=0, max_value=4))
+def test_short_and_zero_dividends(b, size):
+    g = Poly(b)
+    f = Poly(b[: min(size, len(g.coeffs) - 1)])
+    q, r = f.divmod(g)
+    assert q.is_zero() and r == f
+    assert Poly.zero().divmod(g) == (Poly.zero(), Poly.zero())
+
+
+def _monic_integer(degree):
+    return st.lists(small_ints, min_size=degree, max_size=degree).map(
+        lambda cs: Poly(cs + [1])
+    )
+
+
+def _matrices(scalars, rows, cols, max_degree=5):
+    entry = coeff_lists(scalars, max_degree + 1).map(Poly)
+    return st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(MatPoly)
+
+
+@KERNELS
+@given(
+    data=st.data(),
+    degree=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=3),
+)
+def test_expand_in_p_inverts_lambda_iso(data, degree, n):
+    p = data.draw(_monic_integer(degree))
+    A = data.draw(_matrices(rationals, n, n, max_degree=9))
+    blocks = expand_in_p(A, p).blocks
+    for blk in blocks:
+        assert blk.max_degree() < degree
+        assert all(type(c) is Fraction for row in blk.entries for e in row for c in e.coeffs)
+    rows = [lambda_iso([blk.entries[r] for blk in blocks], p) for r in range(n)]
+    assert MatPoly(rows) == A
+
+
+def test_expand_in_p_non_integral_prime():
+    """A monic p with a fractional coefficient takes the field loop."""
+    x = Poly.x()
+    p = x + Poly.const(Fraction(1, 2))
+    A = MatPoly([[x**3 + 1, Poly.const(Fraction(2, 3))]])
+    blocks = expand_in_p(A, p).blocks
+    assert [lambda_iso([blk.entries[0] for blk in blocks], p)] == list(
+        map(list, A.entries)
+    )
+
+
+def reference_matmul(A, B):
+    """Entry (i, j) as the plain convolution sum over k, coefficient by
+    coefficient."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = []
+            for k in range(A.cols):
+                for s, x in enumerate(A[i, k].coeffs):
+                    for t, y in enumerate(B[k, j].coeffs):
+                        acc.extend([Fraction(0)] * (s + t + 1 - len(acc)))
+                        acc[s + t] = acc[s + t] + x * y
+            row.append(_trim(acc))
+        out.append(row)
+    return out
+
+
+@KERNELS
+@given(
+    data=st.data(),
+    dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
+    gaussian=st.booleans(),
+)
+def test_matmul_matches_entrywise_reference(data, dims, gaussian):
+    n, m, k = dims
+    A = data.draw(_matrices(rationals, n, m, 4))
+    B = data.draw(_matrices(gaussians if gaussian else rationals, m, k, 3))
+    C = A @ B
+    assert [[list(e.coeffs) for e in row] for row in C.entries] == reference_matmul(A, B)
+    if not gaussian:
+        assert all(type(c) is Fraction for row in C.entries for e in row for c in e.coeffs)
+
+
+@KERNELS
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=3),
+    bad=st.integers(min_value=0, max_value=2),
+    shift=st.integers(min_value=1, max_value=5),
+)
+def test_compute_E_names_the_failing_column(data, n, bad, shift):
+    """A V = E0 D for V = I + f e_1 e_n^T; adding a constant to one entry
+    of column `bad` of A breaks divisibility there and only there."""
+    bad %= n
+    E0 = data.draw(_matrices(rationals, n, n, 2))
+    D = MatPoly.diag([data.draw(_monic_integer(1 + j % 2)) for j in range(n)])
+    f = data.draw(_matrices(small_ints.map(Fraction), 1, 1, 2))[0, 0]
+    V = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+    Vinv = [list(r) for r in V]
+    V[0][n - 1], Vinv[0][n - 1] = f, -f
+    V, Vinv = MatPoly(V), MatPoly(Vinv)
+    A = E0 @ D @ Vinv
+    assert compute_E(A, V, D) == E0
+    # perturb column `bad` of A V: A + c e_r e_bad^T V^-1 has A V + c e_r e_bad^T
+    r = data.draw(st.integers(min_value=0, max_value=n - 1))
+    bump = [[Poly.const(shift) if (i, j) == (r, bad) else Poly.zero() for j in range(n)]
+            for i in range(n)]
+    A2 = A + MatPoly(bump) @ Vinv
+    with pytest.raises(DivisibilityFailure, match=f"column {bad + 1} of A\\*V"):
+        compute_E(A2, V, D)

@@ -147,7 +147,7 @@ def test_reference_on_prime_power_scalar():
 def test_errors(fn):
     A = MatPoly.diag([X, X])
     with pytest.raises(NotSquare):
-        fn(MatPoly.zeros(2, 3), X, 1)
+        fn(MatPoly([[0, 0, 0], [0, 0, 0]]), X, 1)
     with pytest.raises(PrimeDoesNotDivideDet):
         fn(A, X, 0)
     with pytest.raises(PrimeDoesNotDivideDet):
