@@ -58,7 +58,7 @@ from .matpoly import (
     mat_det,
 )
 from .oracle import elementary_smith, minors_gcd_smith
-from .poly import Poly, multi_xgcd, parse_poly, poly_gcd, poly_xgcd
+from .poly import Poly, parse_poly, poly_gcd, poly_xgcd
 from .residue import (
     Companion,
     ResidueElt,

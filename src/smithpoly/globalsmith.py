@@ -25,7 +25,7 @@ from .matpoly import (
     compute_E,
     mat_det,
 )
-from .poly import Poly, multi_xgcd
+from .poly import Poly, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,22 @@ def combine_local(
     """Splice per-prime multipliers into one matrix whose i-th column is a
     root function of maximal order for every prime simultaneously.
 
-    Column i is sum_j c_j f_j V_j[:, i], where f_j is the product of the
-    other primes p_k raised to e_k and the c_j are Bezout coefficients,
-    sum_j c_j f_j = 1.  The mode only picks the exponents e: the top
-    exponent of each prime for every column ("whole"), or column i's own
-    exponents, at least 1 ("per-column").  The two agree modulo every
-    diagonal entry, so triangularize returns the same V from either.
+    Column i is sum_j w_j V_j[:, i] with Chinese-remainder weights: for
+    q_j = p_j**e_j and f_j the product of the other q_k, w_j = c_j f_j
+    with c_j = (f_j mod q_j)^-1 mod q_j, so w_j is 1 mod q_j and 0 mod
+    every other q_k, and the w_j sum to 1.  The mode only picks the
+    exponents e: the top exponent of each prime for every column
+    ("whole"), or column i's own exponents, at least 1 ("per-column").
+    The two agree modulo every diagonal entry, so triangularize returns
+    the same V from either.
 
-    With check, the result is checked before return: column i of A times
-    it must be divisible by d_i (compute_E), and it must be invertible
-    mod every prime (invertible_mod_p).  A single local form is its own
-    splice, and its E already came from compute_E, so only the second
-    half runs there.
+    check is for callers that use combine_local on its own: the result
+    is then checked before return.  Column i of A times it must be
+    divisible by d_i (compute_E), and it must be invertible mod every
+    prime (invertible_mod_p).  A single local form is its own splice,
+    and its E already came from compute_E, so only the second half runs
+    there.  smith_with_multipliers skips the check, since its final
+    compute_E certifies the result.
     """
     if not locals_:
         raise EmptyInput("no local results to combine")
@@ -97,17 +101,12 @@ def combine_local(
     else:
         primes = [loc.p for loc in locals_]
         top = tuple(loc.alphas[-1] for loc in locals_)
-        weights = {}  # exponent vector -> [c_j f_j]
+        weights = {}  # exponent vector -> [w_j]
         cols = []
         for i in range(n):
             exps = top if mode == "whole" else tuple(max(loc.alphas[i], 1) for loc in locals_)
             if exps not in weights:
-                fs = [_product_without(primes, exps, j) for j in range(len(locals_))]
-                bounds = [p.degree * e for p, e in zip(primes, exps)]
-                gs, g = multi_xgcd(fs, bounds)
-                if not g.is_one():
-                    raise FactorSetMismatch("local primes are not pairwise distinct")
-                weights[exps] = [cj * fj for cj, fj in zip(gs, fs)]
+                weights[exps] = _crt_weights(primes, exps)
             col = [Poly.zero()] * n
             for loc, w in zip(locals_, weights[exps]):
                 for r, v in enumerate(loc.V.column(i)):
@@ -120,12 +119,22 @@ def combine_local(
     return combined
 
 
-def _product_without(primes, exps, j) -> Poly:
-    out = Poly.one()
-    for k, (p, e) in enumerate(zip(primes, exps)):
-        if k != j:
-            out = out * p**e
-    return out
+def _crt_weights(primes, exps) -> list:
+    """w_j = c_j f_j, where q_j = p_j**e_j, f_j is the product of the
+    other q_k and c_j = (f_j mod q_j)^-1 mod q_j, of degree below deg q_j
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.4)."""
+    qs = [p**e for p, e in zip(primes, exps)]
+    weights = []
+    for j, q in enumerate(qs):
+        f = Poly.one()
+        for k, qk in enumerate(qs):
+            if k != j:
+                f = f * qk
+        g, c, _ = poly_xgcd(f % q, q)
+        if not g.is_one():
+            raise FactorSetMismatch("local primes are not pairwise distinct")
+        weights.append(c * f)
+    return weights
 
 
 def _check_combined(A: MatPoly, locals_: list, combined: CombinedMultiplier):
@@ -294,31 +303,25 @@ def _adjugate(m, one):
 
 def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     """Steps 0-3 end to end: factor det(A), a local Smith form at each
-    prime, their Bezout splice, triangularization into V, E = A V D^-1,
-    and with with_U the inverse U of E."""
+    prime, and with with_U the inverse U of E.
+
+    No prime gives the identity.  One prime gives its local V and E,
+    which local_smith certifies.  Several are spliced, triangularized
+    into V and certified by E = A V D^-1 (compute_E): triangularize
+    builds V from the identity by unimodular steps, so A V = E D with
+    det V constant, and the exponents of each prime sum to its
+    multiplicity, so det E is constant too."""
     n = A.rows
     factored = factor_determinant(A)
     locals_ = [local_smith(A, p, e) for p, e in factored.factors]
-    if locals_:
-        mode = _pick_bezout_mode(locals_)
-        combined = combine_local(A, locals_, mode, factored=factored)
-        D = smith_diagonal(locals_, n)
-        if combined.mode == "single":
-            V, E = locals_[0].V, locals_[0].E
-        else:
-            V, _ = triangularize(combined, D)
-            E = compute_E(A, V, D)
+    D = smith_diagonal(locals_, n)
+    if not locals_:
+        V, E = D, A
+    elif len(locals_) == 1:
+        V, E = locals_[0].V, locals_[0].E
     else:
-        D = V = MatPoly.identity(n)
-        E = A
+        combined = combine_local(A, locals_, factored=factored, check=False)
+        V, _ = triangularize(combined, D)
+        E = compute_E(A, V, D)
     U = invert_unimodular(E) if with_U else None
     return SmithResult(D=D, V=V, E=E, U=U)
-
-
-def _pick_bezout_mode(locals_: list) -> str:
-    """The cheaper splice: per-column when the chain lengths are spread
-    out (it keeps coefficients small there), else whole.  Both give the
-    same V after triangularization."""
-    top = max(loc.alphas[-1] for loc in locals_)
-    nonzero = [a for loc in locals_ for a in loc.alphas if a > 0]
-    return "per-column" if top - min(nonzero) >= 2 else "whole"

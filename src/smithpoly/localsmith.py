@@ -49,12 +49,20 @@ class LocalSmithResult:
     V: MatPoly
     E: MatPoly
     alphas: tuple
-    ranks: tuple
-    beta: int
 
     @property
     def mu(self) -> int:
         return sum(self.alphas)
+
+    @property
+    def beta(self) -> int:
+        """The longest chain: alphas are nondecreasing."""
+        return self.alphas[-1] if self.alphas else 0
+
+    @property
+    def ranks(self) -> tuple:
+        """The rank ladder: entry k counts the chains longer than k."""
+        return tuple(sum(1 for a in self.alphas if a > k) for k in range(self.beta))
 
     def diagonal(self) -> MatPoly:
         return MatPoly.diag([self.p**a for a in self.alphas])
@@ -139,7 +147,7 @@ def invertible_mod_p(M: MatPoly, p: Poly) -> bool:
 # -- shared assembly ---------------------------------------------------------
 
 
-def _finish_local(A, p, accepted, ranks, beta_loop, mu):
+def _finish_local(A, p, accepted, mu):
     alphas = tuple(a for a, _ in accepted)
     if any(alphas[i] > alphas[i + 1] for i in range(len(alphas) - 1)):
         raise MultiplicityMismatch("exponents not nondecreasing")
@@ -147,20 +155,9 @@ def _finish_local(A, p, accepted, ranks, beta_loop, mu):
         raise MultiplicityMismatch(
             f"accepted exponents sum to {sum(alphas)}, expected {mu}"
         )
-    beta = max(alphas) if alphas else 0
-    if beta != beta_loop:
-        raise MultiplicityMismatch(
-            f"chain-length bookkeeping disagrees: {beta} vs loop {beta_loop}"
-        )
-    ranks = tuple(ranks)
-    derived = tuple(
-        sum(1 for a in alphas if a >= k + 1) for k in range(beta)
-    )
-    if ranks != derived:
-        raise MultiplicityMismatch("rank ladder disagrees with exponents")
     V = MatPoly.from_columns([col for _, col in accepted])
     E = compute_E(A, V, MatPoly.diag([p**a for a in alphas]))
-    return LocalSmithResult(p=p, V=V, E=E, alphas=alphas, ranks=ranks, beta=beta)
+    return LocalSmithResult(p=p, V=V, E=E, alphas=alphas)
 
 
 # -- the chain construction, shared by both scalar lanes ----------------------
@@ -171,7 +168,19 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
 
     mu must be the exact multiplicity of p in det(A).  A larger mu raises
     MultiplicityMismatch; a smaller one is not always detected and can
-    return a wrong local form."""
+    return a wrong local form.
+
+    V is unimodular by construction.  Its exponent-0 columns are the unit
+    vectors at the pivot columns of A_0 = A mod p.  Every other column is
+    a chain accepted in round k, and is the sum of three parts: the
+    initial null vector of A_0 it grew from, which is 1 at its own free
+    column and otherwise nonzero only on pivot columns; p**k times a
+    vector on the pivot columns (the new kernel vectors' part on A_0);
+    and polynomial multiples of columns accepted in earlier rounds.
+    Taking columns in acceptance order, subtracting those multiples and
+    then clearing the pivot entries with the unit columns are column
+    operations that reduce V to a permutation matrix, so det V is a
+    nonzero constant."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
@@ -203,7 +212,6 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
     if len(null_basis) != r0 * s:
         raise MultiplicityMismatch("kernel is not a module over R/pR")
     accepted = [(0, _unit_column(n, g)) for g in pivot_super]
-    ranks = [r0]
     R = r0
     chains = [lane.lift(vec) for vec in null_basis]
     stacked = list(chains)  # every kernel chain so far, zero-padded on top
@@ -229,7 +237,6 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
             )
         null_count = len(null_basis)
         R += rk
-        ranks.append(rk)
         for g in pivot_super:
             accepted.append((k, lane.decode(chains[g * s])))
         next_chains = []
@@ -240,7 +247,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         chains = next_chains
     for g in range(len(chains) // s):
         accepted.append((k + 1, lane.decode(chains[g * s])))
-    return _finish_local(A, p, accepted, ranks, k + 1, mu)
+    return _finish_local(A, p, accepted, mu)
 
 
 def _unit_column(n, c):
@@ -441,11 +448,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
                 cols = cols[:done] + cols[done + 1 :] + [newx]
         k += 1
         pk = pk * p
-    beta_loop = k - 1
-    mu = sum(alphas)
-    ranks = [sum(1 for a in alphas if a >= j + 1) for j in range(max(alphas))] if mu else []
-    accepted = list(zip(alphas, cols))
-    return _finish_local(A, p, accepted, ranks, beta_loop, mu)
+    return _finish_local(A, p, list(zip(alphas, cols)), sum(alphas))
 
 
 def _matvec_poly(A: MatPoly, x):

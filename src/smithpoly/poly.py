@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from math import gcd as _igcd, lcm
 
-from .errors import EmptyInput, ParseError
+from .errors import ParseError
 from .field import GaussianRational, format_scalar, parse_scalar
 
 
@@ -436,12 +436,6 @@ def _int_pseudo_rem(a: list, b: list) -> list:
     return a
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 def poly_xgcd(a: Poly, b: Poly):
     """Extended Euclid: (g, u, v) with u*a + v*b = g, g monic (or 0)."""
     old_r, r = a, b
@@ -459,63 +453,6 @@ def poly_xgcd(a: Poly, b: Poly):
         return old_r, old_u, old_v
     ci = 1 / c
     return old_r.scale(ci), old_u.scale(ci), old_v.scale(ci)
-
-
-def multi_xgcd(fs, degree_bounds=None):
-    """Bezout coefficients: (gs, g) with sum(gs[j]*fs[j]) == g, g monic.
-
-    With `degree_bounds` the coefficients are normalized so that
-    deg gs[j] < degree_bounds[j]; this is the unique solution when the
-    inputs are coprime complementary products of prime powers.  The
-    reduction modulus for gs[j] is lcm(fs)/fs[j], which reconstructs the
-    missing prime power without needing the factorizations.
-    """
-    fs = list(fs)
-    if not fs:
-        raise EmptyInput("multi_xgcd needs at least one polynomial")
-    if all(f.is_zero() for f in fs):
-        return [Poly.zero()] * len(fs), Poly.zero()
-
-    g = fs[0]
-    gs = [_ONE]
-    for f in fs[1:]:
-        g2, u, v = poly_xgcd(g, f)
-        gs = [c * u for c in gs]
-        gs.append(v)
-        g = g2
-    if not g.is_monic():
-        # happens only when the running gcd was a single (scaled) input
-        c = 1 / g.lc()
-        g = g.scale(c)
-        gs = [x.scale(c) for x in gs]
-
-    if degree_bounds is not None:
-        if len(degree_bounds) != len(fs):
-            raise ValueError("one degree bound per input required")
-        total = None
-        for f in fs:
-            if f.is_zero():
-                continue
-            total = f.monic() if total is None else poly_lcm(total, f)
-        reduced = []
-        for f, c, bound in zip(fs, gs, degree_bounds):
-            if not f.is_zero():
-                modulus = total.exact_div(f.monic())
-                if modulus.degree >= 1:
-                    c = c % modulus
-            if c.degree >= bound:
-                raise ValueError(
-                    "degree bound not attainable; inputs lack the coprime "
-                    "complementary-product structure"
-                )
-            reduced.append(c)
-        gs = reduced
-        check = Poly.zero()
-        for f, c in zip(fs, gs):
-            check = check + f * c
-        if check != g:
-            raise ArithmeticError("Bezout normalization broke the identity")
-    return gs, g
 
 
 # -- parsing ---------------------------------------------------------------

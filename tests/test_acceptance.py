@@ -32,6 +32,7 @@ from smithpoly.oracle import elementary_smith, minors_gcd_smith
 from smithpoly.poly import Poly, parse_poly
 from smithpoly.prng import SplitMix64
 from smithpoly.residue import companion_of, encode, residue_div, residue_mul
+from smithpoly.verify import verify_smith
 
 X = Poly.x()
 
@@ -79,10 +80,15 @@ def test_exactness_suite():
 
 def test_local_invariants():
     """Sum of exponents equals the multiplicity, det E avoids p, column
-    degrees bounded, rank ladder nonincreasing and summing to mu."""
+    degrees bounded, rank ladder nonincreasing and summing to mu, and
+    det V a nonzero constant in both lanes (the one-prime route of the
+    pipeline returns the local V unchecked)."""
     for key in GROUND_TRUTH:
         A = instance(*key)
+        for loc in locals_over_k(*key):
+            assert mat_det(loc.V).degree == 0, key
         for loc in locals_rpr(*key):
+            assert mat_det(loc.V).degree == 0, key
             mu = dict(factored(*key).factors)[loc.p]
             assert sum(loc.alphas) == mu, key
             assert not (mat_det(loc.E) % loc.p).is_zero(), key
@@ -101,7 +107,8 @@ def test_local_invariants():
 
 def test_oracle_equivalence():
     """Pipeline D equals both independent oracles on >= 100 seeded random
-    regular instances (3x3 and 4x4, degree <= 2, coefficients in [-5, 5])."""
+    regular instances (3x3 and 4x4, degree <= 2, coefficients in [-5, 5]),
+    and verify_smith accepts its V and E."""
     t0 = time.perf_counter()
     rng = SplitMix64(424242)
     done = 0
@@ -114,6 +121,7 @@ def test_oracle_equivalence():
         r = smith_with_multipliers(A)
         assert r.D == minors_gcd_smith(A)
         assert r.D == elementary_smith(A)[1]
+        assert verify_smith(A, r.E, r.D, V=r.V).overall
         done += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 600, elapsed

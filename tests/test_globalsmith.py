@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import factored, instance, locals_rpr, pipeline
+from corpus import LIGHT, factored, instance, locals_rpr, pipeline
+from smithpoly import globalsmith
 from smithpoly.errors import (
     DivisibilityFailure,
     FactorSetMismatch,
@@ -15,6 +16,7 @@ from smithpoly.errors import (
 )
 from smithpoly.globalsmith import (
     CombinedMultiplier,
+    _crt_weights,
     combine_local,
     compute_E,
     factor_determinant,
@@ -26,7 +28,7 @@ from smithpoly.globalsmith import (
 from smithpoly.localsmith import local_smith, local_smith_over_K
 from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import minors_gcd_smith
-from smithpoly.poly import Poly, multi_xgcd
+from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
 from smithpoly.verify import verify_smith
 
@@ -68,14 +70,14 @@ def test_combine_single_factor_is_local_v():
 
 def test_combine_two_linear_factors_formula():
     """For primes l and l-1 with top exponents 1, the whole-matrix splice
-    is -(l-1)*V1 + l*V2 (Bezout coefficients of [l-1, l])."""
+    is -(l-1)*V1 + l*V2: -(l-1) is 1 mod l and 0 mod l-1, and l the
+    other way round."""
     A = MatPoly.diag([X, X - 1])
     l1 = local_smith(A, X, 1)
     l2 = local_smith(A, X - 1, 1)
     comb = combine_local(A, [l1, l2], "whole")
-    gs, g = multi_xgcd([X - 1, X], [1, 1])
-    assert g.is_one() and gs == [Poly([-1]), Poly([1])]
-    w1, w2 = gs[0] * (X - 1), gs[1] * X
+    w1, w2 = -(X - 1), X
+    assert _crt_weights([X, X - 1], (1, 1)) == [w1, w2]
     expected = l1.V @ MatPoly.diag([w1, w1]) + l2.V @ MatPoly.diag([w2, w2])
     assert comb.matrix == expected
     det = mat_det(comb.matrix)
@@ -102,6 +104,33 @@ def test_combine_properties_on_corpus_instance(mode):
     det = mat_det(comb.matrix)
     for loc in locs:
         assert not (det % loc.p).is_zero()
+
+
+def test_crt_weights_on_random_prime_powers():
+    """w_j = c_j f_j is 1 mod q_j = p_j**e_j and 0 mod every other q_k,
+    the weights sum to 1, and deg c_j < deg q_j."""
+    rng = SplitMix64(37)
+    primes = [X, X - 1, X + 2, Poly([1, 0, 1])]
+    for _ in range(50):
+        picked = [p for p in primes if rng.below(2)]
+        if len(picked) < 2:
+            picked = [X, X - 1]
+        exps = [1 + rng.below(3) for _ in picked]
+        qs = [p**e for p, e in zip(picked, exps)]
+        ws = _crt_weights(picked, exps)
+        total = Poly.zero()
+        for j, (w, q) in enumerate(zip(ws, qs)):
+            total = total + w
+            assert (w % q).is_one()
+            assert all((w % qk).is_zero() for k, qk in enumerate(qs) if k != j)
+            # so w = c_j f_j, and deg c_j < deg q_j is a bound on deg w
+            assert w.degree < sum(qk.degree for qk in qs)
+        assert total.is_one()
+
+
+def test_crt_weights_reject_repeated_prime():
+    with pytest.raises(FactorSetMismatch):
+        _crt_weights([X, X], (1, 2))
 
 
 def test_combine_factor_set_mismatch():
@@ -416,13 +445,13 @@ def _by_hand(A, local_fn, mode):
     return D, V, compute_E(A, V, D)
 
 
-def test_bezout_mode_override_matches_auto():
+def test_bezout_mode_override_matches_pipeline():
     """Either splice, triangularized, gives the V the pipeline returns."""
     key = (4, 4, "none")
     A = instance(*key)
-    r_auto = pipeline(*key)
+    r = pipeline(*key)
     for mode in ("whole", "per-column"):
-        assert _by_hand(A, local_smith, mode) == (r_auto.D, r_auto.V, r_auto.E)
+        assert _by_hand(A, local_smith, mode) == (r.D, r.V, r.E)
 
 
 def test_all_option_combinations_agree_random():
@@ -483,3 +512,50 @@ def test_unchecked_combine_is_the_checked_one():
                 A, locs, mode, factored=factored(*key), check=False
             )
             assert unchecked == checked, (key, mode)
+
+
+_FAULTS = {
+    "zeroed": lambda cols, i, p: cols[:i] + [[Poly.zero()] * len(cols[i])] + cols[i + 1 :],
+    "swapped": lambda cols, i, p: (
+        cols[:i] + [cols[i + 1], cols[i]] + cols[i + 2 :] if i + 1 < len(cols) else None
+    ),
+    "times p": lambda cols, i, p: cols[:i] + [[e * p for e in cols[i]]] + cols[i + 1 :],
+    "plus column 0": lambda cols, i, p: (
+        cols[:i] + [[a + b for a, b in zip(cols[i], cols[0])]] + cols[i + 1 :]
+    ),
+}
+
+
+def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
+    """The pipeline certifies its answer with compute_E, not with a splice
+    self-check: a local multiplier with one faulty column gives a typed
+    SmithError or a result that verify_smith accepts with the true D,
+    never a raw exception or a wrong answer."""
+    keys = [LIGHT[0], LIGHT[-1]]  # (1, 4, "none") and (6, 4, "revcols")
+    # the true forms, computed before local_smith is patched
+    truth = {key: (pipeline(*key).D, locals_rpr(*key)) for key in keys}
+    outcomes = {"error": 0, "verified": 0}
+    for key in keys:
+        A, (true_D, locs) = instance(*key), truth[key]
+        assert len(locs) > 1, key
+        for j, loc in enumerate(locs):
+            for i in range(A.rows):
+                for name, fault in _FAULTS.items():
+                    cols = fault(loc.V.columns(), i, loc.p)
+                    if cols is None:
+                        continue
+                    bad = dataclasses.replace(loc, V=MatPoly.from_columns(cols))
+                    by_prime = {l.p: (bad if m == j else l) for m, l in enumerate(locs)}
+                    monkeypatch.setattr(
+                        globalsmith, "local_smith", lambda A, p, e: by_prime[p]
+                    )
+                    try:
+                        r = smith_with_multipliers(A)
+                    except SmithError:
+                        outcomes["error"] += 1
+                        continue
+                    where = (key, j, i, name)
+                    assert r.D == true_D, where
+                    assert verify_smith(A, r.E, r.D, V=r.V).overall, where
+                    outcomes["verified"] += 1
+    assert outcomes["error"] > 0 and outcomes["verified"] > 0, outcomes

@@ -3,16 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from smithpoly.errors import EmptyInput
 from smithpoly.field import GaussianRational
-from smithpoly.poly import (
-    Poly,
-    multi_xgcd,
-    parse_poly,
-    poly_gcd,
-    poly_lcm,
-    poly_xgcd,
-)
+from smithpoly.poly import Poly, parse_poly, poly_gcd, poly_xgcd
 from smithpoly.prng import SplitMix64
 
 X = Poly.x()
@@ -62,71 +54,6 @@ def test_xgcd_bezout_random():
             assert (a % g).is_zero() and (b % g).is_zero()
 
 
-def test_multi_xgcd_examples():
-    gs, g = multi_xgcd([X, X - 1])
-    assert g.is_one()
-    assert gs[0] * X + gs[1] * (X - 1) == Poly.one()
-    # with bounds the constants are pinned: 1*l + (-1)*(l-1) = 1
-    gs, g = multi_xgcd([X, X - 1], [1, 1])
-    assert gs == [Poly.one(), Poly([-1])]
-
-    gs, g = multi_xgcd([(X - 1) ** 2, X**2], [2, 2])
-    assert g.is_one()
-    assert gs == [Poly([1, 2]), Poly([3, -2])]  # 2l+1 and -2l+3
-
-    gs, g = multi_xgcd([Poly([0, 3])])  # single input 3l
-    assert g == X
-    assert gs == [Poly([Fraction(1, 3)])]
-
-
-def test_multi_xgcd_empty():
-    with pytest.raises(EmptyInput):
-        multi_xgcd([])
-
-
-def test_multi_xgcd_bezout_random():
-    rng = SplitMix64(31)
-    for _ in range(100):
-        fs = [random_poly(rng, rng.below(6)) for _ in range(1 + rng.below(4))]
-        if all(f.is_zero() for f in fs):
-            continue
-        gs, g = multi_xgcd(fs)
-        acc = Poly.zero()
-        for c, f in zip(gs, fs):
-            acc = acc + c * f
-        assert acc == g
-        assert g.is_monic()
-
-
-def test_multi_xgcd_degree_bounds_on_coprime_products():
-    """The complementary prime-power structure pins the coefficients:
-    each one stays under its degree bound and avoids its own prime."""
-    rng = SplitMix64(37)
-    primes = [X, X - 1, X + 2, Poly([1, 0, 1])]
-    for _ in range(50):
-        picked = [p for p in primes if rng.below(2)] or [X, X - 1]
-        if len(picked) < 2:
-            picked = [X, X - 1]
-        betas = [1 + rng.below(3) for _ in picked]
-        fs = []
-        for j in range(len(picked)):
-            f = Poly.one()
-            for k, (p, b) in enumerate(zip(picked, betas)):
-                if k != j:
-                    f = f * p**b
-            fs.append(f)
-        bounds = [p.degree * b for p, b in zip(picked, betas)]
-        gs, g = multi_xgcd(fs, bounds)
-        assert g.is_one()
-        acc = Poly.zero()
-        for c, f in zip(gs, fs):
-            acc = acc + c * f
-        assert acc.is_one()
-        for c, p, bound in zip(gs, picked, bounds):
-            assert c.degree < bound
-            assert not (c % p).is_zero()
-
-
 def test_gcd_lcm_random():
     rng = SplitMix64(41)
     for _ in range(100):
@@ -140,8 +67,6 @@ def test_gcd_lcm_random():
         assert (a % g).is_zero() and (b % g).is_zero()
         if not common.is_zero() and not a.is_zero() and not b.is_zero():
             assert (g % common.monic()).is_zero()
-            m = poly_lcm(a, b)
-            assert (m % a.monic()).is_zero() and (m % b.monic()).is_zero()
 
 
 def test_gcd_gaussian_coeffs():
