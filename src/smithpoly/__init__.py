@@ -18,7 +18,6 @@ from .errors import (
     NotUnimodular,
     ParseError,
     PrimeDoesNotDivideDet,
-    PrimeMismatch,
     ShapeMismatch,
     SmithError,
     TooLarge,
@@ -59,14 +58,6 @@ from .matpoly import (
 )
 from .oracle import elementary_smith, minors_gcd_smith
 from .poly import Poly, parse_poly, poly_gcd, poly_xgcd
-from .residue import (
-    Companion,
-    ResidueElt,
-    companion_of,
-    encode,
-    residue_div,
-    residue_mul,
-)
 from .verify import VerifyReport, verify_smith
 
 __version__ = "0.1.0"

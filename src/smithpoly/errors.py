@@ -55,10 +55,6 @@ class MultiplicityMismatch(SmithError):
     that is not irreducible."""
 
 
-class PrimeMismatch(SmithError):
-    pass
-
-
 class NotUnimodular(SmithError):
     pass
 

@@ -18,11 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as _igcd, isqrt
+from math import isqrt
 
 from .errors import UnsupportedField
 from .field import GaussianRational
-from .poly import Poly, _int_divmod, _int_mul, _int_primitive, _strip, poly_gcd
+from .poly import (
+    Poly,
+    _content_free,
+    _int_divmod,
+    _int_mul,
+    _int_primitive,
+    _strip,
+    poly_gcd,
+)
 from .prng import SplitMix64
 
 
@@ -38,12 +46,6 @@ class FactoredPoly:
         for p, e in self.factors:
             out = out * p**e
         return out
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
 
 
 def _factor_sort_key(p: Poly):
@@ -341,11 +343,7 @@ def _hensel_lift(p, f, factors_mod_p, l):
 
 
 def _z_primitive(a):
-    g = 0
-    for c in a:
-        g = _igcd(g, c)
-    if g > 1:
-        a = [c // g for c in a]
+    a = _content_free(a)
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a

@@ -24,23 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DimensionMismatch,
     MultiplicityMismatch,
     NotIrreducible,
     NotRegular,
     NotSquare,
     PrimeDoesNotDivideDet,
-    PrimeMismatch,
 )
 from .matpoly import MatPoly, compute_E, expand_in_p, lambda_iso
 from .poly import Poly
-from .residue import (
-    ResidueElt,
-    companion_of,
-    encode,
-    residue_one,
-    residue_zero,
-)
+from .residue import BASE_FIELD, ResidueField
 
 
 @dataclass(frozen=True)
@@ -49,10 +41,6 @@ class LocalSmithResult:
     V: MatPoly
     E: MatPoly
     alphas: tuple
-
-    @property
-    def mu(self) -> int:
-        return sum(self.alphas)
 
     @property
     def beta(self) -> int:
@@ -71,15 +59,17 @@ class LocalSmithResult:
 # -- generic reduced row echelon form --------------------------------------
 
 
-def _rref(rows, zero, one):
-    """Gauss-Jordan over any exact field.
+def _rref(rows, F):
+    """Gauss-Jordan over the exact field F (see ``residue``).
 
     Returns (rref rows, pivot column indices, null-space basis columns).
     Pivoting is leftmost column, topmost usable row, pivot scaled to 1,
     so the output is the canonical reduced echelon form.  Each null
     basis column carries a 1 in its free position and the negated
-    reduced coefficients in the pivot positions.
+    reduced coefficients in the pivot positions.  Row updates touch only
+    the nonzero entries of the pivot row.
     """
+    zero, one, mul = F.zero, F.one, F.mul
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -96,12 +86,15 @@ def _rref(rows, zero, one):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = one / m[r][c]
-        m[r] = [e * inv for e in m[r]]
+        inv = F.inv(m[r][c])
+        m[r] = [mul(e, inv) if e else e for e in m[r]]
+        support = [(j, b) for j, b in enumerate(m[r]) if b]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j, b in support:
+                    row[j] = row[j] - mul(f, b)
         pivots.append(c)
         r += 1
     pivot_row = {c: i for i, c in enumerate(pivots)}
@@ -119,28 +112,18 @@ def _rref(rows, zero, one):
     return m, pivots, null_basis
 
 
-def rref_over_residue(matrix):
-    """Reduced row echelon form over R/pR for a matrix of ResidueElt."""
-    if not matrix or not matrix[0]:
-        return [], [], []
-    S = matrix[0][0].companion
-    for row in matrix:
-        for e in row:
-            if not isinstance(e, ResidueElt):
-                raise PrimeMismatch("entries must be ResidueElt")
-            if not e.companion.same_prime(S):
-                raise PrimeMismatch("entries over different primes")
-            if len(e.coeffs) != S.s:
-                raise DimensionMismatch("residue entry of wrong length")
-    return _rref(matrix, residue_zero(S), residue_one(S))
+def rref_over_residue(matrix, p: Poly):
+    """Reduced row echelon form over R/pR of a matrix of polynomials,
+    each entry taken mod p."""
+    F = ResidueField(p)
+    return _rref([[e % p for e in row] for row in matrix], F)
 
 
 def invertible_mod_p(M: MatPoly, p: Poly) -> bool:
     """Whether the square M is invertible mod p, that is det M mod p != 0:
     M reduced into R/pR has full rank.  A zero divisor met on the way
     raises NotIrreducible, since then p is not irreducible."""
-    S = companion_of(p)
-    _, pivots, _ = rref_over_residue([[encode(e, S) for e in row] for row in M.entries])
+    _, pivots, _ = rref_over_residue(M.entries, p)
     return len(pivots) == M.rows
 
 
@@ -201,7 +184,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         raise NotSquare("local Smith form needs a square matrix")
     if mu < 1:
         raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
-    lane = make_lane(A, p)  # companion_of rejects a non-monic or constant p
+    lane = make_lane(A, p)  # ResidueField rejects a non-monic or constant p
     n, s, width, zero = A.rows, lane.s, lane.width, lane.zero
     tableau = lane.tableau()
     _, pivots, null_basis = lane.rref(tableau)
@@ -213,7 +196,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         raise MultiplicityMismatch("kernel is not a module over R/pR")
     accepted = [(0, _unit_column(n, g)) for g in pivot_super]
     R = r0
-    chains = [lane.lift(vec) for vec in null_basis]
+    chains = null_basis
     stacked = list(chains)  # every kernel chain so far, zero-padded on top
     null_count = len(null_basis)
     k = 0
@@ -240,7 +223,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         for g in pivot_super:
             accepted.append((k, lane.decode(chains[g * s])))
         next_chains = []
-        for vec in map(lane.lift, new_null):
+        for vec in new_null:
             head = _chain_combination(stacked, vec[width:], width * k, zero)
             next_chains.append(lane.extend(head, vec[:width], k))
         stacked = [[zero] * width + c for c in stacked] + next_chains
@@ -302,22 +285,21 @@ class _ResidueLane:
 
     def __init__(self, A: MatPoly, p: Poly):
         self.p = p
-        self.S = companion_of(p)
+        self.F = ResidueField(p)
         self.n = self.width = A.rows
         self.digits = expand_in_p(A, p).blocks
 
     def tableau(self):
-        return [[encode(e, self.S) for e in row] for row in self.digits[0].entries]
+        return [list(row) for row in self.digits[0].entries]
 
     def rref(self, rows):
-        return rref_over_residue(rows)
-
-    def lift(self, vec):
-        return [v.to_poly() for v in vec]
+        return _rref(rows, self.F)
 
     def residual(self, chain, k):
         """Images of a length-k chain under the next two digit diagonals:
-        rem of the high part plus quo of the low part, entries back in R_s."""
+        rem of the high part plus quo of the low part.  Chain entries and
+        digits have degree < deg p, so the quotient has degree < deg p - 1
+        and the sum is already reduced."""
         n, p, digits = self.n, self.p, self.digits
         hi = [Poly.zero()] * n
         lo = [Poly.zero()] * n
@@ -332,7 +314,7 @@ class _ResidueLane:
                         if a and b:
                             e = e + a * b
                     acc[i] = e
-        return [encode(hi[i] % p + lo[i] // p, self.S) for i in range(n)]
+        return [hi[i] % p + lo[i] // p for i in range(n)]
 
     def extend(self, head, y, k):
         """[rem(head, p); y] + quo(shift-down(head), p): k+1 digit blocks."""
@@ -350,40 +332,40 @@ class _ResidueLane:
 
 class _FieldLane:
     """Scalars in K: each residue entry becomes its s coefficients (s =
-    deg p), the tableau has width s*n, and chains come in supercolumns of
-    s, of which the first is decoded.  Residuals are the residue lane's,
-    flattened; extending a chain is a plain append."""
+    deg p, zero-padded), the tableau has width s*n, and chains come in
+    supercolumns of s, of which the first is decoded.  Residuals are the
+    residue lane's, flattened; extending a chain is a plain append."""
 
     zero = Fraction(0)
 
     def __init__(self, A: MatPoly, p: Poly):
         self.p = p
         self.residue = _ResidueLane(A, p)
-        self.s = self.residue.S.s
+        self.s = p.degree
         self.width = self.s * A.rows
+
+    def _coeffs(self, f: Poly) -> list:
+        return list(f.coeffs) + [self.zero] * (self.s - len(f.coeffs))
 
     def tableau(self):
         """Column (jj, b) holds the coefficients of digit_0[:, jj] * l**b
         mod p: multiplication by digit_0 as a matrix over K."""
-        s, S, x = self.s, self.residue.S, Poly.x()
+        s, mul, x = self.s, self.residue.F.mul, Poly.x()
         rows = [[] for _ in range(self.width)]
         for i, row in enumerate(self.residue.digits[0].entries):
             for e in row:
                 for b in range(s):
-                    for a, c in enumerate(encode(e * x**b, S).coeffs):
+                    for a, c in enumerate(self._coeffs(mul(e, x**b))):
                         rows[i * s + a].append(c)
         return rows
 
     def rref(self, rows):
-        return _rref(rows, Fraction(0), Fraction(1))
-
-    def lift(self, vec):
-        return vec
+        return _rref(rows, BASE_FIELD)
 
     def residual(self, chain, k):
         s = self.s
         digits = [Poly(chain[t : t + s]) for t in range(0, len(chain), s)]
-        return [c for r in self.residue.residual(digits, k) for c in r.coeffs]
+        return [c for r in self.residue.residual(digits, k) for c in self._coeffs(r)]
 
     def extend(self, head, y, k):
         return head + y
@@ -407,7 +389,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
     an independent oracle for the nullspace-based routes."""
     if not A.is_square():
         raise NotSquare("local Smith form needs a square matrix")
-    S = companion_of(p)
+    F = ResidueField(p)
     n = A.rows
     cols = [_unit_column(n, i) for i in range(n)]
     alphas = [0] * n
@@ -428,8 +410,8 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
                 q, rem = e.divmod(pk)
                 if not rem.is_zero():
                     raise MultiplicityMismatch("divisibility invariant broken")
-                y.append(encode(q, S))
-            coeffs = _dependence(accepted_res, y, S)
+                y.append(q % p)
+            coeffs = _dependence(accepted_res, y, F)
             if coeffs is None:
                 alphas[done] = k
                 accepted_res.append(y)
@@ -437,11 +419,10 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
             else:
                 newx = list(x)
                 for m, a in enumerate(coeffs):
-                    ap = a.to_poly()
-                    if ap.is_zero():
+                    if a.is_zero():
                         continue
                     shift = p ** (k - alphas[m])
-                    fct = ap * shift
+                    fct = a * shift
                     for r in range(n):
                         if not cols[m][r].is_zero():
                             newx[r] = newx[r] - fct * cols[m][r]
@@ -462,21 +443,21 @@ def _matvec_poly(A: MatPoly, x):
     return out
 
 
-def _dependence(accepted, y, S):
+def _dependence(accepted, y, F):
     """None if y is independent of the accepted residuals over R/pR, else
     the coefficients expressing y as their combination."""
     if all(e.is_zero() for e in y):
-        return [residue_zero(S)] * len(accepted)
+        return [F.zero] * len(accepted)
     n = len(y)
     rows = [
         [accepted[m][i] for m in range(len(accepted))] + [y[i]] for i in range(n)
     ]
-    _, pivots, null_basis = rref_over_residue(rows)
+    _, pivots, null_basis = _rref(rows, F)
     last = len(accepted)
     if last in pivots:
         return None
     for vec in null_basis:
         if vec[last]:
-            inv = vec[last]
-            return [-(vec[m] / inv) for m in range(len(accepted))]
+            inv = F.inv(vec[last])
+            return [-F.mul(vec[m], inv) for m in range(len(accepted))]
     raise MultiplicityMismatch("dependent column without a kernel vector")

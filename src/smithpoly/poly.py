@@ -112,13 +112,19 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out.extend(a[len(b) :])
+        else:
+            out.extend(-y for y in b[len(a) :])
+        return Poly(out)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -390,15 +396,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def _int_primitive(f: Poly):
     """Primitive integer coefficient list for a rational poly, else None."""
     cleared = _cleared(f.coeffs)
-    if cleared is None:
-        return None
-    ints = cleared[0]
-    g = 0
-    for c in ints:
-        g = _igcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    return None if cleared is None else _content_free(cleared[0])
+
+
+def _content_free(ints: list) -> list:
+    """An integer list divided by the gcd of its entries."""
+    g = _igcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def _int_gcd_prs(a: list, b: list) -> Poly:
@@ -408,12 +412,7 @@ def _int_gcd_prs(a: list, b: list) -> Poly:
         r = _int_pseudo_rem(a, b)
         if not r:
             break
-        g = 0
-        for c in r:
-            g = _igcd(g, c)
-        if g > 1:
-            r = [c // g for c in r]
-        a, b = b, r
+        a, b = b, _content_free(r)
     lc = b[-1]
     return Poly([Fraction(c, lc) for c in b])
 

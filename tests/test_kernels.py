@@ -1,5 +1,6 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p
-and MatPoly @, each against a plain reference written here over the field.
+and MatPoly @, each against a plain reference written here over the field,
+and for the echelon kernel _rref over Q and over R/pR.
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import companion_product
 from smithpoly import DivisibilityFailure, MatPoly, Poly, compute_E, expand_in_p, lambda_iso
 from smithpoly.field import GaussianRational
+from smithpoly.localsmith import _FieldLane, _rref
+from smithpoly.residue import BASE_FIELD, ResidueField
 
 settings.register_profile(
     "kernels", max_examples=60, deadline=None, derandomize=True, database=None
@@ -199,3 +203,78 @@ def test_compute_E_names_the_failing_column(data, n, bad, shift):
     A2 = A + MatPoly(bump) @ Vinv
     with pytest.raises(DivisibilityFailure, match=f"column {bad + 1} of A\\*V"):
         compute_E(A2, V, D)
+
+
+# -- the echelon kernel ------------------------------------------------------
+
+I = GaussianRational(0, 1)
+RREF_PRIMES = [
+    Poly([2, 1]),  # l+2
+    Poly([1, 0, 1]),  # l^2+1
+    Poly([1, 1, 1]),  # l^2+l+1
+    Poly([-2, 0, 0, 1]),  # l^3-2
+    Poly([1, 1, 0, 1]),  # l^3+l+1
+    Poly([I, 0, 1]),  # l^2+i, irreducible over Q(i)
+]
+
+
+def _echelon_cases(entry, zero, scale):
+    """A 1-4 x 1-5 matrix, sparse entries, and sometimes a last row that
+    is the first plus a multiple of the second, so ranks fall short."""
+
+    @st.composite
+    def cases(draw):
+        nrows = draw(st.integers(min_value=1, max_value=4))
+        ncols = draw(st.integers(min_value=1, max_value=5))
+        cell = st.one_of(st.just(zero), entry)
+        rows = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 2 and draw(st.booleans()):
+            c = draw(entry)
+            rows.append([x + scale(c, y) for x, y in zip(rows[0], rows[1])])
+        return rows
+
+    return cases()
+
+
+def _check_echelon(rows, F):
+    """The reduced form is canonical (unit pivot columns, zero rows last),
+    rank plus nullity is the width, and the transpose has the same rank."""
+    ncols = len(rows[0])
+    rref, pivots, null = _rref(rows, F)
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in rref] == [F.one if k == i else F.zero for k in range(len(rref))]
+    assert not any(any(row) for row in rref[len(pivots) :])
+    assert len(pivots) + len(null) == ncols
+    transposed = [list(col) for col in zip(*rows)]
+    assert len(_rref(transposed, F)[1]) == len(pivots)
+    return pivots, null
+
+
+@KERNELS
+@given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y))
+def test_rref_over_rationals(rows):
+    _, null = _check_echelon(rows, BASE_FIELD)
+    for vec in null:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
+
+
+@KERNELS
+@given(data=st.data(), p=st.sampled_from(RREF_PRIMES))
+def test_rref_over_residue_field(data, p):
+    """Null vectors are annihilated (products by the companion action, which
+    never divides by p), and the rank over R/pR times s = deg p is the
+    rank over K of the base-field lane's block expansion."""
+    s, F = p.degree, ResidueField(p)
+    scalars = gaussians if isinstance(p.coeffs[0], GaussianRational) else small_ints
+    entry = st.lists(scalars, min_size=s, max_size=s).map(Poly)
+    rows = data.draw(_echelon_cases(entry, Poly.zero(), F.mul))
+    pivots, null = _check_echelon(rows, F)
+    for vec in null:
+        for row in rows:
+            acc = [Fraction(0)] * s
+            for a, b in zip(row, vec):
+                acc = [x + y for x, y in zip(acc, companion_product(a, b, p))]
+            assert not any(acc)
+    block = _FieldLane(MatPoly(rows), p).tableau()
+    assert len(_rref(block, BASE_FIELD)[1]) == s * len(pivots)

@@ -9,7 +9,6 @@ from smithpoly.errors import (
     NotIrreducible,
     NotSquare,
     PrimeDoesNotDivideDet,
-    PrimeMismatch,
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import (
@@ -22,7 +21,7 @@ from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import companion_of, encode, residue_mul
+from smithpoly.residue import ResidueField
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -48,49 +47,42 @@ def _check_contract(A, p, res, mu):
 
 
 def test_rref_identity():
-    S = companion_of(X**2 + 1)
-    rows = [
-        [encode(Poly.one() if i == j else Poly.zero(), S) for j in range(3)]
-        for i in range(3)
-    ]
-    _, pivots, null = rref_over_residue(rows)
+    rows = [[Poly.one() if i == j else Poly.zero() for j in range(3)] for i in range(3)]
+    _, pivots, null = rref_over_residue(rows, X**2 + 1)
     assert pivots == [0, 1, 2] and null == []
 
 
 def test_rref_zero_matrix():
-    S = companion_of(X**2 + 1)
-    z = encode(Poly.zero(), S)
+    z = Poly.zero()
     rows = [[z, z], [z, z]]
-    _, pivots, null = rref_over_residue(rows)
+    _, pivots, null = rref_over_residue(rows, X**2 + 1)
     assert pivots == []
     assert len(null) == 2
-    assert null[0][0] == encode(Poly.one(), S) and null[1][1] == encode(Poly.one(), S)
+    assert null[0][0] == Poly.one() and null[1][1] == Poly.one()
 
 
 def test_rref_single_row_kernel():
     p = X**2 + 1
-    S = companion_of(p)
-    rows = [[encode(X, S), encode(Poly.one(), S)]]
-    _, pivots, null = rref_over_residue(rows)
+    F = ResidueField(p)
+    rows = [[X, Poly.one()]]
+    _, pivots, null = rref_over_residue(rows, p)
     assert pivots == [0]
     assert len(null) == 1
     vec = null[0]
-    combo = residue_mul(rows[0][0], vec[0], S) + residue_mul(rows[0][1], vec[1], S)
+    combo = F.mul(rows[0][0], vec[0]) + F.mul(rows[0][1], vec[1])
     assert combo.is_zero()
     # unit in the dependent position, negated coefficient above; this is
     # the (1; -lambda) solution line scaled by lambda
-    assert vec[1] == encode(Poly.one(), S)
-    assert vec[0] == encode(X, S)
-    lam = encode(X, S)
-    scaled = [residue_mul(e, lam, S) for e in (encode(Poly.one(), S), encode(-X, S))]
+    assert vec[1] == Poly.one()
+    assert vec[0] == X
+    scaled = [F.mul(e, X) for e in (Poly.one(), -X)]
     assert list(vec) == scaled
 
 
-def test_rref_prime_mismatch():
-    Sa = companion_of(X**2 + 1)
-    Sb = companion_of(X**2 + 2)
-    with pytest.raises(PrimeMismatch):
-        rref_over_residue([[encode(X, Sa), encode(X, Sb)]])
+def test_rref_reduces_entries_mod_p():
+    """Entries are taken mod p: l^2 is -1 mod l^2+1."""
+    rref, pivots, _ = rref_over_residue([[X**2, X**3]], X**2 + 1)
+    assert pivots == [0] and rref == [[Poly.one(), X]]
 
 
 # -- worked examples -------------------------------------------------------
