@@ -134,17 +134,12 @@ class MatPoly:
                     for a, row in zip(ra, rows)
                 ]
             )
-        out = []
-        for row in self.entries:
-            new_row = []
-            for col in bt:
-                acc = Poly.zero()
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return MatPoly(out)
+        return MatPoly(
+            [
+                [sum((a * b for a, b in zip(row, col) if a and b), Poly.zero()) for col in bt]
+                for row in self.entries
+            ]
+        )
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -184,35 +179,35 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
 
 # -- determinants -------------------------------------------------------
 
-_GAUSSIAN_ONE = GaussianRational(1)
-
 
 def mat_det(A: MatPoly) -> Poly:
-    """Exact determinant by evaluation and interpolation.
+    """Exact determinant by evaluation and interpolation on integers.
 
     Each row is scaled by the lcm of its coefficient denominators, which
-    makes every entry an integer (or Gaussian-integer) polynomial and
-    multiplies det(A) by the product of the scales.  The entries are
-    evaluated by Horner at n * max_degree + 1 integer points, fraction-free
-    Bareiss elimination gives the determinant at each point, and Newton
-    interpolation recovers the scaled det(A)."""
+    makes every entry an integer (or Gaussian-integer) polynomial.  Horner
+    evaluates them at min(sum of row degrees, sum of column degrees) + 1
+    points, a bound on deg det + 1, fraction-free Bareiss gives the scaled
+    determinant at each, and _interpolate's coefficients are divided once
+    by the product of the scales.  A zero row or column gives zero."""
     if not A.is_square():
         raise NotSquare("determinant needs a square matrix")
-    n = A.rows
-    if n == 1:
+    if A.rows == 1:
         return A[0, 0]
-    d = A.max_degree()
-    if d < 0:
+    degrees = [[e.degree for e in row] for row in A.entries]
+    row_deg, col_deg = list(map(max, degrees)), list(map(max, zip(*degrees)))
+    if min(row_deg + col_deg) < 0:
         return Poly.zero()
     one, scales, rows = _integer_rows(A.entries)
-    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(n * d + 1)]
+    bound = min(sum(row_deg), sum(col_deg))
+    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
     values = [
         _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
         for x in points
     ]
-    return _interpolate([Fraction(x) for x in points], values).scale(
-        Fraction(1, prod(scales))
-    )
+    coeffs = _interpolate(points, values, _exact_div(one))
+    if type(one) is int:
+        return _from_ints(coeffs, prod(scales))
+    return Poly(coeffs).scale(Fraction(1, prod(scales)))
 
 
 def _integer_rows(entries):
@@ -223,7 +218,7 @@ def _integer_rows(entries):
     gaussian = any(
         isinstance(c, GaussianRational) for row in entries for e in row for c in e.coeffs
     )
-    one = _GAUSSIAN_ONE if gaussian else 1
+    one = GaussianRational(1) if gaussian else 1
     scales, rows = [], []
     for row in entries:
         m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
@@ -259,11 +254,23 @@ def _horner(coeffs, x, one):
     return acc
 
 
+def _exact_div(one):
+    """Exact division for the kind of `one`: `/` on Gaussian integers held
+    as GaussianRational, `//` on int that raises where it would floor."""
+    return _exact_floordiv if type(one) is int else operator.truediv
+
+
+def _exact_floordiv(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise DivisibilityFailure(f"{a} is not a multiple of {b}")
+    return q
+
+
 def _bareiss(m, one):
-    """Fraction-free elimination: every quotient is exact, by `//` on int
-    and by `/` on Gaussian integers held as GaussianRational.  The empty
+    """Fraction-free elimination: every quotient is exact.  The empty
     matrix has determinant one."""
-    div = operator.floordiv if type(one) is int else operator.truediv
+    div = _exact_div(one)
     sign, prev = 1, one
     while len(m) > 1:
         piv = next((i for i, row in enumerate(m) if row[0]), None)
@@ -281,21 +288,20 @@ def _bareiss(m, one):
     return m[0][0] * sign if m else one
 
 
-def _interpolate(points, values) -> Poly:
-    """Newton divided differences, expanded into the monomial basis."""
+def _interpolate(points, values, div) -> list:
+    """Coefficients, lowest first, of the polynomial with values[k] at the
+    integer points[k].  An integer (Gaussian-integer) polynomial has integer
+    divided differences, so Newton's table runs on the exact `div`; Horner
+    on coefficient lists, acc * (X - x) + c, expands the Newton form."""
     n = len(points)
     coef = list(values)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
-    result = Poly.zero()
-    basis = Poly.one()
-    for i in range(n):
-        if coef[i]:
-            result = result + basis.scale(coef[i])
-        if i < n - 1:
-            basis = basis * Poly([-points[i], 1])
-    return result
+            coef[i] = div(coef[i] - coef[i - 1], points[i] - points[i - j])
+    acc = [coef[-1]]
+    for x, c in zip(reversed(points[:-1]), reversed(coef[:-1])):
+        acc = [c - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    return acc
 
 
 # -- expansion in powers of p --------------------------------------------
@@ -313,23 +319,13 @@ class PAdicExpansion:
 def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("expansion needs a monic p of degree >= 1")
-    digit_grids = [[_digits(e, p) for e in row] for row in A.entries]
-    q = max(
-        (len(d) for row in digit_grids for d in row),
-        default=0,
+    grids = [[_digits(e, p) for e in row] for row in A.entries]
+    q = max([1] + [len(d) for row in grids for d in row])
+    blocks = tuple(
+        MatPoly([[d[k] if k < len(d) else Poly.zero() for d in row] for row in grids])
+        for k in range(q)
     )
-    q = max(q, 1)
-    blocks = []
-    for k in range(q):
-        blocks.append(
-            MatPoly(
-                [
-                    [d[k] if k < len(d) else Poly.zero() for d in row]
-                    for row in digit_grids
-                ]
-            )
-        )
-    return PAdicExpansion(p=p, blocks=tuple(blocks))
+    return PAdicExpansion(p=p, blocks=blocks)
 
 
 def _digits(e: Poly, p: Poly) -> list:

@@ -1,6 +1,7 @@
-"""Property tests for the integer kernels behind Poly.divmod, expand_in_p
-and MatPoly @, each against a plain reference written here over the field,
-and for the echelon kernel _rref over Q and over R/pR.
+"""Property tests for the integer kernels behind Poly.divmod, expand_in_p,
+MatPoly @ and mat_det's interpolation, each against a plain reference
+written here over the field, and for the echelon kernel _rref over Q and
+over R/pR.
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -16,6 +17,7 @@ from conftest import companion_product
 from smithpoly import DivisibilityFailure, MatPoly, Poly, compute_E, expand_in_p, lambda_iso
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _FieldLane, _rref
+from smithpoly.matpoly import _exact_div, _interpolate
 from smithpoly.residue import BASE_FIELD, ResidueField
 
 settings.register_profile(
@@ -203,6 +205,74 @@ def test_compute_E_names_the_failing_column(data, n, bad, shift):
     A2 = A + MatPoly(bump) @ Vinv
     with pytest.raises(DivisibilityFailure, match=f"column {bad + 1} of A\\*V"):
         compute_E(A2, V, D)
+
+
+def _nodes(count):
+    """mat_det's evaluation points 0, 1, -1, 2, -2, ..."""
+    return [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
+
+
+def reference_lagrange(points, values):
+    """sum_k values[k] * prod_{j != k} (X - x_j) / (x_k - x_j) on Fractions,
+    coefficients lowest first."""
+    out = [Fraction(0)] * len(points)
+    for k, (xk, yk) in enumerate(zip(points, values)):
+        basis, scale = [Fraction(1)], yk
+        for j, xj in enumerate(points):
+            if j != k:
+                basis = [Fraction(0)] + basis
+                basis = [a - xj * b for a, b in zip(basis, basis[1:] + [0])]
+                scale = scale / Fraction(xk - xj)
+        out = [a + scale * b for a, b in zip(out, basis)]
+    return _trim(out)
+
+
+gaussian_ints = st.builds(GaussianRational, small_ints, small_ints)
+
+
+@KERNELS
+@given(
+    coeffs=st.one_of(coeff_lists(small_ints, 7), coeff_lists(gaussian_ints, 6)),
+    extra=st.integers(min_value=0, max_value=3),
+)
+def test_interpolate_matches_lagrange(coeffs, extra):
+    """Integer and Gaussian-integer polynomials at mat_det's nodes, with up
+    to three points more than the degree needs: the exact Newton kernel
+    returns the polynomial, as the Lagrange form on Fractions does."""
+    one = GaussianRational(1) if any(isinstance(c, GaussianRational) for c in coeffs) else 1
+    points = _nodes(max(len(coeffs), 1) + extra)
+    values = [sum((c * x**k for k, c in enumerate(coeffs)), one * 0) for x in points]
+    got = _interpolate(points, values, _exact_div(one))
+    assert len(got) == len(points)
+    assert all(type(c) is type(one) for c in got)
+    assert _trim(got) == _trim(coeffs) == reference_lagrange(points, values)
+
+
+@KERNELS
+@given(
+    coeffs=coeff_lists(small_ints, 6),
+    count=st.integers(min_value=4, max_value=8),
+    data=st.data(),
+)
+def test_interpolate_raises_on_non_integer_polynomial(coeffs, count, data):
+    """One value of an integer polynomial moved by one: the interpolant's
+    top coefficient gains 1 / prod_{j != k} (x_k - x_j), not an integer from
+    four nodes on (three distinct nonzero integers have a product of at
+    least 2), so the integer kernel raises instead of flooring."""
+    points = _nodes(max(len(coeffs), count))
+    values = [sum(c * x**k for k, c in enumerate(coeffs)) for x in points]
+    k = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
+    values[k] += 1
+    assert reference_lagrange(points, values)[-1].denominator > 1
+    with pytest.raises(DivisibilityFailure, match="not a multiple"):
+        _interpolate(points, values, _exact_div(1))
+
+
+def test_interpolate_does_not_floor():
+    """l (l - 1) / 2 at 0, 1, -1 is 0, 0, 1: its second divided difference
+    is 1/2, which `//` would floor to 0."""
+    with pytest.raises(DivisibilityFailure):
+        _interpolate([0, 1, -1], [0, 0, 1], _exact_div(1))
 
 
 # -- the echelon kernel ------------------------------------------------------

@@ -72,6 +72,24 @@ def _random_coeff(rng, kind):
     return GaussianRational(Fraction(a, 1 + rng.below(3)), rng.randint(-3, 3))
 
 
+def _uneven_matrices(rng, kind, n):
+    """Entry degrees that differ, so min(sum of row degrees, sum of column
+    degrees) falls below n * max_degree: one row of degree 4 and the rest
+    constant, an upper-triangular matrix of mixed degrees, and a random
+    matrix with a zero row and with a zero column."""
+
+    def entry(deg):
+        return Poly([_random_coeff(rng, kind) for _ in range(deg + 1)])
+
+    tall = rng.below(n)
+    yield [[entry(4 if i == tall else 0) for _ in range(n)] for i in range(n)]
+    yield [[entry(rng.below(4)) if j >= i else Poly.zero() for j in range(n)] for i in range(n)]
+    full = [[entry(rng.below(4)) for _ in range(n)] for _ in range(n)]
+    k = rng.below(n)
+    yield [[Poly.zero() if i == k else e for e in row] for i, row in enumerate(full)]
+    yield [[Poly.zero() if j == k else e for j, e in enumerate(row)] for row in full]
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "gaussian"])
 def test_det_matches_leibniz_random(kind):
     rng = SplitMix64(89)
@@ -91,6 +109,9 @@ def test_det_matches_leibniz_random(kind):
                 rows = list(A.entries)
                 rows[-1] = rows[0]
                 assert mat_det(MatPoly(rows)).is_zero(), (n, deg)
+        for case, rows in enumerate(_uneven_matrices(rng, kind, n)):
+            A = MatPoly(rows)
+            assert mat_det(A) == _leibniz_det(A), (n, case)
     assert mat_det(MatPoly.diag([0, 0, 0])).is_zero()
 
 
