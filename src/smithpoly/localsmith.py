@@ -4,9 +4,10 @@ monic irreducible factor p of det(A).
 ``local_smith`` and ``local_smith_over_K`` run one driver,
 ``_local_chains``: a breadth-first Jordan chain construction driven by
 nullspaces.  Each round appends the next residuals of the active chains
-to a growing tableau, row-reduces it, accepts the chains whose residuals
-are independent, and extends the rest.  The two differ only in the
-scalar lane the driver runs on:
+to a growing tableau, reduces only the new columns against its kept
+echelon form, accepts the chains whose residuals are independent, and
+extends the rest.  The two differ only in the scalar lane it runs
+on:
 
 * ``local_smith`` -- the residue lane: entries in R/pR, tableau width n,
   chains extended by carrying through division by p.
@@ -56,60 +57,96 @@ class LocalSmithResult:
         return MatPoly.diag([self.p**a for a in self.alphas])
 
 
-# -- generic reduced row echelon form --------------------------------------
+# -- the echelon kernel -------------------------------------------------------
+
+
+class _Echelon:
+    """Reduced row echelon form over the exact field F (see ``residue``),
+    grown by appending columns.
+
+    Pivoting is leftmost column, topmost usable row, pivot scaled to 1,
+    so ``rows`` is the canonical reduced echelon form of every column
+    appended so far.  Each pivot step logs (row, swapped row, pivot
+    inverse, cleared (row, multiplier) pairs).  Appended columns replay
+    the log, which gives them exactly the operations a reduction of the
+    whole tableau would, and are then reduced alone: rows at or below the
+    rank are zero on the old columns, so old pivots never change and a
+    new pivot row's update touches only the new columns.  Row updates
+    skip the zero entries of the pivot row.
+    """
+
+    def __init__(self, F, nrows):
+        self.F = F
+        self.rows = [[] for _ in range(nrows)]
+        self.pivots = []
+        self.log = []
+        self.ncols = 0
+
+    def extend(self, block):
+        """Append the columns of `block` (one list per row)."""
+        mul, rows, log = self.F.mul, self.rows, self.log
+        new = [list(b) for b in block]
+        for r, piv, inv, cleared in log:
+            new[r], new[piv] = new[piv], new[r]
+            new[r] = [mul(e, inv) if e else e for e in new[r]]
+            support = [(j, b) for j, b in enumerate(new[r]) if b]
+            if support:
+                for i, f in cleared:
+                    row = new[i]
+                    for j, b in support:
+                        row[j] = row[j] - mul(f, b)
+        base = self.ncols
+        for row, tail in zip(rows, new):
+            row.extend(tail)
+        self.ncols += len(new[0]) if new else 0
+        nrows, r = len(rows), len(self.pivots)
+        for c in range(base, self.ncols):
+            if r >= nrows:
+                break
+            piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            inv = self.F.inv(rows[r][c])
+            rows[r][c:] = [mul(e, inv) if e else e for e in rows[r][c:]]
+            support = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
+            cleared = []
+            for i in range(nrows):
+                row = rows[i]
+                if i != r and row[c]:
+                    f = row[c]
+                    cleared.append((i, f))
+                    for j, b in support:
+                        row[j] = row[j] - mul(f, b)
+            log.append((r, piv, inv, cleared))
+            self.pivots.append(c)
+            r += 1
+
+    def null_basis(self, start=0):
+        """Null-space basis columns for the free columns from `start` on:
+        1 in the free position, the negated reduced coefficients in the
+        pivot positions."""
+        zero, rows, pivots = self.F.zero, self.rows, self.pivots
+        pivot_set = set(pivots)
+        out = []
+        for c in range(start, self.ncols):
+            if c in pivot_set:
+                continue
+            vec = [zero] * self.ncols
+            vec[c] = self.F.one
+            for pr, pc in enumerate(pivots):
+                if rows[pr][c]:
+                    vec[pc] = -rows[pr][c]
+            out.append(vec)
+        return out
 
 
 def _rref(rows, F):
-    """Gauss-Jordan over the exact field F (see ``residue``).
-
-    Returns (rref rows, pivot column indices, null-space basis columns).
-    Pivoting is leftmost column, topmost usable row, pivot scaled to 1,
-    so the output is the canonical reduced echelon form.  Each null
-    basis column carries a 1 in its free position and the negated
-    reduced coefficients in the pivot positions.  Row updates touch only
-    the nonzero entries of the pivot row.
-    """
-    zero, one, mul = F.zero, F.one, F.mul
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [mul(e, inv) if e else e for e in m[r]]
-        support = [(j, b) for j, b in enumerate(m[r]) if b]
-        for i in range(nrows):
-            row = m[i]
-            if i != r and row[c]:
-                f = row[c]
-                for j, b in support:
-                    row[j] = row[j] - mul(f, b)
-        pivots.append(c)
-        r += 1
-    pivot_row = {c: i for i, c in enumerate(pivots)}
-    null_basis = []
-    pivot_set = set(pivots)
-    for c in range(ncols):
-        if c in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[c] = one
-        for pc, pr in pivot_row.items():
-            if m[pr][c]:
-                vec[pc] = -m[pr][c]
-        null_basis.append(vec)
-    return m, pivots, null_basis
+    """The echelon kernel on all columns at once: (reduced rows, pivot
+    column indices, null-space basis columns)."""
+    ech = _Echelon(F, len(rows))
+    ech.extend(rows)
+    return ech.rows, ech.pivots, ech.null_basis()
 
 
 def rref_over_residue(matrix, p: Poly):
@@ -163,7 +200,12 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     Taking columns in acceptance order, subtracting those multiples and
     then clearing the pivot entries with the unit columns are column
     operations that reduce V to a permutation matrix, so det V is a
-    nonzero constant."""
+    nonzero constant.
+
+    Only the first mu p-adic digits of A are expanded.  Round 0 finds
+    r0 >= 1 chains and every later round adds at least one, or raises,
+    so the last round k is at most mu - 1, and round k reads digits
+    0..k."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
@@ -173,10 +215,11 @@ def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
 
 
 def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
-    """Breadth-first Jordan chains at p, in the scalars of `make_lane(A, p)`.
+    """Breadth-first Jordan chains at p, in the scalars of
+    `make_lane(A, p, mu)`.
 
     Round k appends the next residuals of the active chains to the
-    tableau and row-reduces it.  A chain whose residual is a pivot
+    tableau's echelon form.  A chain whose residual is a pivot
     supercolumn is accepted with exponent k; each new kernel vector
     combines the earlier chains (`stacked`) into a chain one longer.
     """
@@ -184,11 +227,12 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         raise NotSquare("local Smith form needs a square matrix")
     if mu < 1:
         raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
-    lane = make_lane(A, p)  # ResidueField rejects a non-monic or constant p
+    lane = make_lane(A, p, mu)  # ResidueField rejects a non-monic or constant p
     n, s, width, zero = A.rows, lane.s, lane.width, lane.zero
-    tableau = lane.tableau()
-    _, pivots, null_basis = lane.rref(tableau)
-    free_super, pivot_super = _group_supercolumns(pivots, len(tableau[0]), s, 0, p)
+    ech = _Echelon(lane.F, width)
+    ech.extend(lane.tableau())
+    null_basis = ech.null_basis()
+    free_super, pivot_super = _group_supercolumns(ech.pivots, ech.ncols, s, 0, p)
     r0 = len(free_super)
     if r0 == 0:
         raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
@@ -198,19 +242,14 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
     R = r0
     chains = null_basis
     stacked = list(chains)  # every kernel chain so far, zero-padded on top
-    null_count = len(null_basis)
     k = 0
     while R < mu:
         k += 1
-        prev_cols = len(tableau[0])
+        prev_cols = ech.ncols
         new_cols = [lane.residual(c, k) for c in chains]
-        for i, row in enumerate(tableau):
-            row.extend(col[i] for col in new_cols)
-        _, pivots, null_basis = lane.rref(tableau)
-        _, pivot_super = _group_supercolumns(
-            pivots, len(tableau[0]), s, prev_cols, p
-        )
-        new_null = null_basis[null_count:]
+        ech.extend([[col[i] for col in new_cols] for i in range(width)])
+        _, pivot_super = _group_supercolumns(ech.pivots, ech.ncols, s, prev_cols, p)
+        new_null = ech.null_basis(prev_cols)
         if len(new_null) % s != 0:
             raise MultiplicityMismatch("kernel growth is not a whole supercolumn")
         rk = len(new_null) // s
@@ -218,7 +257,6 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
             raise MultiplicityMismatch(
                 "claimed multiplicity exceeds what the chains support"
             )
-        null_count = len(null_basis)
         R += rk
         for g in pivot_super:
             accepted.append((k, lane.decode(chains[g * s])))
@@ -283,17 +321,15 @@ class _ResidueLane:
     s = 1
     zero = Poly.zero()
 
-    def __init__(self, A: MatPoly, p: Poly):
+    def __init__(self, A: MatPoly, p: Poly, mu: int):
+        """Round k < mu reads digits 0..k of A, so mu digits suffice."""
         self.p = p
         self.F = ResidueField(p)
         self.n = self.width = A.rows
-        self.digits = expand_in_p(A, p).blocks
+        self.digits = expand_in_p(A, p, mu).blocks
 
     def tableau(self):
         return [list(row) for row in self.digits[0].entries]
-
-    def rref(self, rows):
-        return _rref(rows, self.F)
 
     def residual(self, chain, k):
         """Images of a length-k chain under the next two digit diagonals:
@@ -337,10 +373,11 @@ class _FieldLane:
     residue lane's, flattened; extending a chain is a plain append."""
 
     zero = Fraction(0)
+    F = BASE_FIELD
 
-    def __init__(self, A: MatPoly, p: Poly):
+    def __init__(self, A: MatPoly, p: Poly, mu: int):
         self.p = p
-        self.residue = _ResidueLane(A, p)
+        self.residue = _ResidueLane(A, p, mu)
         self.s = p.degree
         self.width = self.s * A.rows
 
@@ -358,9 +395,6 @@ class _FieldLane:
                     for a, c in enumerate(self._coeffs(mul(e, x**b))):
                         rows[i * s + a].append(c)
         return rows
-
-    def rref(self, rows):
-        return _rref(rows, BASE_FIELD)
 
     def residual(self, chain, k):
         s = self.s

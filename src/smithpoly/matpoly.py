@@ -316,10 +316,11 @@ class PAdicExpansion:
     blocks: tuple  # of MatPoly
 
 
-def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:
+def expand_in_p(A: MatPoly, p: Poly, count: int | None = None) -> PAdicExpansion:
+    """The digits of A in powers of p, or only the first `count` of them."""
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("expansion needs a monic p of degree >= 1")
-    grids = [[_digits(e, p) for e in row] for row in A.entries]
+    grids = [[_digits(e, p, count) for e in row] for row in A.entries]
     q = max([1] + [len(d) for row in grids for d in row])
     blocks = tuple(
         MatPoly([[d[k] if k < len(d) else Poly.zero() for d in row] for row in grids])
@@ -328,19 +329,22 @@ def expand_in_p(A: MatPoly, p: Poly) -> PAdicExpansion:
     return PAdicExpansion(p=p, blocks=blocks)
 
 
-def _digits(e: Poly, p: Poly) -> list:
-    """The digits of e in powers of the monic p, lowest first: repeated
-    division by p, on integers when p and e are rational and p integral."""
+def _digits(e: Poly, p: Poly, count=None) -> list:
+    """The digits of e in powers of the monic p, lowest first, at most
+    `count` of them: repeated division by p, on integers when p and e are
+    rational and p integral."""
+    if count is None:
+        count = e.degree // p.degree + 1
     ip, ie = _cleared(p.coeffs), _cleared(e.coeffs)
     if ip is None or ip[1] != 1 or ie is None:
         ds = []
-        while not e.is_zero():
+        while not e.is_zero() and len(ds) < count:
             e, r = e.divmod(p)
             ds.append(r)
         return ds
     (b, _), (a, den) = ip, ie
     ds = []
-    while a:
+    while a and len(ds) < count:
         a, r = _int_divmod(a, b)
         ds.append(_from_ints(r, den))
     return ds

@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import LIGHT, factored, instance, locals_rpr, pipeline
 from smithpoly import globalsmith
@@ -559,3 +561,50 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
                     assert verify_smith(A, r.E, r.D, V=r.V).overall, where
                     outcomes["verified"] += 1
     assert outcomes["error"] > 0 and outcomes["verified"] > 0, outcomes
+
+
+# -- the pipeline on random small matrices -------------------------------------
+
+# Entries with coefficients in -2..2, zero about half the time.  A matrix
+# has degree <= 2: drawn so, or a product of two of degree <= 1, or the
+# square B @ B of one, where every prime of det A is repeated and chains
+# longer than one are common.
+def _entries(degree):
+    return st.one_of(
+        st.just(Poly.zero()),
+        st.lists(
+            st.integers(min_value=-2, max_value=2), min_size=1, max_size=degree + 1
+        ).map(Poly),
+    )
+
+
+@st.composite
+def _regular_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def square(degree):
+        return MatPoly([[draw(_entries(degree)) for _ in range(n)] for _ in range(n)])
+
+    kind = draw(st.sampled_from(["degree 2", "product", "square"]))
+    if kind == "degree 2":
+        A = square(2)
+    elif kind == "product":
+        A = square(1) @ square(1)
+    else:
+        B = square(1)
+        A = B @ B
+    assume(not mat_det(A).is_zero())
+    return A
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(A=_regular_matrices(), with_U=st.booleans())
+def test_pipeline_matches_minors_oracle(A, with_U):
+    """smith_with_multipliers gives the D of the determinantal-divisor
+    oracle, a certificate verify_smith accepts, and with U the inverse
+    of E."""
+    r = smith_with_multipliers(A, with_U=with_U)
+    assert r.D == minors_gcd_smith(A)
+    assert verify_smith(A, r.E, r.D, V=r.V).overall
+    if with_U:
+        assert r.U @ r.E == MatPoly.identity(A.rows)

@@ -1,7 +1,7 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
 MatPoly @ and mat_det's interpolation, each against a plain reference
-written here over the field, and for the echelon kernel _rref over Q and
-over R/pR.
+written here over the field, and for the echelon kernel over Q and over
+R/pR, whole (_rref) and grown by blocks of columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import companion_product
 from smithpoly import DivisibilityFailure, MatPoly, Poly, compute_E, expand_in_p, lambda_iso
 from smithpoly.field import GaussianRational
-from smithpoly.localsmith import _FieldLane, _rref
+from smithpoly.localsmith import _Echelon, _FieldLane, _rref
 from smithpoly.matpoly import _exact_div, _interpolate
 from smithpoly.residue import BASE_FIELD, ResidueField
 
@@ -346,5 +346,51 @@ def test_rref_over_residue_field(data, p):
             for a, b in zip(row, vec):
                 acc = [x + y for x, y in zip(acc, companion_product(a, b, p))]
             assert not any(acc)
-    block = _FieldLane(MatPoly(rows), p).tableau()
+    block = _FieldLane(MatPoly(rows), p, 1).tableau()
     assert len(_rref(block, BASE_FIELD)[1]) == s * len(pivots)
+
+
+def _typed(x):
+    """A value with the type of every coefficient, so Fraction(0) and 0
+    or a Fraction and an equal GaussianRational compare unequal."""
+    if isinstance(x, list):
+        return [_typed(e) for e in x]
+    if isinstance(x, Poly):
+        return [(type(c), c) for c in x.coeffs]
+    return (type(x), x)
+
+
+def _check_grown_by_blocks(rows, F, cuts):
+    """Extending block by block gives, after every block, the reduced rows,
+    pivots and null basis of _rref on the columns so far, and the null
+    vectors of the new free columns are that basis's tail."""
+    ncols = len(rows[0])
+    bounds = [0] + sorted(set(c for c in cuts if 0 < c < ncols)) + [ncols]
+    ech = _Echelon(F, len(rows))
+    for lo, hi in zip(bounds, bounds[1:]):
+        ech.extend([row[lo:hi] for row in rows])
+        whole, pivots, null = _rref([row[:hi] for row in rows], F)
+        assert _typed(ech.rows) == _typed(whole)
+        assert ech.pivots == pivots
+        assert _typed(ech.null_basis()) == _typed(null)
+        old_free = lo - sum(1 for c in pivots if c < lo)
+        assert _typed(ech.null_basis(lo)) == _typed(null[old_free:])
+
+
+CUTS = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
+
+
+@KERNELS
+@given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y), cuts=CUTS)
+def test_echelon_grown_by_blocks_over_rationals(rows, cuts):
+    _check_grown_by_blocks(rows, BASE_FIELD, cuts)
+
+
+@KERNELS
+@given(data=st.data(), p=st.sampled_from(RREF_PRIMES), cuts=CUTS)
+def test_echelon_grown_by_blocks_over_residue_field(data, p, cuts):
+    s, F = p.degree, ResidueField(p)
+    scalars = gaussians if isinstance(p.coeffs[0], GaussianRational) else small_ints
+    entry = st.lists(scalars, min_size=s, max_size=s).map(Poly)
+    rows = data.draw(_echelon_cases(entry, Poly.zero(), F.mul))
+    _check_grown_by_blocks(rows, F, cuts)

@@ -12,12 +12,13 @@ from smithpoly.errors import (
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import (
+    _ResidueLane,
     local_smith,
     local_smith_over_K,
     local_smith_reference,
     rref_over_residue,
 )
-from smithpoly.matpoly import MatPoly, mat_det
+from smithpoly.matpoly import MatPoly, expand_in_p, mat_det
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
@@ -277,10 +278,45 @@ def test_base_field_lane_structure():
     multiplication by lambda: l * l = p - 1 carries 1, l * 1 carries 0."""
     from smithpoly.localsmith import _FieldLane
 
-    lane = _FieldLane(MatPoly([[X]]), X**2 + 1)
+    lane = _FieldLane(MatPoly([[X]]), X**2 + 1, 2)
     assert lane.tableau() == [[0, -1], [1, 0]]
     assert lane.residual([Fraction(0), Fraction(1)], 1) == [1, 0]
     assert lane.residual([Fraction(1), Fraction(0)], 1) == [0, 0]
+
+
+# -- the expansion cut at mu digits -----------------------------------------
+
+I = GaussianRational(0, 1)
+CUT_PRIMES = [X, X**2 + 1, X**4 - 2, X**2 + I]
+
+
+@pytest.mark.parametrize("fn", ALL_LOCAL)
+@pytest.mark.parametrize("p", CUT_PRIMES, ids=lambda p: p.human_text())
+def test_single_chain_reads_last_kept_digit(fn, p):
+    """One chain of length mu = 4 ends in round mu - 1, which reads digit
+    mu - 1, the last one kept.  In the sandwich L diag(1, p^4) R, digit 3
+    of A is nonzero, so an expansion cut one digit short would miss it."""
+    scalar = MatPoly([[p**4]])
+    res = fn(scalar, p, 4)
+    assert res.alphas == (4,)
+    _check_contract(scalar, p, res, 4)
+    one, zero = Poly.one(), Poly.zero()
+    L = MatPoly([[one, zero], [p**3, one]])
+    R = MatPoly([[one, p**3], [zero, one]])
+    A = L @ MatPoly.diag([one, p**4]) @ R
+    assert not expand_in_p(A, p).blocks[3].is_zero()
+    res = fn(A, p, 4)
+    assert res.alphas == (0, 4)
+    _check_contract(A, p, res, 4)
+
+
+@pytest.mark.parametrize("p", CUT_PRIMES, ids=lambda p: p.human_text())
+def test_cut_expansion_is_a_prefix(p):
+    A = MatPoly([[p**5 + X, p**2 * (X + 1)], [Poly.one(), p**3 - p]])
+    full = expand_in_p(A, p).blocks
+    for count in range(1, len(full) + 2):
+        assert expand_in_p(A, p, count).blocks == full[:count]
+    assert len(_ResidueLane(A, p, 2).digits) == 2
 
 
 def test_gaussian_prime_local_form():
