@@ -16,7 +16,7 @@ from .errors import (
     SmithError,
 )
 from .factorization import FactoredPoly, factor_over_rationals
-from .localsmith import invertible_mod_p, local_smith
+from .localsmith import invertible_mod_p, local_multiplier
 from .matpoly import (
     MatPoly,
     _bareiss,
@@ -76,13 +76,14 @@ def combine_local(
     The two agree modulo every diagonal entry, so triangularize returns
     the same V from either.
 
+    locals_ are LocalMultiplier (or LocalSmithResult) values: only their
+    p, V and alphas are read.  A single one is its own splice.
+
     check is for callers that use combine_local on its own: the result
     is then checked before return.  Column i of A times it must be
     divisible by d_i (compute_E), and it must be invertible mod every
-    prime (invertible_mod_p).  A single local form is its own splice,
-    and its E already came from compute_E, so only the second half runs
-    there.  smith_with_multipliers skips the check, since its final
-    compute_E certifies the result.
+    prime (invertible_mod_p).  smith_with_multipliers skips the check,
+    since its final compute_E certifies the result.
     """
     if not locals_:
         raise EmptyInput("no local results to combine")
@@ -139,9 +140,8 @@ def _crt_weights(primes, exps) -> list:
 
 def _check_combined(A: MatPoly, locals_: list, combined: CombinedMultiplier):
     B = combined.matrix
-    if combined.mode != "single":
-        # raises DivisibilityFailure unless d_i divides column i of A B
-        compute_E(A, B, smith_diagonal(locals_, A.rows))
+    # raises DivisibilityFailure unless d_i divides column i of A B
+    compute_E(A, B, smith_diagonal(locals_, A.rows))
     for loc in locals_:
         if not invertible_mod_p(B, loc.p):
             raise SmithError(
@@ -251,10 +251,15 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     ratio = (lambda v: v / c) if gaussian else (lambda v: Fraction(v, c))
 
     def exact(v):
-        q = ratio(v)
-        if any(den != 1 for den in _denominators(q)):
+        if gaussian:
+            q = v / c
+            whole = all(den == 1 for den in _denominators(q))
+        else:
+            q, r = divmod(v, c)
+            whole = not r
+        if not whole:
             raise NotUnimodular("adj(E) has a non-integral coefficient")
-        return q if gaussian else q.numerator
+        return q
 
     # sparse rows of E'_j and of N_0: (column, value) per nonzero entry
     e_rows = [
@@ -302,26 +307,30 @@ def _adjugate(m, one):
 
 
 def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
-    """Steps 0-3 end to end: factor det(A), a local Smith form at each
-    prime, and with with_U the inverse U of E.
+    """Steps 0-3 end to end: factor det(A), the chain part of a local
+    Smith form at each prime (local_multiplier), one V, E = A V D^-1,
+    and with with_U the inverse U of E.
 
-    No prime gives the identity.  One prime gives its local V and E,
-    which local_smith certifies.  Several are spliced, triangularized
-    into V and certified by E = A V D^-1 (compute_E): triangularize
-    builds V from the identity by unimodular steps, so A V = E D with
-    det V constant, and the exponents of each prime sum to its
-    multiplicity, so det E is constant too."""
+    Several primes are spliced and triangularized into V, which is
+    unimodular by construction: triangularize builds it from the
+    identity by unimodular steps.  No prime gives the identity V, one
+    prime its local V; nothing rebuilds that one, so its determinant is
+    checked to be a nonzero constant (cheap: a local V is mostly unit
+    columns).  On every route the one
+    compute_E then proves A V = E D exactly or raises
+    DivisibilityFailure, and as the exponents of each prime sum to its
+    multiplicity, det E is constant too."""
     n = A.rows
     factored = factor_determinant(A)
-    locals_ = [local_smith(A, p, e) for p, e in factored.factors]
+    locals_ = [local_multiplier(A, p, e) for p, e in factored.factors]
     D = smith_diagonal(locals_, n)
-    if not locals_:
-        V, E = D, A
-    elif len(locals_) == 1:
-        V, E = locals_[0].V, locals_[0].E
-    else:
+    if len(locals_) > 1:
         combined = combine_local(A, locals_, factored=factored, check=False)
         V, _ = triangularize(combined, D)
-        E = compute_E(A, V, D)
+    else:
+        V = locals_[0].V if locals_ else D
+        if mat_det(V).degree != 0:
+            raise NotUnimodular("the local multiplier V is not unimodular")
+    E = compute_E(A, V, D)
     U = invert_unimodular(E) if with_U else None
     return SmithResult(D=D, V=V, E=E, U=U)

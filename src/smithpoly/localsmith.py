@@ -37,10 +37,12 @@ from .residue import BASE_FIELD, ResidueField
 
 
 @dataclass(frozen=True)
-class LocalSmithResult:
+class LocalMultiplier:
+    """The chain part of a local Smith form at p: V and its exponents,
+    with A*V = E*diag(p**alpha_i) for some E that is invertible mod p."""
+
     p: Poly
     V: MatPoly
-    E: MatPoly
     alphas: tuple
 
     @property
@@ -55,6 +57,13 @@ class LocalSmithResult:
 
     def diagonal(self) -> MatPoly:
         return MatPoly.diag([self.p**a for a in self.alphas])
+
+
+@dataclass(frozen=True)
+class LocalSmithResult(LocalMultiplier):
+    """A local multiplier and its E = A V diag(p**alpha_i)^-1."""
+
+    E: MatPoly
 
 
 # -- the echelon kernel -------------------------------------------------------
@@ -167,7 +176,7 @@ def invertible_mod_p(M: MatPoly, p: Poly) -> bool:
 # -- shared assembly ---------------------------------------------------------
 
 
-def _finish_local(A, p, accepted, mu):
+def _finish_local(p, accepted, mu) -> LocalMultiplier:
     alphas = tuple(a for a, _ in accepted)
     if any(alphas[i] > alphas[i + 1] for i in range(len(alphas) - 1)):
         raise MultiplicityMismatch("exponents not nondecreasing")
@@ -176,8 +185,12 @@ def _finish_local(A, p, accepted, mu):
             f"accepted exponents sum to {sum(alphas)}, expected {mu}"
         )
     V = MatPoly.from_columns([col for _, col in accepted])
-    E = compute_E(A, V, MatPoly.diag([p**a for a in alphas]))
-    return LocalSmithResult(p=p, V=V, E=E, alphas=alphas)
+    return LocalMultiplier(p=p, V=V, alphas=alphas)
+
+
+def _with_E(A, loc: LocalMultiplier) -> LocalSmithResult:
+    E = compute_E(A, loc.V, loc.diagonal())
+    return LocalSmithResult(p=loc.p, V=loc.V, alphas=loc.alphas, E=E)
 
 
 # -- the chain construction, shared by both scalar lanes ----------------------
@@ -205,16 +218,24 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     Only the first mu p-adic digits of A are expanded.  Round 0 finds
     r0 >= 1 chains and every later round adds at least one, or raises,
     so the last round k is at most mu - 1, and round k reads digits
-    0..k."""
+    0..k.
+
+    E = A V diag(p**alpha_i)^-1 comes last, from compute_E."""
+    return _with_E(A, local_multiplier(A, p, mu))
+
+
+def local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
+    """The p, V and alphas of local_smith, without its E: the chain
+    construction and the exponent checks."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
 def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     """Same contract as local_smith, arithmetic entirely in the base field."""
-    return _local_chains(A, p, mu, _FieldLane)
+    return _with_E(A, _local_chains(A, p, mu, _FieldLane))
 
 
-def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
+def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
     """Breadth-first Jordan chains at p, in the scalars of
     `make_lane(A, p, mu)`.
 
@@ -268,7 +289,7 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalSmithResult:
         chains = next_chains
     for g in range(len(chains) // s):
         accepted.append((k + 1, lane.decode(chains[g * s])))
-    return _finish_local(A, p, accepted, mu)
+    return _finish_local(p, accepted, mu)
 
 
 def _unit_column(n, c):
@@ -463,7 +484,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
                 cols = cols[:done] + cols[done + 1 :] + [newx]
         k += 1
         pk = pk * p
-    return _finish_local(A, p, list(zip(alphas, cols)), sum(alphas))
+    return _with_E(A, _finish_local(p, list(zip(alphas, cols)), sum(alphas)))
 
 
 def _matvec_poly(A: MatPoly, x):

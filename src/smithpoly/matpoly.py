@@ -15,6 +15,7 @@ from .errors import (
     DivisibilityFailure,
     NotMonic,
     NotSquare,
+    ShapeMismatch,
 )
 from .field import GaussianRational
 from .poly import Poly, _cleared, _from_ints, _int_divmod, _int_mul
@@ -160,21 +161,51 @@ def _as_entry(e):
 
 
 def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
-    """E with E*D = A*V, by exact division of column i of A*V by d_i."""
+    """E with E*D = A*V, by exact division of column i of A*V by d_i.
+
+    D must be diagonal with V's column count and no zero d_i.  Rational A
+    and V with every d_i of leading coefficient +-1 once its denominators
+    are cleared (every monic integer d_i) divide on integers: the dot
+    product of A's integer row r and V's integer column i, as in @, goes
+    through _int_divmod by d_i's cleared coefficients.  Other operands
+    take A @ V and Poly.divmod."""
+    n = V.cols
+    if A.cols != V.rows or D.rows != n or D.cols != n:
+        raise DimensionMismatch("compute_E needs A*V and D of matching sizes")
+    if any(D[i, j] for i in range(n) for j in range(n) if i != j):
+        raise ShapeMismatch("D is not diagonal")
+    ds = [D[i, i] for i in range(n)]
+    for i, d in enumerate(ds):
+        if d.is_zero():
+            raise DivisibilityFailure(f"column {i + 1} of A*V: d_{i + 1} is zero")
+    one_a, ra, rows = _integer_rows(A.entries)
+    one_v, cv, cols = _integer_rows(list(zip(*V.entries)))
+    cleared = [_cleared(d.coeffs) for d in ds]
+    unit = all(c and c[0][-1] in (1, -1) for c in cleared)
+    if type(one_a) is int and type(one_v) is int and unit:
+        out = [[None] * n for _ in rows]
+        for i, (col, (b, sb)) in enumerate(zip(cols, cleared)):
+            for r, row in enumerate(rows):
+                q, rem = _int_divmod(_int_dot(row, col), b)
+                if rem:
+                    raise _not_divisible(i)
+                out[r][i] = _from_ints([c * sb for c in q], ra[r] * cv[i])
+        return MatPoly(out)
     AV = A @ V
     cols = []
-    for i in range(AV.cols):
-        d = D[i, i]
+    for i, d in enumerate(ds):
         col = []
         for r in range(AV.rows):
             q, rem = AV[r, i].divmod(d)
             if not rem.is_zero():
-                raise DivisibilityFailure(
-                    f"column {i + 1} of A*V is not divisible by d_{i + 1}"
-                )
+                raise _not_divisible(i)
             col.append(q)
         cols.append(col)
     return MatPoly.from_columns(cols)
+
+
+def _not_divisible(i):
+    return DivisibilityFailure(f"column {i + 1} of A*V is not divisible by d_{i + 1}")
 
 
 # -- determinants -------------------------------------------------------

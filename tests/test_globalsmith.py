@@ -27,9 +27,9 @@ from smithpoly.globalsmith import (
     smith_with_multipliers,
     triangularize,
 )
-from smithpoly.localsmith import local_smith, local_smith_over_K
+from smithpoly.localsmith import LocalMultiplier, local_smith, local_smith_over_K
 from smithpoly.matpoly import MatPoly, mat_det
-from smithpoly.oracle import minors_gcd_smith
+from smithpoly.oracle import elementary_smith, minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
 from smithpoly.verify import verify_smith
@@ -532,24 +532,27 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
     """The pipeline certifies its answer with compute_E, not with a splice
     self-check: a local multiplier with one faulty column gives a typed
     SmithError or a result that verify_smith accepts with the true D,
-    never a raw exception or a wrong answer."""
-    keys = [LIGHT[0], LIGHT[-1]]  # (1, 4, "none") and (6, 4, "revcols")
-    # the true forms, computed before local_smith is patched
+    never a raw exception or a wrong answer.  On one prime the faulty V
+    is the answer's V, and E comes from the pipeline's compute_E."""
+    one_prime = (3, 2, "none")
+    # (1, 4, "none") and (6, 4, "revcols") have several primes
+    keys = [LIGHT[0], LIGHT[-1], one_prime]
+    # the true forms, computed before local_multiplier is patched
     truth = {key: (pipeline(*key).D, locals_rpr(*key)) for key in keys}
     outcomes = {"error": 0, "verified": 0}
     for key in keys:
         A, (true_D, locs) = instance(*key), truth[key]
-        assert len(locs) > 1, key
+        assert len(locs) == 1 if key == one_prime else len(locs) > 1, key
         for j, loc in enumerate(locs):
             for i in range(A.rows):
                 for name, fault in _FAULTS.items():
                     cols = fault(loc.V.columns(), i, loc.p)
                     if cols is None:
                         continue
-                    bad = dataclasses.replace(loc, V=MatPoly.from_columns(cols))
+                    bad = LocalMultiplier(loc.p, MatPoly.from_columns(cols), loc.alphas)
                     by_prime = {l.p: (bad if m == j else l) for m, l in enumerate(locs)}
                     monkeypatch.setattr(
-                        globalsmith, "local_smith", lambda A, p, e: by_prime[p]
+                        globalsmith, "local_multiplier", lambda A, p, e: by_prime[p]
                     )
                     try:
                         r = smith_with_multipliers(A)
@@ -600,11 +603,14 @@ def _regular_matrices(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(A=_regular_matrices(), with_U=st.booleans())
 def test_pipeline_matches_minors_oracle(A, with_U):
-    """smith_with_multipliers gives the D of the determinantal-divisor
-    oracle, a certificate verify_smith accepts, and with U the inverse
-    of E."""
+    """smith_with_multipliers gives the D of both oracles, the
+    determinantal divisors and the elementary reduction U A V = D, a
+    certificate verify_smith accepts, and with U the inverse of E."""
     r = smith_with_multipliers(A, with_U=with_U)
     assert r.D == minors_gcd_smith(A)
+    U, D, V = elementary_smith(A)
+    assert D == r.D
+    assert U @ A @ V == D
     assert verify_smith(A, r.E, r.D, V=r.V).overall
     if with_U:
         assert r.U @ r.E == MatPoly.identity(A.rows)

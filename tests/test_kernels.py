@@ -1,7 +1,7 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
-MatPoly @ and mat_det's interpolation, each against a plain reference
-written here over the field, and for the echelon kernel over Q and over
-R/pR, whole (_rref) and grown by blocks of columns (_Echelon).
+MatPoly @, compute_E and mat_det's interpolation, each against a plain
+reference written here over the field, and for the echelon kernel over Q
+and over R/pR, whole (_rref) and grown by blocks of columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import companion_product
-from smithpoly import DivisibilityFailure, MatPoly, Poly, compute_E, expand_in_p, lambda_iso
+from smithpoly import (
+    DimensionMismatch,
+    DivisibilityFailure,
+    MatPoly,
+    Poly,
+    ShapeMismatch,
+    compute_E,
+    expand_in_p,
+    lambda_iso,
+)
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _Echelon, _FieldLane, _rref
 from smithpoly.matpoly import _exact_div, _interpolate
@@ -205,6 +214,84 @@ def test_compute_E_names_the_failing_column(data, n, bad, shift):
     A2 = A + MatPoly(bump) @ Vinv
     with pytest.raises(DivisibilityFailure, match=f"column {bad + 1} of A\\*V"):
         compute_E(A2, V, D)
+
+
+def reference_compute_E(A, V, ds):
+    """Quotients of the reference product A V, column i divided by d_i,
+    or the 1-based index of the first column that does not divide."""
+    AV = reference_matmul(A, V)
+    E = [[None] * len(ds) for _ in AV]
+    for i, d in enumerate(ds):
+        for r, row in enumerate(AV):
+            q, rem = reference_divmod(row[i], d.coeffs)
+            if rem:
+                return i + 1
+            E[r][i] = q
+    return E
+
+
+X = Poly.x()
+HALF = Fraction(1, 2)
+# leading coefficient +-1 once the denominators are cleared: integer route
+UNIT_DIVISORS = st.one_of(
+    st.integers(min_value=1, max_value=2).flatmap(_monic_integer),
+    st.sampled_from([-(X**2) + 3, (X + 1).scale(HALF), X**2 * HALF + X * HALF + 1]),
+)
+# a non-unit leading coefficient, or Gaussian: the field route
+FIELD_DIVISORS = st.sampled_from(
+    [(2 * X + 1) ** 2, (X + HALF) ** 2, 3 * X - 1, X + GaussianRational(0, 1)]
+)
+
+
+@pytest.mark.parametrize("route", ["integer", "field", "gaussian"])
+@settings(KERNELS, max_examples=40)
+@given(
+    data=st.data(),
+    dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
+    bump=st.one_of(st.just(0), st.integers(min_value=-3, max_value=3)),
+)
+def test_compute_E_matches_division_reference(route, data, dims, bump):
+    """compute_E(A, V, D) for V = W D (so A V = (A W) D), with one entry
+    of V moved by the constant `bump`: the reference's quotients,
+    coefficient types included, or DivisibilityFailure naming the
+    reference's first non-divisible column.  One field d_i (or Gaussian
+    entries) takes the whole call off the integer route."""
+    rows, inner, n = dims
+    ds = [data.draw(UNIT_DIVISORS) for _ in range(n)]
+    if route == "field":
+        ds[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(FIELD_DIVISORS)
+    A = data.draw(_matrices(gaussians if route == "gaussian" else rationals, rows, inner, 3))
+    W = data.draw(_matrices(rationals, inner, n, 2))
+    V = [list(row) for row in (W @ MatPoly.diag(ds)).entries]
+    k, i = data.draw(st.tuples(st.integers(0, inner - 1), st.integers(0, n - 1)))
+    V[k][i] = V[k][i] + bump
+    V, D = MatPoly(V), MatPoly.diag(ds)
+    ref = reference_compute_E(A, V, ds)
+    if isinstance(ref, int):
+        with pytest.raises(DivisibilityFailure, match=f"^column {ref} of A\\*V"):
+            compute_E(A, V, D)
+        return
+    E = compute_E(A, V, D)
+    assert [[list(e.coeffs) for e in row] for row in E.entries] == ref
+    assert [[_types(e.coeffs) for e in row] for row in E.entries] == [
+        [_types(q) for q in row] for row in ref
+    ]
+    if not bump:
+        assert E == A @ W
+
+
+def test_compute_E_rejects_a_bad_D():
+    """A D that is not diagonal, has the wrong size or a zero d_i gets a
+    typed error, never a wrong E or a raw exception."""
+    A, V = MatPoly.diag([X, X**2]), MatPoly.identity(2)
+    with pytest.raises(ShapeMismatch):
+        compute_E(A, V, MatPoly([[X, 1], [0, X**2]]))
+    with pytest.raises(DimensionMismatch):
+        compute_E(A, V, MatPoly([[X]]))
+    with pytest.raises(DimensionMismatch):
+        compute_E(A, V, MatPoly.diag([X, X, 1]))
+    with pytest.raises(DivisibilityFailure, match="column 2 of A\\*V"):
+        compute_E(A, V, MatPoly.diag([X, 0]))
 
 
 def _nodes(count):
