@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 not regular, 3 verification failure,
-4 parse error, 5 bad arguments.
+Exit codes: 0 success, 1 any other library error, 2 not regular,
+3 verification failure, 4 parse error or a matrix file over the size cap
+(matio.MAX_ENTRIES entries), 5 bad arguments.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     PrimeDoesNotDivideDet,
     ShapeMismatch,
     SmithError,
+    TooLarge,
 )
 from .factorization import factor_over_rationals
 from .families import PERMUTATIONS, FamilySpec, gen_test_matrix
@@ -211,7 +213,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except (ParseError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except NotRegular as exc:

@@ -128,7 +128,7 @@ def parse_scalar(text: str):
     if "i" not in t:
         if not _RAT_RE.match(t):
             raise ParseError(f"bad rational scalar: {text!r}")
-        return Fraction(t)
+        return _rational(t, text)
     # Gaussian: a+bi where a, b are rationals; also accept bare `bi`, `i`, `-i`.
     m = re.match(
         r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?P<im>[+-](?:\d+(?:/\d+)?)?)?i$", t
@@ -146,7 +146,14 @@ def parse_scalar(text: str):
         re_part = "0"
     if im_part in ("+", "-"):
         im_part += "1"
-    return GaussianRational(Fraction(re_part), Fraction(im_part))
+    return GaussianRational(_rational(re_part, text), _rational(im_part, text))
+
+
+def _rational(t: str, text: str) -> Fraction:
+    try:
+        return Fraction(t)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in scalar: {text!r}") from exc
 
 
 def format_scalar(a) -> str:

@@ -5,7 +5,6 @@ and triangularize the combination into a unimodular right multiplier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     EmptyInput,
@@ -16,6 +15,7 @@ from .errors import (
     SmithError,
 )
 from .factorization import FactoredPoly, factor_over_rationals
+from .field import GaussianRational
 from .localsmith import invertible_mod_p, local_multiplier
 from .matpoly import (
     MatPoly,
@@ -25,7 +25,7 @@ from .matpoly import (
     compute_E,
     mat_det,
 )
-from .poly import Poly, poly_xgcd
+from .poly import Poly, _from_ints, _pack, _unpack, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,20 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     c I in every coefficient, and E^-1 = N R / c exactly.  As deg adj(E')
     <= (n - 1) d, c = 0, an inexact quotient, or no such run by k = n d
     means E is not unimodular.
+
+    Each row of each N_k is packed into one int (poly._pack), one B-bit
+    slot per column; a Gaussian row is a GaussianRational whose parts are
+    the packed real and imaginary parts.  The sum S then costs one
+    multiply-add (an entry of E'_j times a packed row of N_{k-j}) per
+    nonzero of E'_j, N_0 S one per nonzero of N_0, and each row of N_0 S
+    is unpacked once, for the exact division by c.  A slot of N_0 S adds
+    at most t products of an N_0 entry, an E'_j entry and an N_{k-j}
+    entry (t = the most nonzeros in a row of N_0 times the most in a row
+    of E'_1, ..., E'_d; 4 t on Gaussian integers, whose products at most
+    double each part), so it is below 2**(B-1) for
+    B = ba + be + bn + t.bit_length() + 1, with ba, be and bn the largest
+    bit lengths in N_0, E'_j and the N_k so far.  An N_k that raises bn
+    widens B and repacks the stored rows.
     """
     if not E.is_square():
         raise NotSquare("inverse needs a square matrix")
@@ -248,18 +262,43 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     c = _bareiss(list(E0), one)
     if not c:
         raise NotUnimodular("E(0) is singular")
-    ratio = (lambda v: v / c) if gaussian else (lambda v: Fraction(v, c))
 
     def exact(v):
+        # v / -c, which must be integral
         if gaussian:
-            q = v / c
+            q = v / -c
             whole = all(den == 1 for den in _denominators(q))
         else:
-            q, r = divmod(v, c)
+            q, r = divmod(v, -c)
             whole = not r
         if not whole:
             raise NotUnimodular("adj(E) has a non-integral coefficient")
         return q
+
+    if gaussian:
+        def bits(v):
+            return max(v.re.numerator.bit_length(), v.im.numerator.bit_length())
+
+        def pack(row):
+            return GaussianRational(
+                _pack([v.re.numerator for v in row], B),
+                _pack([v.im.numerator for v in row], B),
+            )
+
+        def unpack(v):
+            parts = (_unpack(v.re.numerator, B, n), _unpack(v.im.numerator, B, n))
+            return list(map(GaussianRational, *parts))
+    else:
+        bits = int.bit_length
+
+        def pack(row):
+            return _pack(row, B)
+
+        def unpack(v):
+            return _unpack(v, B, n)
+
+    def widest(block):
+        return max((bits(v) for row in block for v in row), default=0)
 
     # sparse rows of E'_j and of N_0: (column, value) per nonzero entry
     e_rows = [
@@ -268,29 +307,43 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     ]
     N = [_adjugate(E0, one)]
     adj_rows = [[(m, v) for m, v in enumerate(row) if v] for row in N[0]]
+    terms = max(map(len, adj_rows)) * max(
+        sum(len(e_rows[j][r]) for j in range(1, d + 1)) for r in range(n)
+    )
+    be = max((bits(v) for er in e_rows[1:] for row in er for _, v in row), default=0)
+    ba = bn = widest(N[0])
+    fixed = ba + be + (4 * terms if gaussian else terms).bit_length() + 1
+    B = fixed + bn
+    packed = [[pack(row) for row in N[0]]]
     run, stop = 0, max(d, 1)
     while run < stop:
         k = len(N)
         if k > n * stop:
             raise NotUnimodular("the inverse of E is not a polynomial")
-        S = [[zero] * n for _ in range(n)]
-        for j in range(1, min(k, d) + 1):
-            for srow, erow in zip(S, e_rows[j] if N[k - j] else ()):
-                for m, v in erow:
-                    srow[:] = [a + v * b for a, b in zip(srow, N[k - j][m])]
+        blocks = [(e_rows[j], packed[k - j]) for j in range(1, min(k, d) + 1) if N[k - j]]
+        S = [
+            sum([v * P[m] for er, P in blocks for m, v in er[r]], zero) for r in range(n)
+        ]
         Nk = [
-            [exact(-sum((v * S[m][col] for m, v in arow), zero)) for col in range(n)]
+            [exact(t) for t in unpack(sum([v * S[m] for m, v in arow], zero))]
             for arow in adj_rows
         ]
         nonzero = any(x for row in Nk for x in row)
         N.append(Nk if nonzero else None)
+        if nonzero and widest(Nk) > bn:
+            bn = widest(Nk)
+            B = fixed + bn
+            packed = [b and [pack(row) for row in b] for b in N[:-1]]
+        packed.append([pack(row) for row in Nk] if nonzero else None)
         run = 0 if nonzero else run + 1
-    return MatPoly(
-        [
-            [Poly([ratio(b[r][col] * scales[col]) if b else 0 for b in N]) for col in range(n)]
-            for r in range(n)
-        ]
-    )
+
+    def entry(r, col):
+        # (N R / c)[r][col]: coefficient k from N_k, 0 from a zero N_k
+        if gaussian:
+            return Poly([b[r][col] * scales[col] / c if b else 0 for b in N])
+        return _from_ints([b[r][col] * scales[col] if b else 0 for b in N], c)
+
+    return MatPoly([[entry(r, col) for col in range(n)] for r in range(n)])
 
 
 def _adjugate(m, one):

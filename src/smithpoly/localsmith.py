@@ -484,6 +484,8 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
                 cols = cols[:done] + cols[done + 1 :] + [newx]
         k += 1
         pk = pk * p
+    if not any(alphas):
+        raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
     return _with_E(A, _finish_local(p, list(zip(alphas, cols)), sum(alphas)))
 
 

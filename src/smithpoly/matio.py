@@ -6,7 +6,9 @@ Text form::
     entry <i> <j>: <c0> <c1> ... <cd>
 
 Indices are 1-based, coefficients ascending in the scalar syntax, missing
-entries are zero.  Canonical output lists nonzero entries in row-major
+entries are zero, and an entry may appear at most once.  A matrix with
+more than MAX_ENTRIES entries is refused (TooLarge) before anything is
+allocated.  Canonical output lists nonzero entries in row-major
 order with trailing zero coefficients omitted, so write-then-read is the
 identity on canonical matrices.
 """
@@ -15,12 +17,15 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .field import GaussianRational, format_scalar, parse_scalar
 from .matpoly import MatPoly
 from .poly import Poly
 
 _FIELD_TOKENS = {"Q": "Q", "Q+iQ": "Q+iQ", "Qi": "Q+iQ", "Q(i)": "Q+iQ"}
+
+# rows * cols above this is refused before the grid is allocated
+MAX_ENTRIES = 10**6
 
 
 def field_of(A: MatPoly) -> str:
@@ -58,9 +63,7 @@ def read_matpoly_text(text: str) -> MatPoly:
         raise ParseError(f"bad dimensions in header: {lines[0]!r}") from exc
     if head[4] not in _FIELD_TOKENS:
         raise ParseError(f"unknown field {head[4]!r}")
-    if rows < 1 or cols < 1:
-        raise ParseError("dimensions must be positive")
-    grid = [[Poly.zero()] * cols for _ in range(rows)]
+    grid, seen = _zero_grid(rows, cols), set()
     for ln in lines[1:]:
         if not ln.startswith("entry"):
             raise ParseError(f"unexpected line: {ln!r}")
@@ -72,11 +75,26 @@ def read_matpoly_text(text: str) -> MatPoly:
             i, j = int(bits[1]), int(bits[2])
         except ValueError as exc:
             raise ParseError(f"bad indices in: {ln!r}") from exc
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParseError(f"entry ({i},{j}) outside {rows}x{cols}")
-        coeffs = [parse_scalar(tok) for tok in coeff_part.split()]
-        grid[i - 1][j - 1] = Poly(coeffs)
+        _set_entry(grid, seen, i, j, [parse_scalar(tok) for tok in coeff_part.split()])
     return MatPoly(grid)
+
+
+def _zero_grid(rows: int, cols: int) -> list:
+    if rows < 1 or cols < 1:
+        raise ParseError("dimensions must be positive")
+    if rows * cols > MAX_ENTRIES:
+        raise TooLarge(f"a {rows}x{cols} matrix has more than {MAX_ENTRIES} entries")
+    return [[Poly.zero()] * cols for _ in range(rows)]
+
+
+def _set_entry(grid: list, seen: set, i: int, j: int, coeffs: list) -> None:
+    rows, cols = len(grid), len(grid[0])
+    if not (1 <= i <= rows and 1 <= j <= cols):
+        raise ParseError(f"entry ({i},{j}) outside {rows}x{cols}")
+    if (i, j) in seen:
+        raise ParseError(f"duplicate entry ({i},{j})")
+    seen.add((i, j))
+    grid[i - 1][j - 1] = Poly(coeffs)
 
 
 def write_matpoly_json(A: MatPoly) -> str:
@@ -111,18 +129,16 @@ def read_matpoly_json(text: str) -> MatPoly:
         raise ParseError("JSON matpoly needs rows/cols/over/entries") from exc
     if over not in _FIELD_TOKENS:
         raise ParseError(f"unknown field {over!r}")
-    if rows < 1 or cols < 1:
-        raise ParseError("dimensions must be positive")
-    grid = [[Poly.zero()] * cols for _ in range(rows)]
+    if not isinstance(entries, list):
+        raise ParseError("JSON matpoly entries must be a list")
+    grid, seen = _zero_grid(rows, cols), set()
     for ent in entries:
         try:
             i, j = int(ent["i"]), int(ent["j"])
             coeffs = [parse_scalar(tok) for tok in ent["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON entry: {ent!r}") from exc
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParseError(f"entry ({i},{j}) outside {rows}x{cols}")
-        grid[i - 1][j - 1] = Poly(coeffs)
+        _set_entry(grid, seen, i, j, coeffs)
     return MatPoly(grid)
 
 

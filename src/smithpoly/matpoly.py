@@ -13,12 +13,13 @@ from .errors import (
     DegreeTooHigh,
     DimensionMismatch,
     DivisibilityFailure,
+    EmptyInput,
     NotMonic,
     NotSquare,
     ShapeMismatch,
 )
 from .field import GaussianRational
-from .poly import Poly, _cleared, _from_ints, _int_divmod, _int_mul
+from .poly import Poly, _cleared, _from_ints, _int_divmod, _pack, _unpack
 
 
 class MatPoly:
@@ -26,11 +27,13 @@ class MatPoly:
 
     def __init__(self, entries):
         rows = tuple(tuple(_as_entry(e) for e in row) for row in entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one row and column")
+        if not rows:
+            raise EmptyInput("matrix needs at least one row and column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
+            raise ShapeMismatch("ragged rows")
+        if not width:
+            raise EmptyInput("matrix needs at least one row and column")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
@@ -56,10 +59,8 @@ class MatPoly:
 
     @staticmethod
     def from_columns(cols) -> "MatPoly":
-        cols = [list(c) for c in cols]
-        return MatPoly(
-            [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        )
+        # the columns as rows first, so empty and ragged input is refused
+        return MatPoly(zip(*MatPoly(cols).entries))
 
     # -- access ----------------------------------------------------------
 
@@ -122,7 +123,8 @@ class MatPoly:
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
         """Product; rational factors multiply on integers, the rows of self
-        and the columns of other each scaled by their lcm of denominators."""
+        and the columns of other each scaled by their lcm of denominators,
+        each entry one _int_dot."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
         bt = list(zip(*other.entries))
@@ -264,12 +266,25 @@ def _integer_rows(entries):
 
 
 def _int_dot(row, col) -> list:
-    """sum_k row[k] * col[k] for integer coefficient lists."""
-    acc = []
-    for a, b in zip(row, col):
-        if a and b:
-            _int_mul(a, b, acc)
-    return acc
+    """sum_k row[k] * col[k] for integer coefficient lists, by Kronecker
+    substitution: each list is packed with x = 2**B (_pack), so each
+    product is one int multiplication, and the sum is unpacked once.
+
+    Coefficient t of the sum adds at most T = sum_k min(len row[k], len
+    col[k]) products, each below 2**(ba+bb) in size for ba and bb the
+    largest bit lengths in row and col, so it is below 2**(B-1) for
+    B = ba + bb + T.bit_length() + 1 and fits its slot."""
+    pairs = [(a, b) for a, b in zip(row, col) if a and b]
+    if not pairs:
+        return []
+    ba = max(max(map(int.bit_length, a)) for a, _ in pairs)
+    bb = max(max(map(int.bit_length, b)) for _, b in pairs)
+    terms = sum(min(len(a), len(b)) for a, b in pairs)
+    B = ba + bb + terms.bit_length() + 1
+    acc = 0
+    for a, b in pairs:
+        acc += _pack(a, B) * _pack(b, B)
+    return _unpack(acc, B, max(len(a) + len(b) for a, b in pairs) - 1)
 
 
 def _denominators(c):

@@ -347,19 +347,39 @@ def _int_convolve(a, b):
     return _from_ints(_int_mul(ia, ib), da * db)
 
 
-def _int_mul(a: list, b: list, acc=None) -> list:
-    """acc + a*b for integer coefficient lists (ascending), a and b
-    nonempty; acc (a new list by default) is extended and updated in place."""
-    n = len(a) + len(b) - 1
-    if acc is None:
-        acc = [0] * n
-    elif len(acc) < n:
-        acc.extend([0] * (n - len(acc)))
+def _int_mul(a: list, b: list) -> list:
+    """a*b for nonempty integer coefficient lists (ascending)."""
+    acc = [0] * (len(a) + len(b) - 1)
     lb = len(b)
     for i, ai in enumerate(a):
         if ai:
             acc[i : i + lb] = [x + ai * y for x, y in zip(acc[i : i + lb], b)]
     return acc
+
+
+def _pack(ints, B: int) -> int:
+    """sum_k ints[k] * 2**(B*k): one B-bit two's-complement slot per value,
+    which _unpack reads back while every value lies in [-2**(B-1),
+    2**(B-1))."""
+    v = 0
+    for a in reversed(ints):
+        v = (v << B) + a
+    return v
+
+
+def _unpack(v: int, B: int, count: int) -> list:
+    """The first `count` slots of _pack(_, B), each read in [-2**(B-1),
+    2**(B-1)); a negative slot borrows one from the slot above."""
+    mask, half = (1 << B) - 1, 1 << (B - 1)
+    out = []
+    for _ in range(count):
+        s = v & mask
+        v >>= B
+        if s >= half:
+            s -= mask + 1
+            v += 1
+        out.append(s)
+    return out
 
 
 _ZERO = Poly.__new__(Poly)

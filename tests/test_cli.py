@@ -206,3 +206,33 @@ def test_stdout_emission(tmp_path, capsys):
     assert run("compute", str(a)) == 0
     out = capsys.readouterr().out
     assert "# D" in out and "# V" in out and "# E" in out
+
+
+@pytest.mark.parametrize("command", [["compute"], ["factor-det"], ["local", "--prime", "l"]])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "matpoly 1 1 over Q\nentry 1 1: 0 1/0\n",
+        "matpoly 2 2 over Q\nentry 1 1: 0 1\nentry 2 2: 1\nentry 1 1: 1\n",
+        json.dumps({"rows": 1, "cols": 1, "over": "Q",
+                    "entries": [{"i": 1, "j": 1, "coeffs": ["0", "1/0"]}]}),
+        json.dumps({"rows": 1, "cols": 1, "over": "Q",
+                    "entries": [{"i": 1, "j": 1, "coeffs": ["0", "1"]}] * 2}),
+    ],
+)
+def test_bad_entries_exit_with_parse_error(tmp_path, capsys, command, body):
+    """A zero denominator or a repeated entry, in either format, is exit 4
+    with one error line and no traceback."""
+    f = tmp_path / "A.mp"
+    f.write_text(body)
+    assert run(command[0], str(f), *command[1:]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "zero denominator" in err or "duplicate entry (1,1)" in err
+
+
+def test_size_cap_exit_code(tmp_path, capsys):
+    f = tmp_path / "huge.mp"
+    f.write_text("matpoly 100000000 100000000 over Q\nentry 1 1: 1\n")
+    assert run("compute", str(f)) == 4
+    assert "more than" in capsys.readouterr().err

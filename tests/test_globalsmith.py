@@ -374,6 +374,88 @@ def test_invert_rational_rows_with_full_constant_term():
     assert all(type(c) is Fraction for row in U.entries for e in row for c in e.coeffs)
 
 
+def test_invert_with_long_adjugate_entries():
+    """E(0) = L(0) C with C a product of constant shears by 200-bit and
+    larger integers, so E(0)^-1, and with it adj(E'(0)), has entries of
+    400 bits; one row has denominators."""
+    a, b, c = 2**200 + 3, 3**130 + 1, -(2**201) + 5
+    C = MatPoly([[1, a, 0], [0, 1, 0], [0, 0, 1]]) @ MatPoly([[1, 0, 0], [b, 1, 0], [0, c, 1]])
+    L = MatPoly(
+        [
+            [Poly.one(), Poly.zero(), Poly.zero()],
+            [X - 2, Poly.one(), Poly.zero()],
+            [X**2 + 3, 4 * X - 1, Poly.one()],
+        ]
+    )
+    E = L @ C @ MatPoly([[1, X, 0], [0, 1, X**2 - X], [0, 0, 1]])
+    E = MatPoly(
+        [[e.scale(Fraction(2, 3)) for e in row] if i == 1 else row for i, row in enumerate(E.entries)]
+    )
+    U = invert_unimodular(E)
+    assert (U @ E) == MatPoly.identity(3)
+    assert (E @ U) == MatPoly.identity(3)
+    assert U == _adjugate_over_det(E)
+    U0 = [abs(e.coeffs[0]) for row in U.entries for e in row if e]
+    assert max(v.numerator.bit_length() for v in U0) >= 400
+
+
+def _slot_widths(monkeypatch):
+    """The slot widths invert_unimodular packs its rows with, in order."""
+    widths = []
+    pack = globalsmith._pack
+
+    def recording(ints, B):
+        if not widths or widths[-1] != B:
+            widths.append(B)
+        return pack(ints, B)
+
+    monkeypatch.setattr(globalsmith, "_pack", recording)
+    return widths
+
+
+def test_invert_widens_slots_for_growing_coefficients(monkeypatch):
+    """E(0) = I, so N_0 = I has 1-bit entries, but N_1 and N_2 carry a
+    and a^2: the slots widen twice and U is still exact."""
+    widths = _slot_widths(monkeypatch)
+    a = 2**70 + 1
+    shears = MatPoly([[1, 0, 0], [a * X, 1, 0], [0, 0, 1]]) @ MatPoly(
+        [[1, a * X, 0], [0, 1, 0], [0, 0, 1]]
+    )
+    E = shears @ MatPoly([[1, 0, 0], [0, 1, X], [0, 0, 1]])
+    U = invert_unimodular(E)
+    assert (U @ E) == MatPoly.identity(3)
+    assert U == _adjugate_over_det(E)
+    assert len(widths) == 3 and widths == sorted(widths)
+
+
+def test_invert_slot_bound_counts_terms():
+    """E = I + x M with M = a J, J the strictly upper triangular ones:
+    N_k = (-M)^k, and each slot of M N_{k-1} adds up to five products of
+    one sign, a few bits more than the largest single product."""
+    n, a = 6, 2**64 - 1
+    M = MatPoly([[a * X if j > i else Poly.zero() for j in range(n)] for i in range(n)])
+    E = MatPoly.identity(n) + M
+    want, term = MatPoly.identity(n), MatPoly.identity(n)
+    for _ in range(n - 1):
+        term = -(term @ M)
+        want = want + term
+    U = invert_unimodular(E)
+    assert U == want
+    assert (U @ E) == MatPoly.identity(n)
+
+
+def test_invert_widens_slots_on_the_way_to_the_cap(monkeypatch):
+    """1/(1+3x) = sum (-3x)^k: c = 1 and every quotient is exact, but N_k
+    grows on every step, so each step widens the slots until the cap at
+    k = n d = 3 calls E not unimodular."""
+    widths = _slot_widths(monkeypatch)
+    E = MatPoly([[1 + 3 * X, 0, 0], [0, 1, 0], [0, 0, 1]])
+    E = E @ MatPoly([[1, 0, 0], [2, 1, 0], [-5, 1, 1]])
+    with pytest.raises(NotUnimodular, match="not a polynomial"):
+        invert_unimodular(E)
+    assert len(widths) == 4 and widths == sorted(widths)
+
+
 def test_invert_gaussian_unimodular_product():
     """Unit lower times unit upper over Q+iQ; E(0) is not triangular."""
     from smithpoly.field import GaussianRational as G

@@ -1,7 +1,9 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
 MatPoly @, compute_E and mat_det's interpolation, each against a plain
-reference written here over the field, and for the echelon kernel over Q
-and over R/pR, whole (_rref) and grown by blocks of columns (_Echelon).
+reference written here over the field, for the packed-integer kernel
+(_pack, _unpack and the Kronecker dot product _int_dot), and for the
+echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
+columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -26,7 +28,8 @@ from smithpoly import (
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _Echelon, _FieldLane, _rref
-from smithpoly.matpoly import _exact_div, _interpolate
+from smithpoly.matpoly import _exact_div, _int_dot, _interpolate
+from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
 
 settings.register_profile(
@@ -185,6 +188,83 @@ def test_matmul_matches_entrywise_reference(data, dims, gaussian):
     assert [[list(e.coeffs) for e in row] for row in C.entries] == reference_matmul(A, B)
     if not gaussian:
         assert all(type(c) is Fraction for row in C.entries for e in row for c in e.coeffs)
+
+
+# -- the packed-integer kernel ------------------------------------------------
+
+
+@st.composite
+def _slot_values(draw):
+    """A width B and values that fit its signed slots, the extremes
+    -2**(B-1) and 2**(B-1) - 1, zero and -1 drawn often."""
+    B = draw(st.integers(min_value=1, max_value=130))
+    lo, hi = -(1 << (B - 1)), (1 << (B - 1)) - 1
+    value = st.one_of(st.sampled_from([lo, hi, 0, -1]), st.integers(lo, hi))
+    return B, draw(st.lists(value, max_size=12))
+
+
+@KERNELS
+@given(case=_slot_values())
+def test_unpack_inverts_pack(case):
+    B, xs = case
+    v = _pack(xs, B)
+    assert v == sum(x << (B * k) for k, x in enumerate(xs))
+    assert _unpack(v, B, len(xs)) == xs
+    # reading more slots than were packed gives zeros
+    assert _unpack(v, B, len(xs) + 2) == xs + [0, 0]
+
+
+def test_unpack_borrows_across_slots():
+    assert _pack([-1, 0, 1], 8) == (1 << 16) - 1
+    assert _unpack((1 << 16) - 1, 8, 3) == [-1, 0, 1]
+    assert _unpack(-1, 4, 3) == [-1, 0, 0]
+    assert _unpack(_pack([-128, 127, -128], 8), 8, 3) == [-128, 127, -128]
+
+
+def reference_int_dot(row, col):
+    """sum_k row[k] * col[k], coefficient by coefficient."""
+    acc = []
+    for a, b in zip(row, col):
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                acc.extend([0] * (s + t + 1 - len(acc)))
+                acc[s + t] += x * y
+    return _trim(acc)
+
+
+def _int_coeff_lists():
+    """Short or long lists of small or long integers of either sign, some
+    with trailing zeros (zero-padded), some empty (the zero entry)."""
+    small = st.integers(min_value=-9, max_value=9)
+    long = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+    body = st.one_of(
+        st.lists(small, max_size=3),
+        st.lists(st.one_of(small, long), min_size=1, max_size=25),
+    )
+    padding = st.integers(min_value=0, max_value=3).map(lambda k: [0] * k)
+    return st.tuples(body, padding).map(lambda t: t[0] + t[1] if t[0] else t[0])
+
+
+@KERNELS
+@given(data=st.data(), n=st.integers(min_value=0, max_value=6))
+def test_int_dot_matches_schoolbook(data, n):
+    row = data.draw(st.lists(_int_coeff_lists(), min_size=n, max_size=n))
+    col = data.draw(st.lists(_int_coeff_lists(), min_size=n, max_size=n))
+    assert _trim(_int_dot(row, col)) == reference_int_dot(row, col)
+
+
+def test_int_dot_at_the_slot_bound():
+    """T products at the largest size their bit lengths allow, all of one
+    sign and all landing on coefficient 0, for T = 2**m - 1 (the most the
+    term count's bit length admits): each sum sits just inside its slot."""
+    for ba, bb in ((1, 1), (7, 3), (64, 64), (200, 13)):
+        ta, tb = (1 << ba) - 1, (1 << bb) - 1
+        for terms in (1, 3, 7, 15):
+            for sign in (1, -1):
+                row, col = [[sign * ta]] * terms, [[tb, -tb]] * terms
+                assert _int_dot(row, col) == [sign * terms * ta * tb, -sign * terms * ta * tb]
+                row, col = [[sign * ta] * 5] * terms, [[tb] * 3] * terms
+                assert _trim(_int_dot(row, col)) == reference_int_dot(row, col)
 
 
 @KERNELS

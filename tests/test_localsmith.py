@@ -136,6 +136,13 @@ def test_reference_on_prime_power_scalar():
     assert res.alphas == (1,)
 
 
+@pytest.mark.parametrize("A", [MatPoly([[1]]), MatPoly.identity(3), MatPoly.diag([X + 1, X - 2])])
+def test_reference_rejects_prime_not_dividing_det(A):
+    """Like both lanes: no all-zero exponents when p does not divide det A."""
+    with pytest.raises(PrimeDoesNotDivideDet):
+        local_smith_reference(A, X)
+
+
 @pytest.mark.parametrize("fn", ALL_LOCAL)
 def test_errors(fn):
     A = MatPoly.diag([X, X])

@@ -1,11 +1,14 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_matrix
-from smithpoly.errors import ParseError
+from smithpoly.errors import ParseError, TooLarge
 from smithpoly.field import GaussianRational
 from smithpoly.matio import (
+    MAX_ENTRIES,
     read_matpoly,
     read_matpoly_json,
     read_matpoly_text,
@@ -83,3 +86,70 @@ def test_gaussian_matrix_roundtrip():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         read_matpoly(bad if bad else "matpoly")
+
+
+def _json_doc(rows, cols, entries):
+    return json.dumps({"rows": rows, "cols": cols, "over": "Q", "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "matpoly 1 1 over Q\nentry 1 1: 1/0\n",
+        "matpoly 1 1 over Q\nentry 1 1: 2 3+1/0i\n",
+        _json_doc(1, 1, [{"i": 1, "j": 1, "coeffs": ["1/0"]}]),
+        _json_doc(1, 1, [{"i": 1, "j": 1, "coeffs": ["1/0+i"]}]),
+    ],
+)
+def test_zero_denominator_is_a_parse_error(bad):
+    with pytest.raises(ParseError, match="zero denominator"):
+        read_matpoly(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "matpoly 2 2 over Q\nentry 1 2: 1\nentry 2 1: 3\nentry 1 2: 5\n",
+        _json_doc(2, 2, [{"i": 1, "j": 2, "coeffs": ["1"]}, {"i": 1, "j": 2, "coeffs": ["5"]}]),
+    ],
+)
+def test_duplicate_entry_is_a_parse_error(bad):
+    with pytest.raises(ParseError, match=r"duplicate entry \(1,2\)"):
+        read_matpoly(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _json_doc(1, 1, [{"i": 1, "j": 1, "coeffs": [1]}]),
+        _json_doc(1, 1, {"i": 1}),
+    ],
+)
+def test_malformed_json_entries_are_parse_errors(bad):
+    with pytest.raises(ParseError):
+        read_matpoly(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "matpoly 100000000 100000000 over Q\nentry 1 1: 1\n",
+        f"matpoly {MAX_ENTRIES + 1} 1 over Q\n",
+        _json_doc(100000000, 100000000, []),
+    ],
+)
+def test_size_cap_refuses_before_allocating(text):
+    """The header alone is refused: the reader allocates no grid, so the
+    peak stays far below even one row of pointers."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            read_matpoly(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_cap_admits_its_bound():
+    assert read_matpoly(f"matpoly 1 {MAX_ENTRIES} over Q\n").cols == MAX_ENTRIES

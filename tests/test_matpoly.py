@@ -5,7 +5,13 @@ import pytest
 
 from conftest import random_matrix, random_poly
 from corpus import instance
-from smithpoly.errors import DegreeTooHigh, NotMonic, NotSquare
+from smithpoly.errors import (
+    DegreeTooHigh,
+    EmptyInput,
+    NotMonic,
+    NotSquare,
+    ShapeMismatch,
+)
 from smithpoly.field import GaussianRational
 from smithpoly.matpoly import (
     MatPoly,
@@ -201,3 +207,29 @@ def test_matmul_and_permutations():
     assert rev.column(0) == A.column(2)
     swapped = A.permute_rows([1, 0, 2])
     assert swapped.entries[0] == A.entries[1]
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([], EmptyInput),
+        ([[]], EmptyInput),
+        ([[], []], EmptyInput),
+        ([[1], [1, 2]], ShapeMismatch),
+        ([[1, 2], []], ShapeMismatch),
+    ],
+)
+def test_empty_and_ragged_matrices_are_typed_errors(entries, error):
+    """No empty or ragged MatPoly exists, so mat_det, invert_unimodular and
+    smith_with_multipliers never see one: the constructor refuses it."""
+    with pytest.raises(error):
+        MatPoly(entries)
+
+
+@pytest.mark.parametrize("build", [MatPoly.identity, MatPoly.diag, MatPoly.from_columns])
+def test_empty_constructors_are_typed_errors(build):
+    with pytest.raises(EmptyInput):
+        build(0 if build is MatPoly.identity else [])
+    if build is MatPoly.from_columns:
+        with pytest.raises(ShapeMismatch):
+            build([[1, 2], [3]])
