@@ -20,8 +20,20 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .errors import UnsupportedField
+from .errors import NotRegular, UnsupportedField
 from .field import GaussianRational
+from .gfpoly import (
+    gf_divmod,
+    gf_from_int,
+    gf_gcd,
+    gf_is_squarefree,
+    gf_monic,
+    gf_mul,
+    gf_pow_mod,
+    gf_sub,
+    gf_xgcd,
+    is_prime,
+)
 from .poly import (
     Poly,
     _content_free,
@@ -53,9 +65,10 @@ def _factor_sort_key(p: Poly):
 
 
 def factor_over_rationals(f: Poly) -> FactoredPoly:
-    """Factor a nonzero polynomial over Q into monic irreducibles."""
+    """Factor a nonzero polynomial over Q into monic irreducibles; the
+    zero polynomial is NotRegular, as in factor_determinant."""
     if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
+        raise NotRegular("cannot factor the zero polynomial")
     if any(isinstance(c, GaussianRational) for c in f.coeffs):
         raise UnsupportedField(
             "factorization over Q+iQ is not provided; compute a local form "
@@ -111,76 +124,7 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     return [h.monic() for h in _zassenhaus(_int_primitive(f))]
 
 
-# -- arithmetic in GF(p), ascending int lists -------------------------------
-
-
-def _gf_from_int(f: list[int], p: int) -> list[int]:
-    return _strip([c % p for c in f])
-
-
-def _gf_sub(a, b, p):
-    return _gf_from_int(_z_sub(a, b), p)
-
-
-def _gf_mul(a, b, p):
-    return _gf_from_int(_z_mul(a, b), p)
-
-
-def _gf_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _strip(a)
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if not c:
-            continue
-        f = (c * inv) % p
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _strip(q), _strip(a[:db])
-
-
-def _gf_monic(a, p):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    return _gf_monic(a, p)
-
-
-def _gf_pow_mod(a, n, m, p):
-    result = [1]
-    base = _gf_divmod(a, m, p)[1]
-    while n:
-        if n & 1:
-            result = _gf_divmod(_gf_mul(result, base, p), m, p)[1]
-        n >>= 1
-        if n:
-            base = _gf_divmod(_gf_mul(base, base, p), m, p)[1]
-    return result
-
-
-def _gf_deriv(a, p):
-    return _strip([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _gf_is_squarefree(a, p):
-    d = _gf_deriv(a, p)
-    if not d:
-        return False
-    return len(_gf_gcd(a, d, p)) == 1
+# -- factoring in GF(p) (helpers in gfpoly) --------------------------------
 
 
 def _gf_distinct_degree(f, p):
@@ -191,12 +135,12 @@ def _gf_distinct_degree(f, p):
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gf_pow_mod(h, p, v, p)
-        g = _gf_gcd(_gf_sub(h, [0, 1], p), v, p)
+        h = gf_pow_mod(h, p, v, p)
+        g = gf_gcd(gf_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, d))
-            v = _gf_divmod(v, g, p)[0]
-            h = _gf_divmod(h, v, p)[1]
+            v = gf_divmod(v, g, p)[0]
+            h = gf_divmod(h, v, p)[1]
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
@@ -213,21 +157,21 @@ def _gf_equal_degree(f, d, p, rng: SplitMix64):
         a = _strip(a)
         if len(a) < 2:
             continue
-        g = _gf_gcd(a, f, p)
+        g = gf_gcd(a, f, p)
         if len(g) > 1:
             h = g
         else:
-            t = _gf_pow_mod(a, exponent, f, p)
-            h = _gf_gcd(_gf_sub(t, [1], p), f, p)
+            t = gf_pow_mod(a, exponent, f, p)
+            h = gf_gcd(gf_sub(t, [1], p), f, p)
             if len(h) <= 1 or len(h) == len(f):
                 continue
         left = _gf_equal_degree(h, d, p, rng)
-        right = _gf_equal_degree(_gf_divmod(f, h, p)[0], d, p, rng)
+        right = _gf_equal_degree(gf_divmod(f, h, p)[0], d, p, rng)
         return left + right
 
 
 def _gf_factor_squarefree(f, p, seed):
-    f = _gf_monic(f, p)
+    f = gf_monic(f, p)
     out = []
     for g, d in _gf_distinct_degree(f, p):
         rng = SplitMix64(seed ^ (d * 0x9E3779B97F4A7C15))
@@ -293,22 +237,6 @@ def _hensel_step(m, f, g, h, s, t):
     return G, H, S, T
 
 
-def _gf_xgcd(a, b, p):
-    old_r, r = list(a), list(b)
-    old_s, s = [1], []
-    old_t, t = [], [1]
-    while r:
-        q, rem = _gf_divmod(old_r, r, p)
-        old_r, r = r, rem
-        old_s, s = s, _gf_sub(old_s, _gf_mul(q, s, p), p)
-        old_t, t = t, _gf_sub(old_t, _gf_mul(q, t, p), p)
-    if not old_r:
-        return [], [], []
-    inv = pow(old_r[-1], p - 2, p)
-    scale = lambda v: _strip([(c * inv) % p for c in v])
-    return scale(old_r), scale(old_s), scale(old_t)
-
-
 def _hensel_lift(p, f, factors_mod_p, l):
     """Lift monic pairwise-coprime factors of f mod p to factors mod p**l."""
     r = len(factors_mod_p)
@@ -321,11 +249,11 @@ def _hensel_lift(p, f, factors_mod_p, l):
     d = max(1, (l - 1).bit_length())
     g = [lc % p]
     for fi in factors_mod_p[:k]:
-        g = _gf_mul(g, fi, p)
+        g = gf_mul(g, fi, p)
     h = list(factors_mod_p[k])
     for fi in factors_mod_p[k + 1 :]:
-        h = _gf_mul(h, fi, p)
-    _, s, t = _gf_xgcd(g, h, p)
+        h = gf_mul(h, fi, p)
+    _, s, t = gf_xgcd(g, h, p)
     g = _z_trunc(g, p)
     h = _z_trunc(h, p)
     s = _z_trunc(s, p)
@@ -353,36 +281,12 @@ def _select_prime(ints):
     p = 3
     while True:
         if ints[-1] % p != 0:
-            fp = _gf_from_int(ints, p)
-            if len(fp) == len(ints) and _gf_is_squarefree(fp, p):
+            fp = gf_from_int(ints, p)
+            if len(fp) == len(ints) and gf_is_squarefree(fp, p):
                 return p
         p += 2
-        while not _is_prime(p):
+        while not is_prime(p):
             p += 2
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _zassenhaus(ints: list[int]) -> list[Poly]:
@@ -400,7 +304,7 @@ def _zassenhaus(ints: list[int]) -> list[Poly]:
     while pl <= 2 * B:
         pl *= p
         l += 1
-    modular = _gf_factor_squarefree(_gf_from_int(ints, p), p, seed=p)
+    modular = _gf_factor_squarefree(gf_from_int(ints, p), p, seed=p)
     if len(modular) == 1:
         return [Poly(ints)]
     lifted = _hensel_lift(p, ints, modular, l)

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
-from .localsmith import invertible_mod_p, local_multiplier
+from .localsmith import exact_local_multiplier, invertible_mod_p, local_multiplier
 from .matpoly import (
     MatPoly,
     _bareiss,
@@ -367,16 +367,28 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     Several primes are spliced and triangularized into V, which is
     unimodular by construction: triangularize builds it from the
     identity by unimodular steps.  No prime gives the identity V, one
-    prime its local V; nothing rebuilds that one, so its determinant is
-    checked to be a nonzero constant (cheap: a local V is mostly unit
-    columns).  On every route the one
-    compute_E then proves A V = E D exactly or raises
+    prime its local V, whose determinant is checked to be a nonzero
+    constant (cheap: a local V is mostly unit columns), as a V from the
+    modular lane is not unimodular by construction.  On every
+    route the one compute_E then proves A V = E D exactly or raises
     DivisibilityFailure, and as the exponents of each prime sum to its
-    multiplicity, det E is constant too."""
-    n = A.rows
+    multiplicity, det E is constant too.  If this certificate fails, the
+    run is redone with the exact lane's local multipliers
+    (exact_local_multiplier), whose errors stand."""
     factored = factor_determinant(A)
     locals_ = [local_multiplier(A, p, e) for p, e in factored.factors]
-    D = smith_diagonal(locals_, n)
+    try:
+        D, V, E = _certified(A, factored, locals_)
+    except SmithError:
+        locals_ = [exact_local_multiplier(A, p, e) for p, e in factored.factors]
+        D, V, E = _certified(A, factored, locals_)
+    U = invert_unimodular(E) if with_U else None
+    return SmithResult(D=D, V=V, E=E, U=U)
+
+
+def _certified(A: MatPoly, factored: FactoredPoly, locals_: list):
+    """D, V and E = A V D^-1 from the local multipliers, or a SmithError."""
+    D = smith_diagonal(locals_, A.rows)
     if len(locals_) > 1:
         combined = combine_local(A, locals_, factored=factored, check=False)
         V, _ = triangularize(combined, D)
@@ -384,6 +396,4 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
         V = locals_[0].V if locals_ else D
         if mat_det(V).degree != 0:
             raise NotUnimodular("the local multiplier V is not unimodular")
-    E = compute_E(A, V, D)
-    U = invert_unimodular(E) if with_U else None
-    return SmithResult(D=D, V=V, E=E, U=U)
+    return D, V, compute_E(A, V, D)

@@ -6,14 +6,21 @@ monic irreducible factor p of det(A).
 nullspaces.  Each round appends the next residuals of the active chains
 to a growing tableau, reduces only the new columns against its kept
 echelon form, accepts the chains whose residuals are independent, and
-extends the rest.  The two differ only in the scalar lane it runs
-on:
+extends the rest.  The lanes differ only in the scalars it runs on:
 
-* ``local_smith`` -- the residue lane: entries in R/pR, tableau width n,
-  chains extended by carrying through division by p.
-* ``local_smith_over_K`` -- the base-field lane: residue elements become
+* the residue lane: entries in R/pR, tableau width n, chains extended by
+  carrying through division by p.
+* the base-field lane (``local_smith_over_K``): residue elements become
   their s coefficients over K (s = deg p), the tableau has width s*n, and
   chain columns come in supercolumns of s, of which the first is kept.
+* the modular lane (``modular.ModularLane``): the base-field lane's
+  construction over GF(q), q a prime just below 2**127, so every scalar
+  is an int.  V is lifted back to Q by CRT over the primes of
+  ``modular.PRIMES`` and rational reconstruction.
+
+``local_smith`` and ``local_multiplier`` take the modular lane on
+rational input and the residue lane otherwise, or whenever the modular
+lane fails.
 
 ``local_smith_reference`` is the simple column-rotation version, kept
 only as a slow cross-checking oracle.
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .errors import (
     MultiplicityMismatch,
@@ -30,8 +39,10 @@ from .errors import (
     NotRegular,
     NotSquare,
     PrimeDoesNotDivideDet,
+    SmithError,
 )
-from .matpoly import MatPoly, compute_E, expand_in_p, lambda_iso
+from . import modular
+from .matpoly import MatPoly, compute_E, expand_in_p, lambda_iso, mat_det
 from .poly import Poly
 from .residue import BASE_FIELD, ResidueField
 
@@ -93,17 +104,15 @@ class _Echelon:
 
     def extend(self, block):
         """Append the columns of `block` (one list per row)."""
-        mul, rows, log = self.F.mul, self.rows, self.log
+        F, rows, log = self.F, self.rows, self.log
         new = [list(b) for b in block]
         for r, piv, inv, cleared in log:
             new[r], new[piv] = new[piv], new[r]
-            new[r] = [mul(e, inv) if e else e for e in new[r]]
+            new[r] = F.scaled(new[r], inv)
             support = [(j, b) for j, b in enumerate(new[r]) if b]
             if support:
                 for i, f in cleared:
-                    row = new[i]
-                    for j, b in support:
-                        row[j] = row[j] - mul(f, b)
+                    F.sub_multiple(new[i], f, support)
         base = self.ncols
         for row, tail in zip(rows, new):
             row.extend(tail)
@@ -116,8 +125,8 @@ class _Echelon:
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = self.F.inv(rows[r][c])
-            rows[r][c:] = [mul(e, inv) if e else e for e in rows[r][c:]]
+            inv = F.inv(rows[r][c])
+            rows[r][c:] = F.scaled(rows[r][c:], inv)
             support = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
             cleared = []
             for i in range(nrows):
@@ -125,8 +134,7 @@ class _Echelon:
                 if i != r and row[c]:
                     f = row[c]
                     cleared.append((i, f))
-                    for j, b in support:
-                        row[j] = row[j] - mul(f, b)
+                    F.sub_multiple(row, f, support)
             log.append((r, piv, inv, cleared))
             self.pivots.append(c)
             r += 1
@@ -135,7 +143,7 @@ class _Echelon:
         """Null-space basis columns for the free columns from `start` on:
         1 in the free position, the negated reduced coefficients in the
         pivot positions."""
-        zero, rows, pivots = self.F.zero, self.rows, self.pivots
+        zero, neg, rows, pivots = self.F.zero, self.F.neg, self.rows, self.pivots
         pivot_set = set(pivots)
         out = []
         for c in range(start, self.ncols):
@@ -145,7 +153,7 @@ class _Echelon:
             vec[c] = self.F.one
             for pr, pc in enumerate(pivots):
                 if rows[pr][c]:
-                    vec[pc] = -rows[pr][c]
+                    vec[pc] = neg(rows[pr][c])
             out.append(vec)
         return out
 
@@ -203,6 +211,35 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     MultiplicityMismatch; a smaller one is not always detected and can
     return a wrong local form.
 
+    The chains come from local_multiplier's modular lane where it gives a
+    V, and E = A V diag(p**alpha_i)^-1 from compute_E.  A lifted V is not
+    unimodular by construction, so this checks that det V is a nonzero
+    constant; compute_E proves A V = E D.  If either check fails, the
+    exact residue lane gives the form; its V is unimodular by
+    construction (see exact_local_multiplier)."""
+    loc = _modular_multiplier(A, p, mu)
+    if loc is not None:
+        try:
+            if mat_det(loc.V).degree == 0:
+                return _with_E(A, loc)
+        except SmithError:
+            pass
+    return _with_E(A, exact_local_multiplier(A, p, mu))
+
+
+def local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
+    """The p, V and alphas of local_smith, without its E or its checks:
+    the modular lane's where it gives a V, else exact_local_multiplier's.
+    The modular V is not certified here: the caller proves it, as
+    smith_with_multipliers does with compute_E."""
+    loc = _modular_multiplier(A, p, mu)
+    return exact_local_multiplier(A, p, mu) if loc is None else loc
+
+
+def exact_local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
+    """The chain construction in the residue lane, with the exponent
+    checks.  Every error of the local forms is decided here.
+
     V is unimodular by construction.  Its exponent-0 columns are the unit
     vectors at the pivot columns of A_0 = A mod p.  Every other column is
     a chain accepted in round k, and is the sum of three parts: the
@@ -218,15 +255,7 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     Only the first mu p-adic digits of A are expanded.  Round 0 finds
     r0 >= 1 chains and every later round adds at least one, or raises,
     so the last round k is at most mu - 1, and round k reads digits
-    0..k.
-
-    E = A V diag(p**alpha_i)^-1 comes last, from compute_E."""
-    return _with_E(A, local_multiplier(A, p, mu))
-
-
-def local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
-    """The p, V and alphas of local_smith, without its E: the chain
-    construction and the exponent checks."""
+    0..k."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
@@ -434,6 +463,48 @@ class _FieldLane:
             for j in range(0, len(vec), sn)
         ]
         return lambda_iso(blocks, self.p)
+
+
+def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
+    """local_multiplier from the modular lane, or None to hand over to
+    the exact lane.
+
+    The chains run modulo each prime of modular.PRIMES in turn, and V's
+    coefficients are joined by CRT to V mod M.  As soon as every one has a
+    fraction n/d == it mod M with |n|, d <= sqrt(M / 2**(MARGIN + 1))
+    (Wang, Guy & Davenport, SIGSAM Bull. 1982), those fractions are V.
+    Gaussian input, a non-monic or constant p, a q that divides a
+    denominator or a nonzero numerator of A or p, any error of the run (a
+    split supercolumn, exponents that are not nondecreasing or do not sum
+    to mu), exponents that differ between primes, or no reconstruction
+    within modular.PRIMES give None.
+
+    Nothing here proves V.  For a q that divides no denominator and no
+    pivot the run meets over Q, V mod q is the image of the exact V, and
+    the margin makes a wrong reconstruction unlikely; the caller's
+    certificate decides."""
+    if not p.is_monic() or p.degree < 1 or not all(
+        type(c) is Fraction for e in chain([p], *A.entries) for c in e.coeffs
+    ):
+        return None
+    image, M = None, 1
+    for q in modular.PRIMES:
+        try:
+            loc = _local_chains(A, p, mu, partial(modular.ModularLane, q=q))
+        except (SmithError, modular.UnluckyPrime):
+            return None
+        now = [[[c.numerator for c in e.coeffs] for e in row] for row in loc.V.entries]
+        if image is None:
+            image, alphas = now, loc.alphas
+        elif loc.alphas != alphas:
+            return None
+        else:
+            image = modular.crt(image, M, now, q)
+        M *= q
+        V = modular.reconstruct(image, M)
+        if V is not None:
+            return LocalMultiplier(p=p, V=V, alphas=alphas)
+    return None
 
 
 # -- preliminary column-rotation version (test oracle) -----------------------

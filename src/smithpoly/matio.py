@@ -122,7 +122,7 @@ def read_matpoly_json(text: str) -> MatPoly:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
         over = doc["over"]
         entries = doc["entries"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -134,12 +134,19 @@ def read_matpoly_json(text: str) -> MatPoly:
     grid, seen = _zero_grid(rows, cols), set()
     for ent in entries:
         try:
-            i, j = int(ent["i"]), int(ent["j"])
+            i, j = _json_int(ent["i"]), _json_int(ent["j"])
             coeffs = [parse_scalar(tok) for tok in ent["coeffs"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON entry: {ent!r}") from exc
         _set_entry(grid, seen, i, j, coeffs)
     return MatPoly(grid)
+
+
+def _json_int(v) -> int:
+    """A JSON size or index: an int, not a bool, a float or a string."""
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
 
 
 def read_matpoly(text: str) -> MatPoly:

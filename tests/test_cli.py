@@ -33,6 +33,19 @@ def test_gen_compute_verify_roundtrip(tmp_path, capsys):
     assert (U @ E) == MatPoly.identity(4)
 
 
+def test_compute_on_a_coefficient_divisible_by_the_modular_prime(tmp_path):
+    """[[l, q], [0, l]], q the modular lane's first prime, is diag(l, l)
+    modulo q; `smith compute` still gives the exact D = diag(1, l^2)."""
+    from smithpoly.modular import PRIMES
+
+    a, out = tmp_path / "A.mp", tmp_path / "out"
+    write_matpoly_file(a, MatPoly([[X, Poly.const(PRIMES[0])], [Poly.zero(), X]]))
+    assert run("compute", str(a), "--out", str(out), "--with-U") == 0
+    assert read_matpoly_file(out / "D.mp") == MatPoly.diag([Poly.one(), X**2])
+    assert run("verify", "--A", str(a), "--E", str(out / "E.mp"),
+               "--D", str(out / "D.mp"), "--V", str(out / "V.mp")) == 0
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     a = tmp_path / "A.mp"
     out = tmp_path / "out"
@@ -229,6 +242,24 @@ def test_bad_entries_exit_with_parse_error(tmp_path, capsys, command, body):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "zero denominator" in err or "duplicate entry (1,1)" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rows": 2.9, "cols": True, "over": "Q",
+         "entries": [{"i": 1.7, "j": 1, "coeffs": ["3"]}]},
+        {"rows": 1, "cols": 1, "over": "Q",
+         "entries": [{"i": 1, "j": 1.0, "coeffs": ["0", "1"]}]},
+    ],
+)
+def test_non_integer_json_size_exits_with_parse_error(tmp_path, capsys, doc):
+    """A non-integer size or index is exit 4, not a truncated matrix."""
+    f = tmp_path / "A.json"
+    f.write_text(json.dumps(doc))
+    assert run("compute", str(f)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_size_cap_exit_code(tmp_path, capsys):

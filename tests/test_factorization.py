@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from smithpoly.errors import UnsupportedField
+from smithpoly.errors import NotRegular, UnsupportedField
 from smithpoly.factorization import _select_prime, factor_over_rationals
 from smithpoly.field import GaussianRational
 from smithpoly.poly import Poly, _int_primitive, poly_gcd
@@ -84,7 +84,9 @@ def test_linear_factors_come_from_recombination():
 
 
 def test_zero_rejected():
-    with pytest.raises(ValueError):
+    """The zero polynomial is NotRegular, as in factor_determinant: a
+    typed SmithError, not a plain ValueError."""
+    with pytest.raises(NotRegular):
         factor_over_rationals(Poly.zero())
 
 

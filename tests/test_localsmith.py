@@ -1,9 +1,13 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matrix
 from corpus import factored, instance, locals_over_k, locals_rpr
+from smithpoly import localsmith, modular
 from smithpoly.errors import (
     MultiplicityMismatch,
     NotIrreducible,
@@ -11,14 +15,19 @@ from smithpoly.errors import (
     PrimeDoesNotDivideDet,
 )
 from smithpoly.field import GaussianRational
+from smithpoly.gfpoly import is_prime
 from smithpoly.localsmith import (
     _ResidueLane,
+    _modular_multiplier,
+    exact_local_multiplier,
+    local_multiplier,
     local_smith,
     local_smith_over_K,
     local_smith_reference,
     rref_over_residue,
 )
 from smithpoly.matpoly import MatPoly, expand_in_p, mat_det
+from smithpoly.modular import PRIMES
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
@@ -209,6 +218,8 @@ def test_corpus_variant_agreement(key):
     for r1, r2 in zip(locals_rpr(*key), locals_over_k(*key)):
         assert r1.alphas == r2.alphas
         assert r1.V == r2.V
+        exact = exact_local_multiplier(A, r1.p, sum(r1.alphas))
+        assert exact.alphas == r1.alphas and exact.V == r1.V
         ref = local_smith_reference(A, r1.p)
         assert ref.alphas == r1.alphas
 
@@ -335,3 +346,233 @@ def test_gaussian_prime_local_form():
     assert res.alphas == resk.alphas == (1, 2)
     assert res.V == resk.V
     _check_contract(A, p, res, 3)
+
+
+# -- the modular lane ------------------------------------------------------
+
+Q1 = PRIMES[0]
+# rational primes of degree 1-3
+SANDWICH_PRIMES = [
+    X - Fraction(1, 3),
+    X + 2,
+    X**2 + 1,
+    X**2 - 2,
+    X**2 + X + Fraction(1, 2),
+    X**3 - 2,
+    X**3 + X + 1,
+]
+
+
+def _typed(M):
+    """M's coefficients with their types, so Fraction(1) != 1 here."""
+    return [[[(type(c), c) for c in e.coeffs] for e in row] for row in M.entries]
+
+
+def _bits(M):
+    return max(
+        (max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+         for row in M.entries for e in row for c in e.coeffs),
+        default=0,
+    )
+
+
+def _count_runs(monkeypatch):
+    """The modular lane's runs of _local_chains, one per prime tried."""
+    runs = []
+    real = localsmith._local_chains
+
+    def spy(A, p, mu, make_lane):
+        if isinstance(make_lane, partial):
+            runs.append(make_lane.keywords["q"])
+        return real(A, p, mu, make_lane)
+
+    monkeypatch.setattr(localsmith, "_local_chains", spy)
+    return runs
+
+
+def _sandwich(rng, n, p, exps, bits):
+    """L diag(p**e) R with unit triangular L and R whose entries have
+    rational coefficients of about `bits` bits."""
+
+    def entry():
+        return Poly([
+            Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2 ** (bits // 2) + 1))
+            for _ in range(2)
+        ])
+
+    one, zero = Poly.one(), Poly.zero()
+    L = MatPoly([[one if i == j else entry() if i > j else zero for j in range(n)] for i in range(n)])
+    R = MatPoly([[one if i == j else entry() if i < j else zero for j in range(n)] for i in range(n)])
+    return L @ MatPoly.diag([p**e for e in exps]) @ R
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=3),
+    p=st.sampled_from(SANDWICH_PRIMES),
+    bits=st.sampled_from([4, 40, 90]),
+    exps=st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_modular_lane_matches_exact_lane(n, p, bits, exps, seed):
+    """On rational sandwiches the modular lane gives the exact lane's
+    exponents and V, coefficient types included.  Large coefficients take
+    several primes; a V beyond the four primes' bound goes exact."""
+    exps = sorted(exps[:n])
+    exps[-1] = max(exps[-1], 1)
+    A = _sandwich(SplitMix64(seed), n, p, exps, bits)
+    mu = sum(exps)
+    exact = exact_local_multiplier(A, p, mu)
+    loc = _modular_multiplier(A, p, mu)
+    if _bits(exact.V) < 240:  # within sqrt(M / 2**21) for M the four primes
+        assert loc is not None
+    if loc is not None:
+        assert loc.alphas == exact.alphas
+        assert _typed(loc.V) == _typed(exact.V)
+    assert _typed(local_multiplier(A, p, mu).V) == _typed(exact.V)
+
+
+def test_large_coefficients_take_several_primes(monkeypatch):
+    """A V with 150-bit-plus coefficients needs CRT over two or more
+    primes, and comes out exact."""
+    A = _sandwich(SplitMix64(7), 3, X - Fraction(1, 3), [0, 0, 2], 60)
+    exact = exact_local_multiplier(A, X - Fraction(1, 3), 2)
+    assert _bits(exact.V) > 150
+    runs = _count_runs(monkeypatch)
+    loc = _modular_multiplier(A, X - Fraction(1, 3), 2)
+    assert len(runs) >= 2 and runs == list(PRIMES[: len(runs)])
+    assert loc is not None and loc.alphas == exact.alphas
+    assert _typed(loc.V) == _typed(exact.V)
+
+
+def test_prime_tuple():
+    assert len(set(PRIMES)) == len(PRIMES) >= 2
+    assert all(q < 2**127 and q.bit_length() == 127 and is_prime(q) for q in PRIMES)
+
+
+def test_unlucky_coefficient_goes_exact(monkeypatch):
+    """In [[l, q], [0, l]] the modular lane would see diag(l, l), alphas
+    (1, 1), where the truth is (0, 2): a q that divides a coefficient
+    hands the form to the exact lane as the lane reduces A."""
+    A = MatPoly([[X, Poly.const(Q1)], [Poly.zero(), X]])
+    runs = _count_runs(monkeypatch)
+    assert _modular_multiplier(A, X, 2) is None and runs == [Q1]
+    loc = local_multiplier(A, X, 2)
+    assert loc.alphas == (0, 2) and loc.V == exact_local_multiplier(A, X, 2).V
+    res = local_smith(A, X, 2)
+    assert res.alphas == (0, 2) and res.diagonal() == MatPoly.diag([Poly.one(), X**2])
+    _check_contract(A, X, res, 2)
+
+
+@pytest.mark.parametrize(
+    "A, p, mu",
+    [
+        (MatPoly([[X, Poly.const(Fraction(1, Q1))], [Poly.zero(), X]]), X, 2),
+        (MatPoly([[X, Poly.const(Fraction(3, 2 * Q1))], [Poly.one(), X]]), X**2 - Fraction(3, 2 * Q1), 1),
+        (MatPoly.diag([X - Fraction(1, Q1), X - Fraction(1, Q1)]), X - Fraction(1, Q1), 2),
+    ],
+    ids=["in A", "in A and p", "in p"],
+)
+def test_denominator_divisible_by_q_goes_exact(A, p, mu):
+    assert _modular_multiplier(A, p, mu) is None
+    res = local_smith(A, p, mu)
+    assert res.V == exact_local_multiplier(A, p, mu).V
+    _check_contract(A, p, res, mu)
+
+
+# A 3x3 matrix whose constant coefficient [[1, 1, 0], [1, 1 + q, 0], [0, 0,
+# 0]] has rank 2 over Q and rank 1 mod q, with no coefficient divisible by
+# q: modulo q the lane finds exponents (0, 1, 1), the truth is (0, 0, 2).
+def _minor_divisible_by_q(q=Q1):
+    q = Poly.const(q)
+    return MatPoly([
+        [X**2 - X + 1, X**2 + X + 1, -(X**2) + X],
+        [X + 1, 2 * X + q + 1, X**2],
+        [-2 * X, -(X**2) + X, X**2],
+    ])
+
+
+def test_certificate_catches_an_unlucky_prime():
+    """The modular lane returns wrong exponents that sum to mu; local_smith's
+    det V and compute_E checks send it to the exact lane."""
+    A = _minor_divisible_by_q()
+    loc = _modular_multiplier(A, X, 2)
+    assert loc is not None and loc.alphas == (0, 1, 1)
+    exact = exact_local_multiplier(A, X, 2)
+    assert exact.alphas == (0, 0, 2)
+    res = local_smith(A, X, 2)
+    assert res.alphas == (0, 0, 2) and res.V == exact.V
+    _check_contract(A, X, res, 2)
+
+
+# primes near 2**20: one gives a bound of 0, two of about 724, three of
+# about 740,000 (sqrt(M / 2**21))
+TINY_PRIMES = (1048573, 1048571, 1048559)
+
+
+def test_tiny_primes_force_several_then_the_cap(monkeypatch):
+    monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
+    runs = _count_runs(monkeypatch)
+    p = X**2 + 1
+    small = _sandwich(SplitMix64(3), 2, p, [1, 2], 2)
+    exact = exact_local_multiplier(small, p, 3)
+    assert 1 <= _bits(exact.V) <= 9
+    loc = _modular_multiplier(small, p, 3)
+    assert runs == list(TINY_PRIMES[:2])
+    assert _typed(loc.V) == _typed(exact.V)
+    runs.clear()
+    large = _sandwich(SplitMix64(3), 2, p, [1, 2], 40)
+    exact = exact_local_multiplier(large, p, 3)
+    assert _bits(exact.V) > 20
+    assert _modular_multiplier(large, p, 3) is None
+    assert runs == list(TINY_PRIMES)
+    assert _typed(local_multiplier(large, p, 3).V) == _typed(exact.V)
+
+
+def test_exponents_that_differ_between_primes_go_exact(monkeypatch):
+    """Modulo the first tiny prime the exponents are the true (0, 0, 2),
+    modulo the second, which divides a minor, (0, 1, 1): the lane stops
+    there and hands over, rather than joining the two images."""
+    monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
+    A = _minor_divisible_by_q(TINY_PRIMES[1])
+    runs = _count_runs(monkeypatch)
+    assert _modular_multiplier(A, X, 2) is None
+    assert runs == list(TINY_PRIMES[:2])
+    assert local_smith(A, X, 2).alphas == (0, 0, 2)
+
+
+def _corrupt_reconstruction(monkeypatch, fault):
+    """Reconstruction that applies `fault` to the rows of every V."""
+    real = modular.reconstruct
+
+    def corrupt(image, M):
+        V = real(image, M)
+        return V if V is None else MatPoly(fault([list(row) for row in V.entries]))
+
+    monkeypatch.setattr(modular, "reconstruct", corrupt)
+
+
+def _plus_one(rows):
+    # A V no longer divisible by D: compute_E fails
+    rows[0][-1] = rows[0][-1] + 1
+    return rows
+
+
+def _times_l_minus_7(rows):
+    # compute_E still passes, but det V gains the factor l - 7
+    return [row[:-1] + [row[-1] * (X - 7)] for row in rows]
+
+
+@pytest.mark.parametrize("fault", [_plus_one, _times_l_minus_7])
+@pytest.mark.parametrize("key", [(3, 2, "none"), (1, 4, "none"), (6, 4, "revcols")])
+def test_corrupted_reconstruction_falls_back(monkeypatch, key, fault):
+    """local_smith's checks, compute_E and a constant det V, catch a
+    corrupted modular V, and the exact lane gives the true form."""
+    A = instance(*key)
+    truth = [(r.alphas, _typed(r.V), _typed(r.E)) for r in locals_rpr(*key)]
+    _corrupt_reconstruction(monkeypatch, fault)
+    got = [
+        (r.alphas, _typed(r.V), _typed(r.E))
+        for r in (local_smith(A, p, mu) for p, mu in factored(*key).factors)
+    ]
+    assert got == truth

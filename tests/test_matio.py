@@ -130,6 +130,34 @@ def test_malformed_json_entries_are_parse_errors(bad):
         read_matpoly(bad)
 
 
+_ENTRY = {"i": 1, "j": 1, "coeffs": ["3"]}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _json_doc(2.9, 1, [_ENTRY]),
+        _json_doc(2, True, [_ENTRY]),
+        _json_doc(2.0, 1, [_ENTRY]),
+        _json_doc("2", 1, [_ENTRY]),
+        _json_doc(None, 1, [_ENTRY]),
+        _json_doc(2, 1, [{"i": 1.7, "j": 1, "coeffs": ["3"]}]),
+        _json_doc(2, 1, [{"i": 1, "j": True, "coeffs": ["3"]}]),
+        _json_doc(2, 1, [{"i": "1", "j": 1, "coeffs": ["3"]}]),
+    ],
+)
+def test_json_sizes_and_indices_must_be_integers(bad):
+    """A float, bool or string size or index is refused, not truncated:
+    {"rows": 2.9, "cols": true, ...} once read as a 2x1 matrix."""
+    with pytest.raises(ParseError):
+        read_matpoly_json(bad)
+
+
+def test_json_integer_sizes_and_indices_still_read():
+    A = read_matpoly_json(_json_doc(2, 1, [{"i": 2, "j": 1, "coeffs": ["3"]}]))
+    assert (A.rows, A.cols) == (2, 1) and A[1, 0] == 3 and A[0, 0].is_zero()
+
+
 @pytest.mark.parametrize(
     "text",
     [

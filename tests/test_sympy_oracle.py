@@ -1,0 +1,75 @@
+"""sympy as an optional third oracle for the layers around the local
+forms: mat_det against sympy.Matrix.det and factor_over_rationals against
+sympy.factor_list, on derandomized random rational inputs.  Skipped where
+sympy is not installed."""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from smithpoly.factorization import factor_over_rationals  # noqa: E402
+from smithpoly.matpoly import MatPoly, mat_det  # noqa: E402
+from smithpoly.poly import Poly  # noqa: E402
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+LAM = sympy.Symbol("l")
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+polys = st.lists(rationals, max_size=4).map(Poly)
+
+
+def _to_sympy(f: Poly):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * LAM**k for k, c in enumerate(f.coeffs)),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(expr) -> Poly:
+    coeffs = sympy.Poly(expr, LAM, domain="QQ").all_coeffs()[::-1]
+    return Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return MatPoly([[draw(polys) for _ in range(n)] for _ in range(n)])
+
+
+@ORACLE
+@given(_matrices())
+def test_mat_det_matches_sympy(A):
+    M = sympy.Matrix([[_to_sympy(e) for e in row] for row in A.entries])
+    assert mat_det(A) == _from_sympy(M.det(method="berkowitz"))
+
+
+@st.composite
+def _products(draw):
+    """A rational constant times 1-3 factors of degree 1-3, each to a power
+    1-2, so repeated and reducible-looking factors are common."""
+    nonzero = rationals.filter(bool)
+    f = Poly.const(draw(nonzero))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        g = Poly(draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4)))
+        if g.degree >= 1:
+            f = f * g ** draw(st.integers(min_value=1, max_value=2))
+    return f
+
+
+@ORACLE
+@given(st.one_of(_products(), polys.filter(lambda f: f.degree >= 0)))
+def test_factor_over_rationals_matches_sympy(f):
+    fac = factor_over_rationals(f)
+    assert fac.expand() == f
+    unit, factors = sympy.factor_list(_to_sympy(f), LAM)
+    want = {}
+    for g, e in factors:
+        g = _from_sympy(g).monic()
+        want[g] = want.get(g, 0) + e
+    assert dict(fac.factors) == want
+    assert all(p.is_monic() for p, _ in fac.factors)
