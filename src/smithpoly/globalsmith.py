@@ -16,7 +16,7 @@ from .errors import (
 )
 from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
-from .localsmith import exact_local_multiplier, invertible_mod_p, local_multiplier
+from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
 from .matpoly import (
     MatPoly,
     _bareiss,
@@ -361,7 +361,7 @@ def _adjugate(m, one):
 
 def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     """Steps 0-3 end to end: factor det(A), the chain part of a local
-    Smith form at each prime (local_multiplier), one V, E = A V D^-1,
+    Smith form at each prime (_local_multiplier), one V, E = A V D^-1,
     and with with_U the inverse U of E.
 
     Several primes are spliced and triangularized into V, which is
@@ -376,7 +376,7 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     run is redone with the exact lane's local multipliers
     (exact_local_multiplier), whose errors stand."""
     factored = factor_determinant(A)
-    locals_ = [local_multiplier(A, p, e) for p, e in factored.factors]
+    locals_ = [_local_multiplier(A, p, e) for p, e in factored.factors]
     try:
         D, V, E = _certified(A, factored, locals_)
     except SmithError:

@@ -6,21 +6,20 @@ monic irreducible factor p of det(A).
 nullspaces.  Each round appends the next residuals of the active chains
 to a growing tableau, reduces only the new columns against its kept
 echelon form, accepts the chains whose residuals are independent, and
-extends the rest.  The lanes differ only in the scalars it runs on:
+extends the rest.  The two lanes differ only in the scalars it runs on:
 
 * the residue lane: entries in R/pR, tableau width n, chains extended by
   carrying through division by p.
-* the base-field lane (``local_smith_over_K``): residue elements become
-  their s coefficients over K (s = deg p), the tableau has width s*n, and
-  chain columns come in supercolumns of s, of which the first is kept.
-* the modular lane (``modular.ModularLane``): the base-field lane's
-  construction over GF(q), q a prime just below 2**127, so every scalar
-  is an int.  V is lifted back to Q by CRT over the primes of
-  ``modular.PRIMES`` and rational reconstruction.
+* the base-field lane: residue elements become their s coefficients over
+  a base field (s = deg p), the tableau has width s*n, chain columns come
+  in supercolumns of s, of which the first is kept, and residuals are
+  linear maps of A's digits.  ``local_smith_over_K`` runs it over K.  The
+  modular route runs it over GF(q), q a prime just below 2**127, and
+  lifts V back to Q by CRT over ``modular.PRIMES`` and rational
+  reconstruction.
 
-``local_smith`` and ``local_multiplier`` take the modular lane on
-rational input and the residue lane otherwise, or whenever the modular
-lane fails.
+``local_smith`` takes the modular route on rational input, and the
+residue lane otherwise or whenever the modular route fails.
 
 ``local_smith_reference`` is the simple column-rotation version, kept
 only as a slow cross-checking oracle.
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import (
     MultiplicityMismatch,
@@ -42,9 +41,9 @@ from .errors import (
     SmithError,
 )
 from . import modular
-from .matpoly import MatPoly, compute_E, expand_in_p, lambda_iso, mat_det
+from .matpoly import MatPoly, _integer_rows, compute_E, expand_in_p, lambda_iso, mat_det
 from .poly import Poly
-from .residue import BASE_FIELD, ResidueField
+from .residue import BASE_FIELD, ModularField, ResidueField, UnluckyPrime, check_modulus
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,7 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     MultiplicityMismatch; a smaller one is not always detected and can
     return a wrong local form.
 
-    The chains come from local_multiplier's modular lane where it gives a
+    The chains come from the modular route where it gives a
     V, and E = A V diag(p**alpha_i)^-1 from compute_E.  A lifted V is not
     unimodular by construction, so this checks that det V is a nonzero
     constant; compute_E proves A V = E D.  If either check fails, the
@@ -227,9 +226,9 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     return _with_E(A, exact_local_multiplier(A, p, mu))
 
 
-def local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
+def _local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
     """The p, V and alphas of local_smith, without its E or its checks:
-    the modular lane's where it gives a V, else exact_local_multiplier's.
+    the modular route's where it gives a V, else exact_local_multiplier's.
     The modular V is not certified here: the caller proves it, as
     smith_with_multipliers does with compute_E."""
     loc = _modular_multiplier(A, p, mu)
@@ -261,7 +260,7 @@ def exact_local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
 
 def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     """Same contract as local_smith, arithmetic entirely in the base field."""
-    return _with_E(A, _local_chains(A, p, mu, _FieldLane))
+    return _with_E(A, _local_chains(A, p, mu, _BaseFieldLane))
 
 
 def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
@@ -277,8 +276,8 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
         raise NotSquare("local Smith form needs a square matrix")
     if mu < 1:
         raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
-    lane = make_lane(A, p, mu)  # ResidueField rejects a non-monic or constant p
-    n, s, width, zero = A.rows, lane.s, lane.width, lane.zero
+    lane = make_lane(A, p, mu)  # either lane rejects a non-monic or constant p
+    n, s, width, zero = A.rows, lane.s, lane.width, lane.F.zero
     ech = _Echelon(lane.F, width)
     ech.extend(lane.tableau())
     null_basis = ech.null_basis()
@@ -369,7 +368,6 @@ class _ResidueLane:
     and extending a chain carries by division by p."""
 
     s = 1
-    zero = Poly.zero()
 
     def __init__(self, A: MatPoly, p: Poly, mu: int):
         """Round k < mu reads digits 0..k of A, so mu digits suffice."""
@@ -416,82 +414,147 @@ class _ResidueLane:
         return lambda_iso([chain[j : j + n] for j in range(0, len(chain), n)], self.p)
 
 
-class _FieldLane:
-    """Scalars in K: each residue entry becomes its s coefficients (s =
-    deg p, zero-padded), the tableau has width s*n, and chains come in
-    supercolumns of s, of which the first is decoded.  Residuals are the
-    residue lane's, flattened; extending a chain is a plain append."""
+class _BaseFieldLane:
+    """Scalars in a base field F, K (BASE_FIELD) or GF(q) (ModularField):
+    each residue entry becomes its s coefficients (s = deg p), the tableau
+    has width s*n, and chains come in supercolumns of s, of which the
+    first is decoded.
 
-    zero = Fraction(0)
-    F = BASE_FIELD
+    A digit entry e acts on a chain entry c (both of degree < s) by two
+    F-linear maps, c -> rem(e c, p) and c -> quo(e c, p).  The residue
+    lane's residual of a k-block chain is then sum_j G_{k-j} block_j, with
+    G_t the rem map of digit t plus the quo map of digit t - 1, each an
+    (s n) x (s n) matrix over F; G_0 is the tableau.  No polynomial
+    arithmetic runs in the kernel.
 
-    def __init__(self, A: MatPoly, p: Poly, mu: int):
-        self.p = p
-        self.residue = _ResidueLane(A, p, mu)
-        self.s = p.degree
-        self.width = self.s * A.rows
+    A is held as planes: plane k lists coefficient k of every entry, row
+    by row, so the digit expansion and the rem maps run a whole plane per
+    list operation.  Rational rows are scaled to integers first, which
+    scales the tableau's rows and nothing else: the reduced echelon form,
+    the chains and V are unchanged.  Gaussian coefficients are taken as
+    they are, which keeps their types.  What is field-specific is F's: embed
+    (over GF(q), UnluckyPrime where a coefficient of A or p would be
+    lost), reduce, dot and decode."""
 
-    def _coeffs(self, f: Poly) -> list:
-        return list(f.coeffs) + [self.zero] * (self.s - len(f.coeffs))
+    def __init__(self, A: MatPoly, p: Poly, mu: int, F=BASE_FIELD):
+        check_modulus(p)
+        self.F, reduce = F, F.reduce
+        s, n, nc = p.degree, A.rows, A.cols
+        w = self.width = s * n
+        self.s = s
+        self.p = pf = F.embed(p.coeffs)
+        self.G = []
+        zero = [0] * (n * nc)
+        # e l**b = quo_b p + rem_b: quo_b = sum_m c_{b-1-m} l**m, where c_b
+        # is coefficient s-1 of rem_b; `carries` holds the c_b of digit t-1
+        carries = [zero] * s
+        planes = [F.embed(plane) for plane in _coefficient_planes(A)]
+        for digit in _plane_digits(planes, pf, mu, reduce):
+            G = [[0] * (s * nc) for _ in range(w)]
+            R, now = digit, []  # R[a]: coefficient a of rem_b, for each entry
+            for b in range(s):
+                if b:
+                    R = [reduce(x - y * pa for x, y in zip(ra, R[-1]))
+                         for ra, pa in zip([zero] + R[:-1], pf)]
+                now.append(R[-1])
+                for a in range(s):
+                    plane = R[a] if a >= b else reduce(
+                        x + y for x, y in zip(R[a], carries[b - 1 - a])
+                    )
+                    for i in range(n):
+                        G[i * s + a][b::s] = plane[i * nc : (i + 1) * nc]
+            carries = now
+            self.G.append(G)
+        self.sparse = {}  # k -> the rows of [G_k, G_{k-1}, ..., G_1], sparse
 
     def tableau(self):
-        """Column (jj, b) holds the coefficients of digit_0[:, jj] * l**b
-        mod p: multiplication by digit_0 as a matrix over K."""
-        s, mul, x = self.s, self.residue.F.mul, Poly.x()
-        rows = [[] for _ in range(self.width)]
-        for i, row in enumerate(self.residue.digits[0].entries):
-            for e in row:
-                for b in range(s):
-                    for a, c in enumerate(self._coeffs(mul(e, x**b))):
-                        rows[i * s + a].append(c)
-        return rows
+        return self.G[0]
+
+    def _rows(self, k):
+        if k not in self.sparse:
+            rows = []
+            for r in range(self.width):
+                full = list(chain.from_iterable(self.G[k - j][r] for j in range(k)))
+                rows.append((list(compress(range(len(full)), full)), list(filter(None, full))))
+            self.sparse[k] = rows
+        return self.sparse[k]
 
     def residual(self, chain, k):
-        s = self.s
-        digits = [Poly(chain[t : t + s]) for t in range(0, len(chain), s)]
-        return [c for r in self.residue.residual(digits, k) for c in self._coeffs(r)]
+        return self.F.dot(self._rows(k), chain)
 
     def extend(self, head, y, k):
-        return head + y
+        return self.F.reduce(head) + y
 
     def decode(self, vec):
         """The polynomial column sum_j p**j * digit_j of a stacked
-        coefficient vector over K."""
-        s, sn = self.s, self.width
-        blocks = [
-            [Poly(vec[b : b + s]) for b in range(j, j + sn, s)]
-            for j in range(0, len(vec), sn)
-        ]
-        return lambda_iso(blocks, self.p)
+        coefficient vector."""
+        s, w = self.s, self.width
+        blocks = [[vec[b : b + s] for b in range(j, j + w, s)] for j in range(0, len(vec), w)]
+        return self.F.decode(blocks, self.p)
+
+
+def _coefficient_planes(A: MatPoly) -> list:
+    """Plane k: coefficient k of A[i][j] at i*m + j, m = A.cols.  Rational
+    rows are scaled to integers (matpoly._integer_rows)."""
+    one, _, rows = _integer_rows(A.entries)
+    if type(one) is not int:
+        rows = [[e.coeffs for e in row] for row in A.entries]
+    m = A.cols
+    planes = [[0] * (A.rows * m) for _ in range(max(A.max_degree() + 1, 1))]
+    for i, row in enumerate(rows):
+        for j, coeffs in enumerate(row):
+            for k, c in enumerate(coeffs):
+                planes[k][i * m + j] = c
+    return planes
+
+
+def _plane_digits(planes, p, count, reduce):
+    """The first `count` digits of the planes in powers of the monic p
+    (zero digits past the last), each as s planes.  A division reduces a
+    plane where it reads a quotient coefficient and once at the end, and
+    leaves an entry whose quotient coefficient is zero as it is, as a
+    polynomial division would (that keeps Gaussian coefficient types)."""
+    s, size = len(p) - 1, len(planes[0])
+    out = []
+    while len(out) < count:
+        a = planes + [[0] * size] * (s - len(planes))
+        planes = [None] * (len(a) - s)
+        for i in range(len(a) - 1, s - 1, -1):
+            f = planes[i - s] = reduce(a[i])
+            for j, pj in enumerate(p[:s]):
+                if pj:
+                    a[i - s + j] = [x - pj * y if y else x for x, y in zip(a[i - s + j], f)]
+        out.append([reduce(a[j]) for j in range(s)])
+        if not planes:
+            planes = [[0] * size]
+    return out
 
 
 def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
-    """local_multiplier from the modular lane, or None to hand over to
-    the exact lane.
+    """_local_multiplier from the base-field lane over GF(q), or None to
+    hand over to the exact lane.
 
     The chains run modulo each prime of modular.PRIMES in turn, and V's
     coefficients are joined by CRT to V mod M.  As soon as every one has a
     fraction n/d == it mod M with |n|, d <= sqrt(M / 2**(MARGIN + 1))
     (Wang, Guy & Davenport, SIGSAM Bull. 1982), those fractions are V.
     Gaussian input, a non-monic or constant p, a q that divides a
-    denominator or a nonzero numerator of A or p, any error of the run (a
-    split supercolumn, exponents that are not nondecreasing or do not sum
-    to mu), exponents that differ between primes, or no reconstruction
-    within modular.PRIMES give None.
+    denominator of p or a nonzero coefficient of p or of A (rows scaled to
+    integers), any error of the run (a split supercolumn, exponents that
+    are not nondecreasing or do not sum to mu), exponents that differ
+    between primes, or no reconstruction within modular.PRIMES give None.
 
     Nothing here proves V.  For a q that divides no denominator and no
     pivot the run meets over Q, V mod q is the image of the exact V, and
     the margin makes a wrong reconstruction unlikely; the caller's
     certificate decides."""
-    if not p.is_monic() or p.degree < 1 or not all(
-        type(c) is Fraction for e in chain([p], *A.entries) for c in e.coeffs
-    ):
+    if not all(type(c) is Fraction for e in chain([p], *A.entries) for c in e.coeffs):
         return None
     image, M = None, 1
     for q in modular.PRIMES:
         try:
-            loc = _local_chains(A, p, mu, partial(modular.ModularLane, q=q))
-        except (SmithError, modular.UnluckyPrime):
+            loc = _local_chains(A, p, mu, partial(_BaseFieldLane, F=ModularField(q)))
+        except (SmithError, UnluckyPrime):
             return None
         now = [[[c.numerator for c in e.coeffs] for e in row] for row in loc.V.entries]
         if image is None:

@@ -254,7 +254,10 @@ def _integer_rows(entries):
     one = GaussianRational(1) if gaussian else 1
     scales, rows = [], []
     for row in entries:
-        m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
+        if gaussian:
+            m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
+        else:
+            m = lcm(*[c.denominator for e in row for c in e.coeffs])
         scales.append(m)
         if gaussian:
             rows.append([[one * (c * m) for c in e.coeffs] for e in row])

@@ -10,15 +10,35 @@ use, and add and subtract with the scalars' own operators; in R/pR a
 product is the polynomial product reduced mod p, and an inverse comes
 from the extended Euclidean algorithm.  GF(q) reduces every result, so
 zero is always the int 0, as the kernel's zero tests need.
+
+K and GF(q) also give what is field-specific in the base-field lane
+(``localsmith._BaseFieldLane``): ``embed`` takes A's and p's coefficients
+into the field, ``reduce`` keeps computed values reduced, ``dot`` is the
+residuals' dot product and ``decode`` turns a chain into a column of V.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from .errors import DegreeZero, NotIrreducible, NotMonic
+from .gfpoly import gf_from_int, gf_mul
+from .matpoly import lambda_iso
 from .poly import Poly, poly_xgcd
+
+
+class UnluckyPrime(Exception):
+    """q divides a denominator, or a nonzero numerator, of A or p."""
+
+
+def check_modulus(p: Poly) -> None:
+    if not p.is_monic():
+        raise NotMonic("residue arithmetic needs a monic polynomial")
+    if p.degree < 1:
+        raise DegreeZero("residue arithmetic needs degree >= 1")
 
 
 class _ExactRows:
@@ -42,9 +62,37 @@ class BaseField(_ExactRows):
     zero = Fraction(0)
     one = Fraction(1)
     mul = staticmethod(operator.mul)
+    reduce = staticmethod(list)
 
     def inv(self, a):
         return self.one / a
+
+    def embed(self, values) -> list:
+        """Integral Fractions as ints, the rest as they are."""
+        return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in values]
+
+    def dot(self, rows, chain) -> list:
+        """Each sparse row (cols, vals) times the chain.  A chain of
+        Fractions is scaled to ints by the lcm m of its denominators, so a
+        row of ints gives one integer dot product and one Fraction.  Other
+        rows (over Q(i), or for a non-integral p) add their products with
+        the nonzero chain entries, as polynomial products would."""
+        mul, out = operator.mul, []
+        rational = all(type(c) is Fraction for c in chain)
+        if rational:
+            m = lcm(*[c.denominator for c in chain])
+            get = [c.numerator * (m // c.denominator) for c in chain].__getitem__
+        for cols, vals in rows:
+            t = sum(map(mul, vals, map(get, cols))) if rational else None
+            if type(t) is int:
+                out.append(Fraction(t, m))
+            else:
+                out.append(sum(v * chain[c] for c, v in zip(cols, vals) if chain[c]))
+        return out
+
+    def decode(self, blocks, p) -> list:
+        """sum_j p**j * blocks[j], each entry of a block a coefficient list."""
+        return lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
 
 
 BASE_FIELD = BaseField()
@@ -58,10 +106,7 @@ class ResidueField(_ExactRows):
     one = Poly.one()
 
     def __init__(self, p: Poly):
-        if not p.is_monic():
-            raise NotMonic("residue arithmetic needs a monic polynomial")
-        if p.degree < 1:
-            raise DegreeZero("residue arithmetic needs degree >= 1")
+        check_modulus(p)
         self.p = p
 
     def mul(self, a: Poly, b: Poly) -> Poly:
@@ -104,3 +149,38 @@ class ModularField:
         q = self.q
         for j, b in support:
             row[j] = (row[j] - f * b) % q
+
+    def reduce(self, values) -> list:
+        q = self.q
+        return [v % q for v in values]
+
+    def embed(self, values) -> list:
+        """Rationals mod q, with one inverse for their denominators.  A
+        denominator divisible by q, or a nonzero value that vanishes mod
+        q, raises UnluckyPrime: the reduction would lose it."""
+        q = self.q
+        if all(type(c) is int for c in values):
+            out = [c % q for c in values]
+        else:
+            m = lcm(*[c.denominator for c in values])
+            if m % q == 0:
+                raise UnluckyPrime
+            inv = pow(m, -1, q)
+            out = [c.numerator * (m // c.denominator) * inv % q for c in values]
+        if out.count(0) != values.count(0):
+            raise UnluckyPrime
+        return out
+
+    def dot(self, rows, chain) -> list:
+        q, mul, get = self.q, operator.mul, chain.__getitem__
+        return [sum(map(mul, vals, map(get, cols))) % q for cols, vals in rows]
+
+    def decode(self, blocks, p) -> list:
+        """sum_j p**j * blocks[j] mod q, entrywise by Horner."""
+        q, col = self.q, []
+        for digits in zip(*blocks):
+            acc = []
+            for d in reversed(digits):
+                acc = gf_from_int([a + b for a, b in zip_longest(gf_mul(acc, p, q), d, fillvalue=0)], q)
+            col.append(Poly(acc))
+        return col

@@ -622,7 +622,7 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
     one_prime = (3, 2, "none")
     # (1, 4, "none") and (6, 4, "revcols") have several primes
     keys = [LIGHT[0], LIGHT[-1], one_prime]
-    # the true forms, computed before local_multiplier is patched
+    # the true forms, computed before _local_multiplier is patched
     truth = {key: (pipeline(*key).D, locals_rpr(*key)) for key in keys}
     outcomes = {"error": 0, "verified": 0}
     for key in keys:
@@ -636,7 +636,7 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
                         continue
                     bad = LocalMultiplier(loc.p, MatPoly.from_columns(cols), loc.alphas)
                     by_prime = {l.p: (bad if m == j else l) for m, l in enumerate(locs)}
-                    for name in ("local_multiplier", "exact_local_multiplier"):
+                    for name in ("_local_multiplier", "exact_local_multiplier"):
                         monkeypatch.setattr(globalsmith, name, lambda A, p, e: by_prime[p])
                     try:
                         r = smith_with_multipliers(A)
@@ -656,7 +656,7 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
 def _exact_pipeline(monkeypatch, A, with_U=False):
     """smith_with_multipliers with the exact lane's local multipliers only."""
     with monkeypatch.context() as m:
-        m.setattr(globalsmith, "local_multiplier", localsmith.exact_local_multiplier)
+        m.setattr(globalsmith, "_local_multiplier", localsmith.exact_local_multiplier)
         return smith_with_multipliers(A, with_U=with_U)
 
 
@@ -695,7 +695,7 @@ def test_failed_certificate_redoes_the_run_exactly(monkeypatch):
         [-2 * x, -(x**2) + x, x**2],
     ])
     truth = _exact_pipeline(monkeypatch, A, with_U=True)
-    assert localsmith.local_multiplier(A, x, 2).alphas == (0, 1, 1)
+    assert localsmith._local_multiplier(A, x, 2).alphas == (0, 1, 1)
     calls = _spy_exact(monkeypatch)
     r = smith_with_multipliers(A, with_U=True)
     assert calls == [p for p, _ in factor_determinant(A).factors]

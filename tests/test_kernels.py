@@ -27,7 +27,7 @@ from smithpoly import (
     lambda_iso,
 )
 from smithpoly.field import GaussianRational
-from smithpoly.localsmith import _Echelon, _FieldLane, _rref
+from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
 from smithpoly.matpoly import _exact_div, _int_dot, _interpolate
 from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
@@ -513,7 +513,7 @@ def test_rref_over_residue_field(data, p):
             for a, b in zip(row, vec):
                 acc = [x + y for x, y in zip(acc, companion_product(a, b, p))]
             assert not any(acc)
-    block = _FieldLane(MatPoly(rows), p, 1).tableau()
+    block = _BaseFieldLane(MatPoly(rows), p, 1).tableau()
     assert len(_rref(block, BASE_FIELD)[1]) == s * len(pivots)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix
-from corpus import factored, instance, locals_over_k, locals_rpr
+from corpus import GROUND_TRUTH, factored, instance, locals_over_k, locals_rpr
 from smithpoly import localsmith, modular
 from smithpoly.errors import (
     MultiplicityMismatch,
@@ -17,10 +17,11 @@ from smithpoly.errors import (
 from smithpoly.field import GaussianRational
 from smithpoly.gfpoly import is_prime
 from smithpoly.localsmith import (
+    _BaseFieldLane,
     _ResidueLane,
+    _local_multiplier,
     _modular_multiplier,
     exact_local_multiplier,
-    local_multiplier,
     local_smith,
     local_smith_over_K,
     local_smith_reference,
@@ -31,7 +32,7 @@ from smithpoly.modular import PRIMES
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import ResidueField
+from smithpoly.residue import ModularField, ResidueField
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -294,9 +295,7 @@ def test_base_field_lane_structure():
     """For a 1x1 matrix [l] at a quadratic prime, the base-field tableau is
     the companion matrix of p and the round-1 residuals are the carry of
     multiplication by lambda: l * l = p - 1 carries 1, l * 1 carries 0."""
-    from smithpoly.localsmith import _FieldLane
-
-    lane = _FieldLane(MatPoly([[X]]), X**2 + 1, 2)
+    lane = _BaseFieldLane(MatPoly([[X]]), X**2 + 1, 2)
     assert lane.tableau() == [[0, -1], [1, 0]]
     assert lane.residual([Fraction(0), Fraction(1)], 1) == [1, 0]
     assert lane.residual([Fraction(1), Fraction(0)], 1) == [0, 0]
@@ -383,7 +382,7 @@ def _count_runs(monkeypatch):
 
     def spy(A, p, mu, make_lane):
         if isinstance(make_lane, partial):
-            runs.append(make_lane.keywords["q"])
+            runs.append(make_lane.keywords["F"].q)
         return real(A, p, mu, make_lane)
 
     monkeypatch.setattr(localsmith, "_local_chains", spy)
@@ -429,7 +428,51 @@ def test_modular_lane_matches_exact_lane(n, p, bits, exps, seed):
     if loc is not None:
         assert loc.alphas == exact.alphas
         assert _typed(loc.V) == _typed(exact.V)
-    assert _typed(local_multiplier(A, p, mu).V) == _typed(exact.V)
+    assert _typed(_local_multiplier(A, p, mu).V) == _typed(exact.V)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=3),
+    p=st.sampled_from(SANDWICH_PRIMES),
+    exps=st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_row_scaling_leaves_the_base_field_lane_alone(n, p, exps, seed):
+    """Scaling the rows of A by nonzero constants S scales the rows of the
+    lane's tableau and nothing else: S A has the exponents and V of A,
+    coefficient types included, and E becomes S E.  This is what lets the
+    lane run on A's rows scaled to integers."""
+    exps = sorted(exps[:n])
+    exps[-1] = max(exps[-1], 1)
+    rng = SplitMix64(seed)
+    A = _sandwich(rng, n, p, exps, 12)
+    S = MatPoly.diag([
+        Fraction(rng.randint(1, 2**20) * (-1) ** rng.randint(0, 1), rng.randint(1, 2**20))
+        for _ in range(n)
+    ])
+    base = local_smith_over_K(A, p, sum(exps))
+    scaled = local_smith_over_K(S @ A, p, sum(exps))
+    assert scaled.alphas == base.alphas
+    assert _typed(scaled.V) == _typed(base.V)
+    assert scaled.E == S @ base.E
+
+
+@pytest.mark.parametrize("key", GROUND_TRUTH)
+def test_lane_over_gf_q_is_the_K_lane_mod_q(key):
+    """At every prime of the corpus the base-field lane over GF(q) gives
+    the exponents of the lane over K, and V coefficients congruent to its
+    V's mod q: the invariant that rational reconstruction relies on."""
+    A = instance(*key)
+    for q in PRIMES[:2]:
+        lane = partial(_BaseFieldLane, F=ModularField(q))
+        for res in locals_over_k(*key):
+            loc = localsmith._local_chains(A, res.p, sum(res.alphas), lane)
+            assert loc.alphas == res.alphas
+            for row_q, row_k in zip(loc.V.entries, res.V.entries):
+                for eq, ek in zip(row_q, row_k):
+                    image = [c.numerator * pow(c.denominator, -1, q) % q for c in ek.coeffs]
+                    assert [c.numerator for c in eq.coeffs] == image
 
 
 def test_large_coefficients_take_several_primes(monkeypatch):
@@ -457,7 +500,7 @@ def test_unlucky_coefficient_goes_exact(monkeypatch):
     A = MatPoly([[X, Poly.const(Q1)], [Poly.zero(), X]])
     runs = _count_runs(monkeypatch)
     assert _modular_multiplier(A, X, 2) is None and runs == [Q1]
-    loc = local_multiplier(A, X, 2)
+    loc = _local_multiplier(A, X, 2)
     assert loc.alphas == (0, 2) and loc.V == exact_local_multiplier(A, X, 2).V
     res = local_smith(A, X, 2)
     assert res.alphas == (0, 2) and res.diagonal() == MatPoly.diag([Poly.one(), X**2])
@@ -526,7 +569,7 @@ def test_tiny_primes_force_several_then_the_cap(monkeypatch):
     assert _bits(exact.V) > 20
     assert _modular_multiplier(large, p, 3) is None
     assert runs == list(TINY_PRIMES)
-    assert _typed(local_multiplier(large, p, 3).V) == _typed(exact.V)
+    assert _typed(_local_multiplier(large, p, 3).V) == _typed(exact.V)
 
 
 def test_exponents_that_differ_between_primes_go_exact(monkeypatch):
