@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .errors import (
     DegreeTooHigh,
@@ -17,6 +17,7 @@ from .errors import (
     NotMonic,
     NotSquare,
     ShapeMismatch,
+    SmithError,
 )
 from .field import GaussianRational
 from .poly import Poly, _cleared, _from_ints, _int_divmod, _pack, _unpack
@@ -214,14 +215,19 @@ def _not_divisible(i):
 
 
 def mat_det(A: MatPoly) -> Poly:
-    """Exact determinant by evaluation and interpolation on integers.
+    """Exact determinant on integers.
 
     Each row is scaled by the lcm of its coefficient denominators, which
-    makes every entry an integer (or Gaussian-integer) polynomial.  Horner
-    evaluates them at min(sum of row degrees, sum of column degrees) + 1
-    points, a bound on deg det + 1, fraction-free Bareiss gives the scaled
-    determinant at each, and _interpolate's coefficients are divided once
-    by the product of the scales.  A zero row or column gives zero."""
+    makes every entry an integer (or Gaussian-integer) polynomial, and the
+    result is divided once by the product of the scales.  deg det is at
+    most bound = min(sum of row degrees, sum of column degrees).  A zero
+    row or column gives zero.
+
+    Integer rows pack (_det_packed): Kronecker substitution x = 2**B with
+    B from the Goldstein-Graham bound, one fraction-free Bareiss on the
+    packed integers, and bound + 1 signed B-bit slots read back.  Gaussian
+    rows evaluate: Horner at bound + 1 integer points, Bareiss at each,
+    and _interpolate."""
     if not A.is_square():
         raise NotSquare("determinant needs a square matrix")
     if A.rows == 1:
@@ -232,15 +238,30 @@ def mat_det(A: MatPoly) -> Poly:
         return Poly.zero()
     one, scales, rows = _integer_rows(A.entries)
     bound = min(sum(row_deg), sum(col_deg))
+    if type(one) is int:
+        return _from_ints(_det_packed(rows, bound), prod(scales))
     points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
     values = [
         _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
         for x in points
     ]
     coeffs = _interpolate(points, values, _exact_div(one))
-    if type(one) is int:
-        return _from_ints(coeffs, prod(scales))
     return Poly(coeffs).scale(Fraction(1, prod(scales)))
+
+
+def _det_packed(rows, bound) -> list:
+    """The bound + 1 coefficients of det of integer rows.  Goldstein-Graham:
+    every coefficient is at most sqrt(H), H = prod_i sum_j |a_ij|_1**2, and
+    sqrt(H) < isqrt(H) + 1 < 2**(B-1), so each fits a signed B-bit slot.
+    Slots that do not pack back to the Bareiss value are a broken bound,
+    raised, never a wrong det."""
+    H = prod(sum(sum(map(abs, cs)) ** 2 for cs in row) for row in rows)
+    B = (isqrt(H) + 1).bit_length() + 1
+    v = _bareiss([[_pack(cs, B) for cs in row] for row in rows], 1)
+    coeffs = _unpack(v, B, bound + 1)
+    if _pack(coeffs, B) != v:
+        raise SmithError("packed determinant outgrew its slots")
+    return coeffs
 
 
 def _integer_rows(entries):

@@ -444,6 +444,40 @@ def test_invert_slot_bound_counts_terms():
     assert (U @ E) == MatPoly.identity(n)
 
 
+@pytest.mark.parametrize("kind", ["rational", "gaussian"])
+def test_invert_slot_sums_near_the_bound(kind, monkeypatch):
+    """E = e (I + x a M), M the 0/1 pattern 0 -> 1, 2, 3 -> 4: N_0 = e**4 I
+    and N_1 = -e**4 a M, so slot (0, 4) of N_0 S at k = 2 adds t = 3
+    products of one sign, each of full bit length for e = 2**64 - 1.
+    Rational a = 2**64 - 1 fills 3/4 of the slot; Gaussian a = (1 + i) a
+    doubles each product's imaginary part, 3/8 of a slot four times wider.
+    Without the sign bit, or without the Gaussian factor 4, they overflow."""
+    from smithpoly.field import GaussianRational as G
+
+    e, a = 2**64 - 1, 2**64 - 1
+    if kind == "gaussian":
+        a = G(1, 1) * a
+    edges = {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}
+    M = [[int((i, j) in edges) for j in range(5)] for i in range(5)]
+    E = MatPoly([[Poly([e * (i == j), e * a * m]) for j, m in enumerate(row)]
+                 for i, row in enumerate(M)])
+    fill = []
+    unpack = globalsmith._unpack
+
+    def recording(v, B, count):
+        out = unpack(v, B, count)
+        fill.append(max(abs(s) for s in out) / 2 ** (B - 1))
+        return out
+
+    monkeypatch.setattr(globalsmith, "_unpack", recording)
+    U = invert_unimodular(E)
+    xaM = MatPoly([[Poly([0, a * m]) for m in row] for row in M])
+    want = MatPoly.identity(5) - xaM + xaM @ xaM
+    assert U == MatPoly([[c.scale(Fraction(1, e)) for c in row] for row in want.entries])
+    assert (U @ E) == MatPoly.identity(5)
+    assert max(fill) > (0.7 if kind == "rational" else 0.35)
+
+
 def test_invert_widens_slots_on_the_way_to_the_cap(monkeypatch):
     """1/(1+3x) = sum (-3x)^k: c = 1 and every quotient is exact, but N_k
     grows on every step, so each step widens the slots until the cap at

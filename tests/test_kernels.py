@@ -1,9 +1,10 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
-MatPoly @, compute_E and mat_det's interpolation, each against a plain
-reference written here over the field, for the packed-integer kernel
-(_pack, _unpack and the Kronecker dot product _int_dot), and for the
-echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
-columns (_Echelon).
+MatPoly @, compute_E and the interpolation mat_det runs on Gaussian rows
+(its packed route for integer rows is checked in test_matpoly.py), each
+against a plain reference written here over the field, for the
+packed-integer kernel (_pack, _unpack and the Kronecker dot product
+_int_dot), and for the echelon kernel over Q and over R/pR, whole (_rref)
+and grown by blocks of columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -375,7 +376,7 @@ def test_compute_E_rejects_a_bad_D():
 
 
 def _nodes(count):
-    """mat_det's evaluation points 0, 1, -1, 2, -2, ..."""
+    """The evaluation points of mat_det on Gaussian rows: 0, 1, -1, 2, ..."""
     return [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
 
 
@@ -403,9 +404,10 @@ gaussian_ints = st.builds(GaussianRational, small_ints, small_ints)
     extra=st.integers(min_value=0, max_value=3),
 )
 def test_interpolate_matches_lagrange(coeffs, extra):
-    """Integer and Gaussian-integer polynomials at mat_det's nodes, with up
-    to three points more than the degree needs: the exact Newton kernel
-    returns the polynomial, as the Lagrange form on Fractions does."""
+    """Integer and Gaussian-integer polynomials at mat_det's Gaussian
+    nodes, with up to three points more than the degree needs: the exact
+    Newton kernel returns the polynomial, as the Lagrange form on Fractions
+    does."""
     one = GaussianRational(1) if any(isinstance(c, GaussianRational) for c in coeffs) else 1
     points = _nodes(max(len(coeffs), 1) + extra)
     values = [sum((c * x**k for k, c in enumerate(coeffs)), one * 0) for x in points]

@@ -4,13 +4,15 @@ from itertools import permutations
 import pytest
 
 from conftest import random_matrix, random_poly
-from corpus import instance
+from corpus import instance, pipeline
+from smithpoly import matpoly
 from smithpoly.errors import (
     DegreeTooHigh,
     EmptyInput,
     NotMonic,
     NotSquare,
     ShapeMismatch,
+    SmithError,
 )
 from smithpoly.field import GaussianRational
 from smithpoly.matpoly import (
@@ -96,6 +98,36 @@ def _uneven_matrices(rng, kind, n):
     yield [[Poly.zero() if j == k else e for j, e in enumerate(row)] for row in full]
 
 
+# determinants that come near the packed route's slot bound: a coefficient
+# at or past half of 2**(B-1), negative coefficients in the lowest and the
+# top slot, and deg det = min(row-degree sum, column-degree sum)
+_SLOT_EDGE = [
+    [[[-1, 2], [0, -3]], [[3], [2, -3]]],  # det -2 + 16 x - 6 x^2, B = 6
+    [[[0, 3], [-2, -3]], [[-3, -1], [-2]]],  # det -6 - 17 x - 3 x^2, B = 6
+    [[[-3], [2], [0, -1]], [[-1, 1], [-3], [1]], [[-2], [-1], [0, 3]]],  # -7 + 38 x - 5 x^2
+]
+
+
+def _long_cases(rng, kind):
+    """The slot-edge matrices (each row over its own denominator for
+    "fraction"), for n = 2..4 one whose coefficients carry a 600-bit factor,
+    and two revcols E of the corpus, whose packed minors grow long."""
+    c = {"int": 1, "fraction": Fraction(1, 6), "gaussian": GaussianRational(0, 1)}[kind]
+    for rows in _SLOT_EDGE:
+        yield MatPoly([[Poly(cs).scale(s) for cs in row] for s, row in zip((1, c, c * c), rows)])
+    for n in range(2, 5):
+        yield MatPoly(
+            [
+                [Poly([_random_coeff(rng, kind) * 2**600 + rng.randint(-9, 9) for _ in range(2)])
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+    if kind != "gaussian":
+        yield pipeline(6, 4, "revcols").E
+        yield pipeline(4, 5, "revcols").E
+
+
 @pytest.mark.parametrize("kind", ["int", "fraction", "gaussian"])
 def test_det_matches_leibniz_random(kind):
     rng = SplitMix64(89)
@@ -119,6 +151,17 @@ def test_det_matches_leibniz_random(kind):
             A = MatPoly(rows)
             assert mat_det(A) == _leibniz_det(A), (n, case)
     assert mat_det(MatPoly.diag([0, 0, 0])).is_zero()
+    for case, A in enumerate(_long_cases(SplitMix64(90), kind)):
+        assert mat_det(A) == _leibniz_det(A), case
+
+
+def test_packed_det_refuses_a_truncated_read():
+    """Slots that do not pack back to the Bareiss value are an internal
+    error, never a wrong polynomial: here one slot too few is read."""
+    rows = _SLOT_EDGE[0]
+    assert matpoly._det_packed(rows, 2) == [-2, 16, -6]
+    with pytest.raises(SmithError, match="outgrew"):
+        matpoly._det_packed(rows, 1)
 
 
 def test_unimodular_examples():

@@ -9,7 +9,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from smithpoly.factorization import factor_over_rationals  # noqa: E402
@@ -41,8 +41,23 @@ def _matrices(draw):
     return MatPoly([[draw(polys) for _ in range(n)] for _ in range(n)])
 
 
+def _rows_over(rows, dens, scale=1):
+    return MatPoly(
+        [[Poly(cs).scale(Fraction(scale, d)) for cs in row] for row, d in zip(rows, dens)]
+    )
+
+
 @ORACLE
 @given(_matrices())
+# det near the packed route's slot bound, negative in the lowest and top
+# slot, each row over its own denominator
+@example(_rows_over([[[-1, 2], [0, -3]], [[3], [2, -3]]], (5, 7)))
+@example(_rows_over([[[0, 3], [-2, -3]], [[-3, -1], [-2]]], (1, 4)))
+# a 400-bit factor on every entry: wide slots and long packed minors
+@example(_rows_over([[[2, -1], [3]], [[-5], [1, 4]]], (3, 1), 3**250))
+@example(
+    _rows_over([[[1, 2, -2], [3], [0, 1]], [[-1], [4, 0, 5], [2]], [[7, 1], [-3], [1, 1, 1]]], (2, 1, 9), 3**250)
+)
 def test_mat_det_matches_sympy(A):
     M = sympy.Matrix([[_to_sympy(e) for e in row] for row in A.entries])
     assert mat_det(A) == _from_sympy(M.det(method="berkowitz"))
