@@ -13,13 +13,14 @@ extends the rest.  The two lanes differ only in the scalars it runs on:
 * the base-field lane: residue elements become their s coefficients over
   a base field (s = deg p), the tableau has width s*n, chain columns come
   in supercolumns of s, of which the first is kept, and residuals are
-  linear maps of A's digits.  ``local_smith_over_K`` runs it over K.  The
-  modular route runs it over GF(q), q a prime just below 2**127, and
-  lifts V back to Q by CRT over ``modular.PRIMES`` and rational
-  reconstruction.
+  linear maps of A's digits.  The modular route runs it over GF(q), q a
+  prime just below 2**127, and lifts V back to Q by CRT over
+  ``modular.PRIMES`` and rational reconstruction.
 
-``local_smith`` takes the modular route on rational input, and the
-residue lane otherwise or whenever the modular route fails.
+``local_smith`` and ``local_smith_over_K`` both take the modular route on
+rational input, and certify its V.  Otherwise, or whenever the route or
+its certificate fails, each runs its own exact lane: the residue lane for
+``local_smith``, the base-field lane over K for ``local_smith_over_K``.
 
 ``local_smith_reference`` is the simple column-rotation version, kept
 only as a slow cross-checking oracle.
@@ -210,12 +211,19 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     MultiplicityMismatch; a smaller one is not always detected and can
     return a wrong local form.
 
-    The chains come from the modular route where it gives a
-    V, and E = A V diag(p**alpha_i)^-1 from compute_E.  A lifted V is not
+    The chains come from the modular route where it gives a certified V
+    (_certified_local), else from the exact residue lane, whose V is
+    unimodular by construction (see exact_local_multiplier)."""
+    return _certified_local(A, p, mu, _ResidueLane)
+
+
+def _certified_local(A: MatPoly, p: Poly, mu: int, exact_lane) -> LocalSmithResult:
+    """The modular route's V where it gives one, with
+    E = A V diag(p**alpha_i)^-1 from compute_E.  A lifted V is not
     unimodular by construction, so this checks that det V is a nonzero
-    constant; compute_E proves A V = E D.  If either check fails, the
-    exact residue lane gives the form; its V is unimodular by
-    construction (see exact_local_multiplier)."""
+    constant; compute_E proves A V = E D.  If the route gives no V or
+    either check fails, the chains in `exact_lane` give the form, and
+    decide every error."""
     loc = _modular_multiplier(A, p, mu)
     if loc is not None:
         try:
@@ -223,7 +231,7 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
                 return _with_E(A, loc)
         except SmithError:
             pass
-    return _with_E(A, exact_local_multiplier(A, p, mu))
+    return _with_E(A, _local_chains(A, p, mu, exact_lane))
 
 
 def _local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
@@ -259,8 +267,10 @@ def exact_local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
 
 
 def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
-    """Same contract as local_smith, arithmetic entirely in the base field."""
-    return _with_E(A, _local_chains(A, p, mu, _BaseFieldLane))
+    """Same contract as local_smith, with arithmetic in base fields only:
+    the modular route's certified V where it gives one, else the
+    base-field lane over K, which then decides every error."""
+    return _certified_local(A, p, mu, _BaseFieldLane)
 
 
 def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:

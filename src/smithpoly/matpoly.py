@@ -7,6 +7,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm, prod
 
 from .errors import (
@@ -125,17 +126,18 @@ class MatPoly:
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
         """Product; rational factors multiply on integers, the rows of self
         and the columns of other each scaled by their lcm of denominators,
-        each entry one _int_dot."""
+        by the packed kernel _int_products."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
         bt = list(zip(*other.entries))
         one_a, ra, rows = _integer_rows(self.entries)
         one_b, cb, cols = _integer_rows(bt)
         if type(one_a) is int and type(one_b) is int:
+            prods = _int_products(rows, cols)
             return MatPoly(
                 [
-                    [_from_ints(_int_dot(row, col), a * b) for b, col in zip(cb, cols)]
-                    for a, row in zip(ra, rows)
+                    [_from_ints(col[r], a * b) for b, col in zip(cb, prods)]
+                    for r, a in enumerate(ra)
                 ]
             )
         return MatPoly(
@@ -168,9 +170,10 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
 
     D must be diagonal with V's column count and no zero d_i.  Rational A
     and V with every d_i of leading coefficient +-1 once its denominators
-    are cleared (every monic integer d_i) divide on integers: the dot
-    product of A's integer row r and V's integer column i, as in @, goes
-    through _int_divmod by d_i's cleared coefficients.  Other operands
+    are cleared (every monic integer d_i) divide on integers: the product
+    of A's integer rows and V's integer columns, by _int_products as in @,
+    goes column by column through _int_divmod by d_i's cleared
+    coefficients, or is only negated where those are +-1.  Other operands
     take A @ V and Poly.divmod."""
     n = V.cols
     if A.cols != V.rows or D.rows != n or D.cols != n:
@@ -187,12 +190,15 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     unit = all(c and c[0][-1] in (1, -1) for c in cleared)
     if type(one_a) is int and type(one_v) is int and unit:
         out = [[None] * n for _ in rows]
-        for i, (col, (b, sb)) in enumerate(zip(cols, cleared)):
-            for r, row in enumerate(rows):
-                q, rem = _int_divmod(_int_dot(row, col), b)
-                if rem:
-                    raise _not_divisible(i)
-                out[r][i] = _from_ints([c * sb for c in q], ra[r] * cv[i])
+        for i, (prod_i, (b, sb)) in enumerate(zip(_int_products(rows, cols), cleared)):
+            if len(b) == 1:
+                sb *= b[0]  # d_i = +-1: the quotient is the product, signed
+            for r, c in enumerate(prod_i):
+                if len(b) > 1:
+                    c, rem = _int_divmod(c, b)
+                    if rem:
+                        raise _not_divisible(i)
+                out[r][i] = _from_ints([x * sb for x in c], ra[r] * cv[i])
         return MatPoly(out)
     AV = A @ V
     cols = []
@@ -289,26 +295,36 @@ def _integer_rows(entries):
     return one, scales, rows
 
 
-def _int_dot(row, col) -> list:
-    """sum_k row[k] * col[k] for integer coefficient lists, by Kronecker
-    substitution: each list is packed with x = 2**B (_pack), so each
-    product is one int multiplication, and the sum is unpacked once.
+def _int_products(rows, cols) -> list:
+    """out[i][r] = sum_k rows[r][k] * cols[i][k] for integer coefficient
+    lists, by Kronecker substitution x = 2**B: each row and each column is
+    packed once (_pack), each product of entries is one int
+    multiplication, and each sum is unpacked once.
 
-    Coefficient t of the sum adds at most T = sum_k min(len row[k], len
-    col[k]) products, each below 2**(ba+bb) in size for ba and bb the
-    largest bit lengths in row and col, so it is below 2**(B-1) for
-    B = ba + bb + T.bit_length() + 1 and fits its slot."""
-    pairs = [(a, b) for a, b in zip(row, col) if a and b]
-    if not pairs:
-        return []
-    ba = max(max(map(int.bit_length, a)) for a, _ in pairs)
-    bb = max(max(map(int.bit_length, b)) for _, b in pairs)
-    terms = sum(min(len(a), len(b)) for a, b in pairs)
-    B = ba + bb + terms.bit_length() + 1
-    acc = 0
-    for a, b in pairs:
-        acc += _pack(a, B) * _pack(b, B)
-    return _unpack(acc, B, max(len(a) + len(b) for a, b in pairs) - 1)
+    Column i takes its own B.  Coefficient t of an entry adds at most
+    T = sum_k min(la_k, len cols[i][k]) products, la_k the longest
+    rows[r][k], each below 2**(ba + bb) for ba and bb the largest bit
+    lengths in rows and in column i, so it lies below 2**(B - 1) for
+    B = ba + bb + T.bit_length() + 1 and fits a signed slot.  B is rounded
+    up to its four leading bits, so that columns of similar size share one
+    packing of the rows.  A sum whose top slot is t has more than
+    2**(B t - 1) in size, so bit_length // B + 1 slots hold it."""
+    ba = max(map(int.bit_length, chain.from_iterable(chain.from_iterable(rows))), default=0)
+    la = [max(map(len, entries)) for entries in zip(*rows)]
+    packed, out = {}, []
+    for col in cols:
+        bb = max(map(int.bit_length, chain.from_iterable(col)), default=0)
+        B = ba + bb + sum(map(min, la, map(len, col))).bit_length() + 1
+        step = 1 << max(B.bit_length() - 4, 0)
+        B = -(-B // step) * step
+        if B not in packed:
+            packed[B] = [[_pack(e, B) for e in row] for row in rows]
+        pc = [_pack(e, B) for e in col]
+        out.append([
+            _unpack(v, B, v.bit_length() // B + 1)
+            for v in (sum(map(operator.mul, pr, pc)) for pr in packed[B])
+        ])
+    return out
 
 
 def _denominators(c):

@@ -11,6 +11,7 @@ from smithpoly import (
     local_smith_over_K,
     smith_with_multipliers,
 )
+from smithpoly.localsmith import _BaseFieldLane, _local_chains, exact_local_multiplier
 
 SEED = 20240811
 
@@ -67,6 +68,23 @@ def locals_over_k(fam, par, perm):
     A = instance(fam, par, perm)
     return tuple(
         local_smith_over_K(A, p, e) for p, e in factored(fam, par, perm).factors
+    )
+
+
+@lru_cache(maxsize=None)
+def chains_exact(fam, par, perm):
+    """The residue lane's chains at every prime (exact_local_multiplier)."""
+    A = instance(fam, par, perm)
+    return tuple(exact_local_multiplier(A, p, e) for p, e in factored(fam, par, perm).factors)
+
+
+@lru_cache(maxsize=None)
+def chains_over_k(fam, par, perm):
+    """The base-field lane's own chains over K at every prime; on rational
+    input local_smith_over_K runs them only where the modular route fails."""
+    A = instance(fam, par, perm)
+    return tuple(
+        _local_chains(A, p, e, _BaseFieldLane) for p, e in factored(fam, par, perm).factors
     )
 
 

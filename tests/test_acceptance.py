@@ -13,6 +13,8 @@ import pytest
 from conftest import companion_product, random_matrix
 from corpus import (
     GROUND_TRUTH,
+    chains_exact,
+    chains_over_k,
     factored,
     instance,
     locals_over_k,
@@ -130,13 +132,19 @@ def test_oracle_equivalence():
 
 def test_variant_agreement_local_algorithms():
     """The residue-field algorithm and the base-field variant produce the
-    same V matrix and exponent sequence on the full corpus."""
+    same V matrix and exponent sequence on the full corpus.  Both public
+    variants take the modular route on rational input, so the exact lanes'
+    own chains, the residue lane's and the base-field lane's over K, are
+    compared too."""
     for key in GROUND_TRUTH:
         for r1, r2 in zip(locals_rpr(*key), locals_over_k(*key)):
             assert r1.p == r2.p
             assert r1.alphas == r2.alphas, key
             assert r1.V == r2.V, key
             assert r1.ranks == r2.ranks, key
+        for r1, ex, k in zip(locals_rpr(*key), chains_exact(*key), chains_over_k(*key)):
+            assert ex.alphas == k.alphas == r1.alphas, key
+            assert ex.V == k.V == r1.V, key
     _report("variant agreement: residue-field vs base-field local forms")
 
 

@@ -2,8 +2,8 @@
 MatPoly @, compute_E and the interpolation mat_det runs on Gaussian rows
 (its packed route for integer rows is checked in test_matpoly.py), each
 against a plain reference written here over the field, for the
-packed-integer kernel (_pack, _unpack and the Kronecker dot product
-_int_dot), and for the echelon kernel over Q and over R/pR, whole (_rref)
+packed-integer kernel (_pack, _unpack and the Kronecker-packed product
+_int_products), and for the echelon kernel over Q and over R/pR, whole (_rref)
 and grown by blocks of columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
@@ -29,7 +29,7 @@ from smithpoly import (
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
-from smithpoly.matpoly import _exact_div, _int_dot, _interpolate
+from smithpoly.matpoly import _exact_div, _int_products, _interpolate
 from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
 
@@ -175,16 +175,54 @@ def reference_matmul(A, B):
     return out
 
 
-@KERNELS
+# Operand shapes the packed product must meet beside plain small entries:
+# columns of very different bit lengths (two slot widths in one product),
+# a zero row and a zero column, and every coefficient at the largest size
+# its bit length allows, so that slot sums come near 2**(B-1).
+SHAPES = ["plain", "spread", "zeros", "bound"]
+LONG = (1 << 400) - 1
+
+
+def _spread(M, j):
+    """M with column j scaled by the 400-bit LONG."""
+    return MatPoly([[e.scale(LONG) if k == j else e for k, e in enumerate(row)] for row in M.entries])
+
+
+def _zeroed(M, i, j):
+    """M with row i and column j zero."""
+    return MatPoly([[Poly.zero() if r == i or k == j else e for k, e in enumerate(row)]
+                    for r, row in enumerate(M.entries)])
+
+
+@st.composite
+def _extremes(draw, rows, cols):
+    """Every coefficient sign * (2**bits - 1), every entry `length` long:
+    with the other factor alike, each slot sum of the product is the most
+    its bit lengths and term count allow, all of one sign."""
+    bits = draw(st.sampled_from([2, 3, 7, 31, 64, 200]))
+    length = draw(st.integers(min_value=1, max_value=5))
+    c = Fraction(draw(st.sampled_from([1, -1])) * ((1 << bits) - 1))
+    return MatPoly([[Poly([c] * length)] * cols] * rows)
+
+
+@settings(KERNELS, max_examples=100)
 @given(
     data=st.data(),
     dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
     gaussian=st.booleans(),
+    shape=st.sampled_from(SHAPES),
 )
-def test_matmul_matches_entrywise_reference(data, dims, gaussian):
+def test_matmul_matches_entrywise_reference(data, dims, gaussian, shape):
     n, m, k = dims
     A = data.draw(_matrices(rationals, n, m, 4))
     B = data.draw(_matrices(gaussians if gaussian else rationals, m, k, 3))
+    if shape == "spread":
+        B = _spread(B, data.draw(st.integers(0, k - 1)))
+    elif shape == "zeros":
+        A = _zeroed(A, data.draw(st.integers(0, n - 1)), -1)
+        B = _zeroed(B, -1, data.draw(st.integers(0, k - 1)))
+    elif shape == "bound":
+        A, B = data.draw(_extremes(n, m)), data.draw(_extremes(m, k))
     C = A @ B
     assert [[list(e.coeffs) for e in row] for row in C.entries] == reference_matmul(A, B)
     if not gaussian:
@@ -247,25 +285,35 @@ def _int_coeff_lists():
 
 
 @KERNELS
-@given(data=st.data(), n=st.integers(min_value=0, max_value=6))
-def test_int_dot_matches_schoolbook(data, n):
-    row = data.draw(st.lists(_int_coeff_lists(), min_size=n, max_size=n))
-    col = data.draw(st.lists(_int_coeff_lists(), min_size=n, max_size=n))
-    assert _trim(_int_dot(row, col)) == reference_int_dot(row, col)
+@given(data=st.data(), dims=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3))
+def test_int_products_matches_schoolbook(data, dims):
+    n, m, k = dims
+    rows = data.draw(st.lists(st.lists(_int_coeff_lists(), min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    cols = data.draw(st.lists(st.lists(_int_coeff_lists(), min_size=m, max_size=m),
+                              min_size=k, max_size=k))
+    out = _int_products(rows, cols)
+    assert [[_trim(e) for e in col] for col in out] == [
+        [reference_int_dot(row, col) for row in rows] for col in cols
+    ]
 
 
-def test_int_dot_at_the_slot_bound():
+def test_int_products_at_the_slot_bound():
     """T products at the largest size their bit lengths allow, all of one
     sign and all landing on coefficient 0, for T = 2**m - 1 (the most the
-    term count's bit length admits): each sum sits just inside its slot."""
+    term count's bit length admits): each sum sits just inside its slot.
+    A 400-bit column beside them takes a wider slot of its own."""
     for ba, bb in ((1, 1), (7, 3), (64, 64), (200, 13)):
         ta, tb = (1 << ba) - 1, (1 << bb) - 1
         for terms in (1, 3, 7, 15):
             for sign in (1, -1):
-                row, col = [[sign * ta]] * terms, [[tb, -tb]] * terms
-                assert _int_dot(row, col) == [sign * terms * ta * tb, -sign * terms * ta * tb]
-                row, col = [[sign * ta] * 5] * terms, [[tb] * 3] * terms
-                assert _trim(_int_dot(row, col)) == reference_int_dot(row, col)
+                rows = [[[sign * ta]] * terms, [[-sign * ta]] * terms]
+                cols = [[[tb, -tb]] * terms, [[LONG]] * terms]
+                t = terms * ta * tb
+                assert _int_products(rows, cols)[0] == [[sign * t, -sign * t], [-sign * t, sign * t]]
+                rows, cols = [[[sign * ta] * 5] * terms], [[[tb] * 3] * terms, [[LONG, 1]] * terms]
+                out = _int_products(rows, cols)
+                assert [_trim(c[0]) for c in out] == [reference_int_dot(rows[0], c) for c in cols]
 
 
 @KERNELS
@@ -318,6 +366,8 @@ UNIT_DIVISORS = st.one_of(
     st.integers(min_value=1, max_value=2).flatmap(_monic_integer),
     st.sampled_from([-(X**2) + 3, (X + 1).scale(HALF), X**2 * HALF + X * HALF + 1]),
 )
+# constants +-1 once cleared: the integer route without a division
+UNIT_CONSTANTS = st.sampled_from([Poly.one(), -Poly.one(), Poly.const(HALF), Poly.const(-HALF)])
 # a non-unit leading coefficient, or Gaussian: the field route
 FIELD_DIVISORS = st.sampled_from(
     [(2 * X + 1) ** 2, (X + HALF) ** 2, 3 * X - 1, X + GaussianRational(0, 1)]
@@ -325,24 +375,37 @@ FIELD_DIVISORS = st.sampled_from(
 
 
 @pytest.mark.parametrize("route", ["integer", "field", "gaussian"])
-@settings(KERNELS, max_examples=40)
+@settings(KERNELS, max_examples=60)
 @given(
     data=st.data(),
     dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
     bump=st.one_of(st.just(0), st.integers(min_value=-3, max_value=3)),
+    shape=st.sampled_from(SHAPES),
 )
-def test_compute_E_matches_division_reference(route, data, dims, bump):
+def test_compute_E_matches_division_reference(route, data, dims, bump, shape):
     """compute_E(A, V, D) for V = W D (so A V = (A W) D), with one entry
     of V moved by the constant `bump`: the reference's quotients,
     coefficient types included, or DivisibilityFailure naming the
     reference's first non-divisible column.  One field d_i (or Gaussian
-    entries) takes the whole call off the integer route."""
+    entries) takes the whole call off the integer route.  The shapes are
+    the product's (SHAPES); under "bound" every d_i is a constant, so that
+    V keeps W's extreme coefficients."""
     rows, inner, n = dims
-    ds = [data.draw(UNIT_DIVISORS) for _ in range(n)]
+    divisors = UNIT_CONSTANTS if shape == "bound" else UNIT_DIVISORS
+    ds = [data.draw(divisors) for _ in range(n)]
     if route == "field":
         ds[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(FIELD_DIVISORS)
     A = data.draw(_matrices(gaussians if route == "gaussian" else rationals, rows, inner, 3))
     W = data.draw(_matrices(rationals, inner, n, 2))
+    if shape == "spread":
+        W = _spread(W, data.draw(st.integers(0, n - 1)))
+    elif shape == "zeros":
+        A = _zeroed(A, data.draw(st.integers(0, rows - 1)), -1)
+        W = _zeroed(W, -1, data.draw(st.integers(0, n - 1)))
+    elif shape == "bound":
+        W = data.draw(_extremes(inner, n))
+        if route != "gaussian":
+            A = data.draw(_extremes(rows, inner))
     V = [list(row) for row in (W @ MatPoly.diag(ds)).entries]
     k, i = data.draw(st.tuples(st.integers(0, inner - 1), st.integers(0, n - 1)))
     V[k][i] = V[k][i] + bump

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix
-from corpus import GROUND_TRUTH, factored, instance, locals_over_k, locals_rpr
+from corpus import (
+    GROUND_TRUTH,
+    chains_exact,
+    chains_over_k,
+    factored,
+    instance,
+    locals_over_k,
+    locals_rpr,
+)
 from smithpoly import localsmith, modular
 from smithpoly.errors import (
     MultiplicityMismatch,
@@ -32,7 +40,7 @@ from smithpoly.modular import PRIMES
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import ModularField, ResidueField
+from smithpoly.residue import BASE_FIELD, ModularField, ResidueField
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -216,11 +224,13 @@ def test_reference_agrees_on_random_matrices():
 @pytest.mark.parametrize("key", [(1, 4, "none"), (4, 4, "none"), (5, 2, "revcols")])
 def test_corpus_variant_agreement(key):
     A = instance(*key)
-    for r1, r2 in zip(locals_rpr(*key), locals_over_k(*key)):
+    for r1, r2, exact, k in zip(locals_rpr(*key), locals_over_k(*key), chains_exact(*key),
+                                chains_over_k(*key)):
         assert r1.alphas == r2.alphas
         assert r1.V == r2.V
-        exact = exact_local_multiplier(A, r1.p, sum(r1.alphas))
         assert exact.alphas == r1.alphas and exact.V == r1.V
+        # the K lane's own chains, which the modular route hides on this input
+        assert k.alphas == exact.alphas and _typed(k.V) == _typed(exact.V)
         ref = local_smith_reference(A, r1.p)
         assert ref.alphas == r1.alphas
 
@@ -619,3 +629,59 @@ def test_corrupted_reconstruction_falls_back(monkeypatch, key, fault):
         for r in (local_smith(A, p, mu) for p, mu in factored(*key).factors)
     ]
     assert got == truth
+
+
+def _spy_lanes(monkeypatch):
+    """The fields of every base-field lane built, and a residue lane that
+    fails the test if it is ever built."""
+    fields, real = [], localsmith._BaseFieldLane
+
+    def base(A, p, mu, F=BASE_FIELD):
+        fields.append(F)
+        return real(A, p, mu, F)
+
+    def residue(*args):
+        raise AssertionError("local_smith_over_K reached the residue lane")
+
+    monkeypatch.setattr(localsmith, "_BaseFieldLane", base)
+    monkeypatch.setattr(localsmith, "_ResidueLane", residue)
+    return fields
+
+
+def _fallback_cases():
+    p = X**2 + 1
+    i = GaussianRational(0, 1)
+    gaussian = MatPoly([[X - i, Poly.one()], [Poly.zero(), X + 1]])
+    yield pytest.param(None, gaussian, X - i, 1, id="gaussian")
+    tiny = _sandwich(SplitMix64(3), 2, p, [1, 2], 40)
+    yield pytest.param("primes", tiny, p, 3, id="tiny-primes")
+    for fault in (_plus_one, _times_l_minus_7):
+        for key in [(3, 2, "none"), (1, 4, "none")]:
+            for q, mu in factored(*key).factors:
+                name = f"{fault.__name__}-{key[0]}-{key[1]}-{q.human_text()}"
+                yield pytest.param(fault, instance(*key), q, mu, id=name)
+
+
+@pytest.mark.parametrize("patch, A, p, mu", _fallback_cases())
+def test_over_K_falls_back_to_the_K_lane(monkeypatch, patch, A, p, mu):
+    """Where the modular route gives no V (Gaussian input, too many bits for
+    tiny primes) or a V that fails the certificate, local_smith_over_K runs
+    the base-field lane over K and never the residue lane; its form is the
+    exact one."""
+    truth = exact_local_multiplier(A, p, mu)
+    if patch == "primes":
+        monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
+    elif patch:
+        _corrupt_reconstruction(monkeypatch, patch)
+    fields = _spy_lanes(monkeypatch)
+    res = local_smith_over_K(A, p, mu)
+    assert fields[-1] is BASE_FIELD and fields.count(BASE_FIELD) == 1
+    moduli = [F.q for F in fields[:-1]]
+    if patch is None:
+        assert moduli == []
+    elif patch == "primes":
+        assert moduli == list(TINY_PRIMES)
+    else:
+        assert moduli == list(PRIMES[: len(moduli)]) and moduli
+    assert res.alphas == truth.alphas and _typed(res.V) == _typed(truth.V)
+    _check_contract(A, p, res, mu)
