@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 any other library error, 2 not regular,
-3 verification failure, 4 parse error or a matrix file over the size cap
-(matio.MAX_ENTRIES entries), 5 bad arguments.
+3 verification failure, 4 parse error, a matrix file over the size cap
+(matio.MAX_ENTRIES entries) or a --prime exponent over poly.MAX_DEGREE,
+5 bad arguments.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ and triangularize the combination into a unimodular right multiplier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (
     EmptyInput,
@@ -17,14 +18,7 @@ from .errors import (
 from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
 from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
-from .matpoly import (
-    MatPoly,
-    _bareiss,
-    _denominators,
-    _integer_rows,
-    compute_E,
-    mat_det,
-)
+from .matpoly import MatPoly, _exact_div, _integer_rows, compute_E, mat_det
 from .poly import Poly, _from_ints, _pack, _unpack, poly_xgcd
 
 
@@ -225,59 +219,63 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
 
 
 def invert_unimodular(E: MatPoly) -> MatPoly:
-    """Exact inverse of a unimodular matrix polynomial by x-adic lifting.
+    """Exact inverse of a unimodular matrix polynomial by x-adic lifting
+    at the smallest denominator the inverse allows.
 
     Rows are scaled to integer (or Gaussian-integer) coefficients,
-    E' = R E, and E'_j is the coefficient of x^j, j <= d = deg E.  If E is
-    unimodular, c = det E'(0) = det E' != 0 and N = adj(E') is an integer
-    polynomial matrix with E' N = c I.  Its coefficients follow from
-    N_0 = adj(E'_0), N_k = -N_0 (sum_{j=1..min(k,d)} E'_j N_{k-j}) / c.
+    E' = R E, and E'_j is the coefficient of x^j, j <= d = deg E.  One
+    fraction-free Gauss-Jordan elimination on [E'(0) | I] gives c, the
+    determinant of E'(0) up to sign, and Y = c E'(0)^-1, an adjugate up
+    to the same sign; on Gaussian integers both are multiplied by the
+    conjugate of c, so that c is a rational integer.  With g the gcd of c
+    and the content of Y (over the integer parts), signed like c, the
+    lift starts from X = Y / g and delta = c / g > 0, so E'(0)^-1 = X /
+    delta in lowest terms.
 
-    The recurrence has order d, so after max(d, 1) zero N_k in a row all
-    later N_k vanish: N is then a polynomial whose product with E' equals
-    c I in every coefficient, and E^-1 = N R / c exactly.  As deg adj(E')
-    <= (n - 1) d, c = 0, an inexact quotient, or no such run by k = n d
-    means E is not unimodular.
+    It lifts M = sigma E'^-1, an integer polynomial matrix with E' M =
+    sigma I, starting from sigma = delta and M_0 = X, one power of x at
+    a time: T = X (sum_{j=1..min(k,d)} E'_j M_{k-j}) and M_k = -T /
+    delta.  If delta does not divide T, with h = gcd(delta, content T)
+    and f = delta / h, sigma and every stored M_j are multiplied by f and
+    M_k = -T / h.  So sigma is the smallest common denominator of the
+    coefficients lifted so far.  If E is unimodular, c E'^-1 = +-adj(E')
+    is integral, so sigma divides c; a sigma that does not, E(0)
+    singular, or no stop by k = n d (deg adj(E') <= (n - 1) d) means E is
+    not unimodular.  The recurrence has order d, so after max(d, 1) zero
+    M_k in a row all later M_k vanish: M is then a polynomial whose
+    product with E' equals sigma I in every coefficient, and E^-1 =
+    M R / sigma exactly.
 
-    Each row of each N_k is packed into one int (poly._pack), one B-bit
+    Each row of each M_k is packed into one int (poly._pack), one B-bit
     slot per column; a Gaussian row is a GaussianRational whose parts are
     the packed real and imaginary parts.  The sum S then costs one
-    multiply-add (an entry of E'_j times a packed row of N_{k-j}) per
-    nonzero of E'_j, N_0 S one per nonzero of N_0, and each row of N_0 S
-    is unpacked once, for the exact division by c.  A slot of N_0 S adds
-    at most t products of an N_0 entry, an E'_j entry and an N_{k-j}
-    entry (t = the most nonzeros in a row of N_0 times the most in a row
-    of E'_1, ..., E'_d; 4 t on Gaussian integers, whose products at most
-    double each part), so it is below 2**(B-1) for
+    multiply-add (an entry of E'_j times a packed row of M_{k-j}) per
+    nonzero of E'_j, X S one per nonzero of X, and each row of X S is
+    unpacked once, for the content and the exact division.  A slot of
+    X S adds at most t products of an X entry, an E'_j entry and an
+    M_{k-j} entry (t = the most nonzeros in a row of X times the most in
+    a row of E'_1, ..., E'_d; 4 t on Gaussian integers, whose products
+    at most double each part), so it is below 2**(B-1) for
     B = ba + be + bn + t.bit_length() + 1, with ba, be and bn the largest
-    bit lengths in N_0, E'_j and the N_k so far.  An N_k that raises bn
-    widens B and repacks the stored rows.
+    bit lengths in X, E'_j and the M_k so far.  An M_k that raises bn,
+    or a rescale, widens B and repacks the stored rows.
     """
     if not E.is_square():
         raise NotSquare("inverse needs a square matrix")
     n, d = E.rows, max(E.max_degree(), 0)
     one, scales, rows = _integer_rows(E.entries)
     zero, gaussian = one * 0, type(one) is not int
-    E0 = [[cs[0] if cs else zero for cs in row] for row in rows]
-    c = _bareiss(list(E0), one)
+    div = _exact_div(one)
+    c, Y = _gauss_jordan([[cs[0] if cs else zero for cs in row] for row in rows], one)
     if not c:
         raise NotUnimodular("E(0) is singular")
-
-    def exact(v):
-        # v / -c, which must be integral
-        if gaussian:
-            q = v / -c
-            whole = all(den == 1 for den in _denominators(q))
-        else:
-            q, r = divmod(v, -c)
-            whole = not r
-        if not whole:
-            raise NotUnimodular("adj(E) has a non-integral coefficient")
-        return q
 
     if gaussian:
         def bits(v):
             return max(v.re.numerator.bit_length(), v.im.numerator.bit_length())
+
+        def content(block):
+            return gcd(*(p.numerator for row in block for v in row for p in (v.re, v.im)))
 
         def pack(row):
             return GaussianRational(
@@ -288,8 +286,15 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
         def unpack(v):
             parts = (_unpack(v.re.numerator, B, n), _unpack(v.im.numerator, B, n))
             return list(map(GaussianRational, *parts))
+
+        # Y / c = Y c* / |c|**2, over a rational-integer denominator
+        cbar = GaussianRational(c.re, -c.im)
+        Y, c = [[v * cbar for v in row] for row in Y], (c * cbar).re.numerator
     else:
         bits = int.bit_length
+
+        def content(block):
+            return gcd(*(v for row in block for v in row))
 
         def pack(row):
             return _pack(row, B)
@@ -300,14 +305,16 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     def widest(block):
         return max((bits(v) for row in block for v in row), default=0)
 
-    # sparse rows of E'_j and of N_0: (column, value) per nonzero entry
+    g = gcd(c, content(Y)) if c > 0 else -gcd(c, content(Y))
+    delta = sigma = c // g
+    # sparse rows of E'_j and of X: (column, value) per nonzero entry
     e_rows = [
         [[(m, cs[j]) for m, cs in enumerate(row) if j < len(cs) and cs[j]] for row in rows]
         for j in range(d + 1)
     ]
-    N = [_adjugate(E0, one)]
-    adj_rows = [[(m, v) for m, v in enumerate(row) if v] for row in N[0]]
-    terms = max(map(len, adj_rows)) * max(
+    N = [[[div(v, g) for v in row] for row in Y]]
+    x_rows = [[(m, v) for m, v in enumerate(row) if v] for row in N[0]]
+    terms = max(map(len, x_rows)) * max(
         sum(len(e_rows[j][r]) for j in range(1, d + 1)) for r in range(n)
     )
     be = max((bits(v) for er in e_rows[1:] for row in er for _, v in row), default=0)
@@ -324,39 +331,59 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
         S = [
             sum([v * P[m] for er, P in blocks for m, v in er[r]], zero) for r in range(n)
         ]
-        Nk = [
-            [exact(t) for t in unpack(sum([v * S[m] for m, v in arow], zero))]
-            for arow in adj_rows
-        ]
+        T = [unpack(sum([v * S[m] for m, v in xrow], zero)) for xrow in x_rows]
+        h = gcd(delta, content(T))
+        repack = h != delta
+        if repack:
+            f = delta // h
+            sigma *= f
+            if c % sigma:
+                raise NotUnimodular("adj(E) has a non-integral coefficient")
+            N = [b and [[v * f for v in row] for row in b] for b in N]
+            bn += f.bit_length()
+        Nk = [[div(t, -h) for t in row] for row in T]
         nonzero = any(x for row in Nk for x in row)
         N.append(Nk if nonzero else None)
-        if nonzero and widest(Nk) > bn:
-            bn = widest(Nk)
+        if widest(Nk) > bn:
+            bn, repack = widest(Nk), True
+        if repack:
             B = fixed + bn
             packed = [b and [pack(row) for row in b] for b in N[:-1]]
         packed.append([pack(row) for row in Nk] if nonzero else None)
         run = 0 if nonzero else run + 1
 
     def entry(r, col):
-        # (N R / c)[r][col]: coefficient k from N_k, 0 from a zero N_k
+        # (M R / sigma)[r][col]: coefficient k from M_k, 0 from a zero M_k
         if gaussian:
-            return Poly([b[r][col] * scales[col] / c if b else 0 for b in N])
-        return _from_ints([b[r][col] * scales[col] if b else 0 for b in N], c)
+            return Poly([b[r][col] * scales[col] / sigma if b else 0 for b in N])
+        return _from_ints([b[r][col] * scales[col] if b else 0 for b in N], sigma)
 
     return MatPoly([[entry(r, col) for col in range(n)] for r in range(n)])
 
 
-def _adjugate(m, one):
-    """adj(m) by cofactors: (-1)^(i+j) det(m without row j and column i)."""
+def _gauss_jordan(m, one):
+    """(c, Y) for a square m: Y = c m^-1 with c = +-det m, by one
+    fraction-free Gauss-Jordan elimination on [m | I]; (0, None) if m is
+    singular.  After the step on column k every entry is a (k+1)-minor of
+    the row-permuted [m | I] (Bareiss, Math. Comp. 1968), so each quotient
+    is exact; the last pivot is c and the right half Y."""
     n = len(m)
-    return [
-        [
-            (-1) ** (i + j)
-            * _bareiss([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j], one)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    div, zero = _exact_div(one), one * 0
+    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
+    prev = one
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return zero, None
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        pk = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                rk = row[k]
+                a[i] = [div(pk * x - rk * y, prev) for x, y in zip(row, top)]
+        prev = pk
+    return prev, [row[n:] for row in a]
 
 
 def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 from math import gcd as _igcd, lcm
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 from .field import GaussianRational, format_scalar, parse_scalar
 
 
@@ -476,6 +476,10 @@ def poly_xgcd(a: Poly, b: Poly):
 
 # -- parsing ---------------------------------------------------------------
 
+# a human-form exponent above this is refused (TooLarge) before the
+# coefficient list is built
+MAX_DEGREE = 10**5
+
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)\s*"
     r"(?:(?P<coef>\(\s*[^)]*\s*\)|\d+(?:/\d+)?|i)\s*\*?\s*)?"
@@ -527,8 +531,15 @@ def _parse_human(t: str) -> Poly:
             coef = parse_scalar(coef_txt)
         k = 0
         if var is not None:
-            k = int(exp_txt) if exp_txt is not None else 1
+            k = _exponent(exp_txt) if exp_txt is not None else 1
         coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coef
         pos = m.end()
     top = max(coeffs)
     return Poly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+
+
+def _exponent(digits: str) -> int:
+    # the length test first: int() refuses a string of over 4300 digits
+    if len(digits.lstrip("0")) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+        raise TooLarge(f"exponent {digits[:20]} is above the cap {MAX_DEGREE}")
+    return int(digits)

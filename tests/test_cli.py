@@ -98,6 +98,13 @@ def test_local_rejects_reducible_prime(tmp_path, capsys, diagonal, variant):
     assert "not an irreducible polynomial" in capsys.readouterr().err
 
 
+def test_local_refuses_an_exponent_over_the_cap(tmp_path, capsys):
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.diag([X, X]))
+    assert run("local", str(a), "--prime", "l^1000000000") == 4
+    assert "above the cap" in capsys.readouterr().err
+
+
 def test_local_rejects_constant_prime(tmp_path, capsys):
     a = tmp_path / "A.mp"
     write_matpoly_file(a, MatPoly.diag([X, X]))

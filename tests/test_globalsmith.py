@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -362,6 +364,115 @@ def test_invert_random_unimodular_products():
             assert (U @ E) == MatPoly.identity(n)
 
 
+@st.composite
+def _unimodular(draw):
+    """E = S L(x) (Z + x J) U(x): S rational row scales, L and U unit
+    lower and upper with entries of degree <= 1, Z a nonsingular diagonal
+    constant and J strictly upper.  det E = det S det Z, and E^-1 holds
+    (Z^-1 J)^k Z^-1 at x^k, so its denominators can exceed those of
+    E(0)^-1 and the lift rescales."""
+    from smithpoly.field import GaussianRational as G
+
+    n = draw(st.integers(1, 5))
+    gaussian = draw(st.booleans()) and n <= 4
+    small = st.integers(-3, 3)
+    coeff = st.builds(G, small, small) if gaussian else small
+    pivot = coeff.filter(bool) if gaussian else st.sampled_from([1, -1, 2, -2, 3, 4, 6])
+
+    def unit(below):
+        return MatPoly(
+            [
+                [Poly([draw(coeff), draw(coeff)]) if below(i, j) else Poly([int(i == j)])
+                 for j in range(n)]
+                for i in range(n)
+            ]
+        )
+
+    middle = MatPoly(
+        [
+            [Poly([draw(pivot)]) if i == j else Poly([0, draw(coeff)]) if j > i else Poly.zero()
+             for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    E = unit(lambda i, j: j < i) @ middle @ unit(lambda i, j: j > i)
+    scales = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(n)]
+    return MatPoly([[e.scale(c) for e in row] for row, c in zip(E.entries, scales)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(E=_unimodular())
+def test_invert_matches_adjugate_over_det(E):
+    U = invert_unimodular(E)
+    assert U == _adjugate_over_det(E)
+    assert (U @ E) == MatPoly.identity(E.rows)
+
+
+def _gcd_calls(monkeypatch):
+    """(first argument, result) of each two-argument gcd invert_unimodular
+    takes: gcd(c, content Y) sets delta, then gcd(delta, content T) gives
+    h at each step."""
+    calls = []
+
+    def recording(*args):
+        out = gcd(*args)
+        if len(args) == 2:
+            calls.append((args[0], out))
+        return out
+
+    monkeypatch.setattr(globalsmith, "gcd", recording)
+    return calls
+
+
+def _rescale_factors(calls):
+    """f = delta / h of every step whose h is below delta."""
+    return [a // h for a, h in calls[1:] if h != a]
+
+
+def test_invert_rescales_to_the_smallest_denominator(monkeypatch):
+    """E = q I - (x + x**2) N, N the 3x3 shift and q = 2**61 - 1 prime:
+    E^-1 = sum_k ((x + x**2) N / q)**k / q has denominators q, q**2 and
+    q**3, but E(0)^-1 only q, so the lift starts at delta = q and rescales
+    by q at k = 1 and at k = 2.  At k = 2 it reads the rescaled M_0 = q I,
+    so the slots must have widened by the rescale."""
+    calls = _gcd_calls(monkeypatch)
+    q = 2**61 - 1
+    N = MatPoly([[int(j == i + 1) for j in range(3)] for i in range(3)])
+    W = MatPoly([[e * (X + X**2) for e in row] for row in N.entries])
+    E = MatPoly.diag([Poly([q])] * 3) - W
+    W = MatPoly([[e.scale(Fraction(1, q)) for e in row] for row in W.entries])
+    want = MatPoly.identity(3) + W + W @ W
+    U = invert_unimodular(E)
+    assert U == MatPoly([[e.scale(Fraction(1, q)) for e in row] for row in want.entries])
+    assert (U @ E) == MatPoly.identity(3)
+    assert _rescale_factors(calls) == [q, q]
+
+
+def test_invert_gaussian_rescales(monkeypatch):
+    """E = (2 + i) I + x N, N the 2x2 shift: E(0)^-1 = (2 - i) / 5 I, but
+    E^-1 has -x N / (2 + i)**2 = -x N (3 - 4i) / 25, so the lift rescales
+    by 5 to the rational-integer denominator 25 = |det E|**2."""
+    from smithpoly.field import GaussianRational as G
+
+    calls = _gcd_calls(monkeypatch)
+    a = G(2, 1)
+    E = MatPoly([[Poly([a]), X], [Poly.zero(), Poly([a])]])
+    U = invert_unimodular(E)
+    assert U == MatPoly([[Poly([1 / a]), Poly([0, -1 / (a * a)])], [Poly.zero(), Poly([1 / a])]])
+    assert (U @ E) == MatPoly.identity(2)
+    assert _rescale_factors(calls) == [5]
+
+
+def test_invert_rejects_a_late_inexact_quotient(monkeypatch):
+    """E = diag(2 + x**2, 2) is not unimodular.  c = 4 but delta = 2, so
+    the first inexact quotient, at k = 2, rescales to sigma = 4, which
+    divides c; the next, at k = 4, would need sigma = 8."""
+    calls = _gcd_calls(monkeypatch)
+    with pytest.raises(NotUnimodular, match="non-integral"):
+        invert_unimodular(MatPoly.diag([2 + X**2, Poly([2])]))
+    assert _rescale_factors(calls) == [2, 2]
+
+
 def test_invert_rational_rows_with_full_constant_term():
     """Rows with different denominators and a non-triangular E(0)."""
     F = Fraction
@@ -446,21 +557,27 @@ def test_invert_slot_bound_counts_terms():
 
 @pytest.mark.parametrize("kind", ["rational", "gaussian"])
 def test_invert_slot_sums_near_the_bound(kind, monkeypatch):
-    """E = e (I + x a M), M the 0/1 pattern 0 -> 1, 2, 3 -> 4: N_0 = e**4 I
-    and N_1 = -e**4 a M, so slot (0, 4) of N_0 S at k = 2 adds t = 3
-    products of one sign, each of full bit length for e = 2**64 - 1.
-    Rational a = 2**64 - 1 fills 3/4 of the slot; Gaussian a = (1 + i) a
-    doubles each product's imaginary part, 3/8 of a slot four times wider.
-    Without the sign bit, or without the Gaussian factor 4, they overflow."""
+    """E = e P (I + x a M), M the 0/1 pattern 0 -> 1, 2, 3 -> 4, P =
+    diag(p_0, ..., p_4) with e and the p_i pairwise coprime and just
+    below 2**64.  Content reduction takes e**4 out of adj E(0), so the
+    lift runs with delta = e p_0 ... p_4 and X = adj P, whose entries
+    (products of four p_j) keep their full 256 bits; N_1 = -a M adj P.
+    Slot (0, 4) of X S at k = 2 adds t = 3 products of one sign, each of
+    full bit length.  Rational a = 2**64 - 1 fills 3/4 of the slot, so
+    the sums overflow without the sign bit.  Gaussian a = (1 + i) a
+    doubles each product's imaginary part, 3/8 of a slot four times
+    wider, so they overflow without the Gaussian factor 4."""
     from smithpoly.field import GaussianRational as G
 
     e, a = 2**64 - 1, 2**64 - 1
+    ps = [2**64 - 59, 2**64 - 83, 2**64 - 95, 2**64 - 179, 2**64 - 189]
+    assert all(gcd(u, v) == 1 for u, v in itertools.combinations(ps + [e], 2))
     if kind == "gaussian":
         a = G(1, 1) * a
     edges = {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}
     M = [[int((i, j) in edges) for j in range(5)] for i in range(5)]
-    E = MatPoly([[Poly([e * (i == j), e * a * m]) for j, m in enumerate(row)]
-                 for i, row in enumerate(M)])
+    E = MatPoly([[Poly([e * p * (i == j), e * p * a * m]) for j, m in enumerate(row)]
+                 for i, (p, row) in enumerate(zip(ps, M))])
     fill = []
     unpack = globalsmith._unpack
 
@@ -473,7 +590,7 @@ def test_invert_slot_sums_near_the_bound(kind, monkeypatch):
     U = invert_unimodular(E)
     xaM = MatPoly([[Poly([0, a * m]) for m in row] for row in M])
     want = MatPoly.identity(5) - xaM + xaM @ xaM
-    assert U == MatPoly([[c.scale(Fraction(1, e)) for c in row] for row in want.entries])
+    assert U == want @ MatPoly.diag([Poly([Fraction(1, e * p)]) for p in ps])
     assert (U @ E) == MatPoly.identity(5)
     assert max(fill) > (0.7 if kind == "rational" else 0.35)
 

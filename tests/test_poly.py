@@ -1,10 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_poly
+from smithpoly.errors import TooLarge
 from smithpoly.field import GaussianRational
-from smithpoly.poly import Poly, parse_poly, poly_gcd, poly_xgcd
+from smithpoly.poly import MAX_DEGREE, Poly, parse_poly, poly_gcd, poly_xgcd
 from smithpoly.prng import SplitMix64
 
 X = Poly.x()
@@ -92,6 +94,28 @@ def test_gcd_gaussian_coeffs():
 )
 def test_parse_poly(text, expected):
     assert parse_poly(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["l^1000000000", f"2*l^{MAX_DEGREE + 1}+l", "l^" + "9" * 5000, "l^00100001"]
+)
+def test_exponent_cap_refuses_before_allocating(text):
+    """An exponent over the cap is refused as it is read: no coefficient
+    list is built, and a digit string too long for int() is no
+    ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            parse_poly(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exponent_cap_admits_its_bound():
+    assert parse_poly(f"l^{MAX_DEGREE}+1").degree == MAX_DEGREE
+    assert parse_poly("l^007") == X**7
 
 
 def test_poly_text_roundtrip():
