@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 any other library error, 2 not regular,
 3 verification failure, 4 parse error, a matrix file over the size cap
-(matio.MAX_ENTRIES entries) or a --prime exponent over poly.MAX_DEGREE,
-5 bad arguments.
+(matio.MAX_ENTRIES entries), a --prime exponent over poly.MAX_DEGREE or
+a coefficient over Python's int string conversion limit (4,300 digits by
+default), 5 bad arguments.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 
 Rational = Fraction
 
@@ -154,6 +154,9 @@ def _rational(t: str, text: str) -> Fraction:
         return Fraction(t)
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in scalar: {text!r}") from exc
+    except ValueError as exc:
+        # t matched _RAT_RE: only Python's int string conversion limit is left
+        raise TooLarge(f"scalar {text.strip()[:20]}...: {exc}") from exc
 
 
 def format_scalar(a) -> str:

@@ -19,7 +19,7 @@ from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
 from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
 from .matpoly import MatPoly, _exact_div, _integer_rows, compute_E, mat_det
-from .poly import Poly, _from_ints, _pack, _unpack, poly_xgcd
+from .poly import Poly, _from_ints, _pack, _pack_gaussian, _unpack, _unpack_gaussian, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,8 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     M R / sigma exactly.
 
     Each row of each M_k is packed into one int (poly._pack), one B-bit
-    slot per column; a Gaussian row is a GaussianRational whose parts are
-    the packed real and imaginary parts.  The sum S then costs one
+    slot per column; a Gaussian row is one GaussianRational
+    (poly._pack_gaussian).  The sum S then costs one
     multiply-add (an entry of E'_j times a packed row of M_{k-j}) per
     nonzero of E'_j, X S one per nonzero of X, and each row of X S is
     unpacked once, for the content and the exact division.  A slot of
@@ -277,16 +277,6 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
         def content(block):
             return gcd(*(p.numerator for row in block for v in row for p in (v.re, v.im)))
 
-        def pack(row):
-            return GaussianRational(
-                _pack([v.re.numerator for v in row], B),
-                _pack([v.im.numerator for v in row], B),
-            )
-
-        def unpack(v):
-            parts = (_unpack(v.re.numerator, B, n), _unpack(v.im.numerator, B, n))
-            return list(map(GaussianRational, *parts))
-
         # Y / c = Y c* / |c|**2, over a rational-integer denominator
         cbar = GaussianRational(c.re, -c.im)
         Y, c = [[v * cbar for v in row] for row in Y], (c * cbar).re.numerator
@@ -296,11 +286,13 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
         def content(block):
             return gcd(*(v for row in block for v in row))
 
-        def pack(row):
-            return _pack(row, B)
+    slots, read = (_pack_gaussian, _unpack_gaussian) if gaussian else (_pack, _unpack)
 
-        def unpack(v):
-            return _unpack(v, B, n)
+    def pack(row):
+        return slots(row, B)
+
+    def unpack(v):
+        return read(v, B, n)
 
     def widest(block):
         return max((bits(v) for row in block for v in row), default=0)

@@ -121,6 +121,9 @@ def read_matpoly_json(text: str) -> MatPoly:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    except ValueError as exc:
+        # a bare integer over Python's int string conversion limit
+        raise TooLarge(f"JSON number: {exc}") from exc
     try:
         rows, cols = _json_int(doc["rows"]), _json_int(doc["cols"])
         over = doc["over"]

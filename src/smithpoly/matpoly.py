@@ -22,6 +22,7 @@ from .errors import (
 )
 from .field import GaussianRational
 from .poly import Poly, _cleared, _from_ints, _int_divmod, _pack, _unpack
+from .poly import _pack_gaussian, _unpack_gaussian
 
 
 class MatPoly:
@@ -227,13 +228,8 @@ def mat_det(A: MatPoly) -> Poly:
     makes every entry an integer (or Gaussian-integer) polynomial, and the
     result is divided once by the product of the scales.  deg det is at
     most bound = min(sum of row degrees, sum of column degrees).  A zero
-    row or column gives zero.
-
-    Integer rows pack (_det_packed): Kronecker substitution x = 2**B with
-    B from the Goldstein-Graham bound, one fraction-free Bareiss on the
-    packed integers, and bound + 1 signed B-bit slots read back.  Gaussian
-    rows evaluate: Horner at bound + 1 integer points, Bareiss at each,
-    and _interpolate."""
+    row or column gives zero.  The scaled rows take one packed Bareiss
+    elimination (_det_packed)."""
     if not A.is_square():
         raise NotSquare("determinant needs a square matrix")
     if A.rows == 1:
@@ -243,31 +239,38 @@ def mat_det(A: MatPoly) -> Poly:
     if min(row_deg + col_deg) < 0:
         return Poly.zero()
     one, scales, rows = _integer_rows(A.entries)
-    bound = min(sum(row_deg), sum(col_deg))
+    coeffs = _det_packed(rows, min(sum(row_deg), sum(col_deg)), one)
     if type(one) is int:
-        return _from_ints(_det_packed(rows, bound), prod(scales))
-    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
-    values = [
-        _bareiss([[_horner(cs, x, one) for cs in row] for row in rows], one)
-        for x in points
-    ]
-    coeffs = _interpolate(points, values, _exact_div(one))
+        return _from_ints(coeffs, prod(scales))
     return Poly(coeffs).scale(Fraction(1, prod(scales)))
 
 
-def _det_packed(rows, bound) -> list:
-    """The bound + 1 coefficients of det of integer rows.  Goldstein-Graham:
-    every coefficient is at most sqrt(H), H = prod_i sum_j |a_ij|_1**2, and
-    sqrt(H) < isqrt(H) + 1 < 2**(B-1), so each fits a signed B-bit slot.
-    Slots that do not pack back to the Bareiss value are a broken bound,
-    raised, never a wrong det."""
-    H = prod(sum(sum(map(abs, cs)) ** 2 for cs in row) for row in rows)
+def _det_packed(rows, bound, one) -> list:
+    """The bound + 1 coefficients of det of integer (Gaussian-integer, for
+    one = GaussianRational(1)) rows, by Kronecker substitution x = 2**B:
+    one fraction-free Bareiss on the packed entries, exact over Z and
+    Z[i], and bound + 1 signed B-bit slots read back (both parts of a
+    Gaussian value apart, poly._pack_gaussian).  Goldstein-Graham: the
+    modulus of every coefficient is at most sqrt(H), H = prod_i sum_j
+    |a_ij|_1**2, with |re| + |im| bounding the modulus of a Gaussian
+    coefficient; sqrt(H) < isqrt(H) + 1 < 2**(B-1), so each part fits a
+    signed B-bit slot.  Slots that do not pack back to the Bareiss value
+    are a broken bound, raised, never a wrong det."""
+    if type(one) is int:
+        size, pack, unpack = abs, _pack, _unpack
+    else:
+        size, pack, unpack = _modulus_bound, _pack_gaussian, _unpack_gaussian
+    H = prod(sum(sum(map(size, cs)) ** 2 for cs in row) for row in rows)
     B = (isqrt(H) + 1).bit_length() + 1
-    v = _bareiss([[_pack(cs, B) for cs in row] for row in rows], 1)
-    coeffs = _unpack(v, B, bound + 1)
-    if _pack(coeffs, B) != v:
+    v = _bareiss([[pack(cs, B) for cs in row] for row in rows], one)
+    coeffs = unpack(v, B, bound + 1)
+    if pack(coeffs, B) != v:
         raise SmithError("packed determinant outgrew its slots")
     return coeffs
+
+
+def _modulus_bound(c) -> int:
+    return abs(c.re.numerator) + abs(c.im.numerator)
 
 
 def _integer_rows(entries):
@@ -333,13 +336,6 @@ def _denominators(c):
     return (c.denominator,)
 
 
-def _horner(coeffs, x, one):
-    acc = one * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _exact_div(one):
     """Exact division for the kind of `one`: `/` on Gaussian integers held
     as GaussianRational, `//` on int that raises where it would floor."""
@@ -372,22 +368,6 @@ def _bareiss(m, one):
         ]
         prev = pivot
     return m[0][0] * sign if m else one
-
-
-def _interpolate(points, values, div) -> list:
-    """Coefficients, lowest first, of the polynomial with values[k] at the
-    integer points[k].  An integer (Gaussian-integer) polynomial has integer
-    divided differences, so Newton's table runs on the exact `div`; Horner
-    on coefficient lists, acc * (X - x) + c, expands the Newton form."""
-    n = len(points)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = div(coef[i] - coef[i - 1], points[i] - points[i - j])
-    acc = [coef[-1]]
-    for x, c in zip(reversed(points[:-1]), reversed(coef[:-1])):
-        acc = [c - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
-    return acc
 
 
 # -- expansion in powers of p --------------------------------------------

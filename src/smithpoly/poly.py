@@ -382,6 +382,24 @@ def _unpack(v: int, B: int, count: int) -> list:
     return out
 
 
+def _pack_gaussian(values, B: int) -> GaussianRational:
+    """Gaussian integers (GaussianRational with integer parts) in B-bit
+    slots: one GaussianRational whose parts are _pack of the real parts
+    and of the imaginary parts, the polynomial with coefficients `values`
+    at x = 2**B."""
+    return GaussianRational(
+        _pack([v.re.numerator for v in values], B),
+        _pack([v.im.numerator for v in values], B),
+    )
+
+
+def _unpack_gaussian(v: GaussianRational, B: int, count: int) -> list:
+    """The first `count` slots of _pack_gaussian(_, B), both parts read
+    as _unpack reads them."""
+    parts = _unpack(v.re.numerator, B, count), _unpack(v.im.numerator, B, count)
+    return list(map(GaussianRational, *parts))
+
+
 _ZERO = Poly.__new__(Poly)
 object.__setattr__(_ZERO, "coeffs", ())
 _ONE = Poly.__new__(Poly)

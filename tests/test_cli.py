@@ -274,3 +274,28 @@ def test_size_cap_exit_code(tmp_path, capsys):
     f.write_text("matpoly 100000000 100000000 over Q\nentry 1 1: 1\n")
     assert run("compute", str(f)) == 4
     assert "more than" in capsys.readouterr().err
+
+
+_LONG = "1" * 5000  # over Python's 4,300-digit int string conversion limit
+
+
+@pytest.mark.parametrize(
+    "name, body, extra",
+    [
+        ("A.mp", "matpoly 1 1 over Q\nentry 1 1: 1 1\n", ["--prime", _LONG]),
+        ("A.mp", f"matpoly 1 1 over Q\nentry 1 1: {_LONG} 1\n", []),
+        ("A.json", '{"rows": 1, "cols": 1, "over": "Q", "entries": '
+                   f'[{{"i": 1, "j": 1, "coeffs": [{_LONG}]}}]}}', []),
+        ("A.json", json.dumps({"rows": 1, "cols": 1, "over": "Q",
+                               "entries": [{"i": 1, "j": 1, "coeffs": [_LONG, "1"]}]}), []),
+    ],
+)
+def test_overlong_coefficient_exits_4(tmp_path, capsys, name, body, extra):
+    """A --prime or a text or JSON entry with a 5,000-digit coefficient,
+    bare JSON number or string, is TooLarge: exit 4, no traceback."""
+    f = tmp_path / name
+    f.write_text(body)
+    assert run("local" if extra else "compute", str(f), *extra) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "limit" in err

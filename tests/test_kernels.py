@@ -1,10 +1,10 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
-MatPoly @, compute_E and the interpolation mat_det runs on Gaussian rows
-(its packed route for integer rows is checked in test_matpoly.py), each
-against a plain reference written here over the field, for the
-packed-integer kernel (_pack, _unpack and the Kronecker-packed product
-_int_products), and for the echelon kernel over Q and over R/pR, whole (_rref)
-and grown by blocks of columns (_Echelon).
+MatPoly @ and compute_E, each against a plain reference written here over
+the field, for the packed-integer kernel (_pack, _unpack and the
+Kronecker-packed product _int_products), for the exact integer division
+of the fraction-free eliminations (mat_det itself is checked in
+test_matpoly.py), and for the echelon kernel over Q and over R/pR, whole
+(_rref) and grown by blocks of columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -29,7 +29,7 @@ from smithpoly import (
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
-from smithpoly.matpoly import _exact_div, _int_products, _interpolate
+from smithpoly.matpoly import _exact_div, _int_products
 from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
 
@@ -438,73 +438,14 @@ def test_compute_E_rejects_a_bad_D():
         compute_E(A, V, MatPoly.diag([X, 0]))
 
 
-def _nodes(count):
-    """The evaluation points of mat_det on Gaussian rows: 0, 1, -1, 2, ..."""
-    return [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(count)]
-
-
-def reference_lagrange(points, values):
-    """sum_k values[k] * prod_{j != k} (X - x_j) / (x_k - x_j) on Fractions,
-    coefficients lowest first."""
-    out = [Fraction(0)] * len(points)
-    for k, (xk, yk) in enumerate(zip(points, values)):
-        basis, scale = [Fraction(1)], yk
-        for j, xj in enumerate(points):
-            if j != k:
-                basis = [Fraction(0)] + basis
-                basis = [a - xj * b for a, b in zip(basis, basis[1:] + [0])]
-                scale = scale / Fraction(xk - xj)
-        out = [a + scale * b for a, b in zip(out, basis)]
-    return _trim(out)
-
-
-gaussian_ints = st.builds(GaussianRational, small_ints, small_ints)
-
-
-@KERNELS
-@given(
-    coeffs=st.one_of(coeff_lists(small_ints, 7), coeff_lists(gaussian_ints, 6)),
-    extra=st.integers(min_value=0, max_value=3),
-)
-def test_interpolate_matches_lagrange(coeffs, extra):
-    """Integer and Gaussian-integer polynomials at mat_det's Gaussian
-    nodes, with up to three points more than the degree needs: the exact
-    Newton kernel returns the polynomial, as the Lagrange form on Fractions
-    does."""
-    one = GaussianRational(1) if any(isinstance(c, GaussianRational) for c in coeffs) else 1
-    points = _nodes(max(len(coeffs), 1) + extra)
-    values = [sum((c * x**k for k, c in enumerate(coeffs)), one * 0) for x in points]
-    got = _interpolate(points, values, _exact_div(one))
-    assert len(got) == len(points)
-    assert all(type(c) is type(one) for c in got)
-    assert _trim(got) == _trim(coeffs) == reference_lagrange(points, values)
-
-
-@KERNELS
-@given(
-    coeffs=coeff_lists(small_ints, 6),
-    count=st.integers(min_value=4, max_value=8),
-    data=st.data(),
-)
-def test_interpolate_raises_on_non_integer_polynomial(coeffs, count, data):
-    """One value of an integer polynomial moved by one: the interpolant's
-    top coefficient gains 1 / prod_{j != k} (x_k - x_j), not an integer from
-    four nodes on (three distinct nonzero integers have a product of at
-    least 2), so the integer kernel raises instead of flooring."""
-    points = _nodes(max(len(coeffs), count))
-    values = [sum(c * x**k for k, c in enumerate(coeffs)) for x in points]
-    k = data.draw(st.integers(min_value=0, max_value=len(points) - 1))
-    values[k] += 1
-    assert reference_lagrange(points, values)[-1].denominator > 1
-    with pytest.raises(DivisibilityFailure, match="not a multiple"):
-        _interpolate(points, values, _exact_div(1))
-
-
-def test_interpolate_does_not_floor():
-    """l (l - 1) / 2 at 0, 1, -1 is 0, 0, 1: its second divided difference
-    is 1/2, which `//` would floor to 0."""
-    with pytest.raises(DivisibilityFailure):
-        _interpolate([0, 1, -1], [0, 0, 1], _exact_div(1))
+def test_exact_div_does_not_floor():
+    """The integer division of _bareiss and _gauss_jordan raises where `//`
+    would floor: 1 // 2 and -7 // 2 are not exact, -6 // 3 is."""
+    div = _exact_div(1)
+    assert div(-6, 3) == -2 and div(0, 5) == 0
+    for a, b in [(1, 2), (-7, 2), (7, -2)]:
+        with pytest.raises(DivisibilityFailure, match="not a multiple"):
+            div(a, b)
 
 
 # -- the echelon kernel ------------------------------------------------------

@@ -157,11 +157,18 @@ def test_det_matches_leibniz_random(kind):
 
 def test_packed_det_refuses_a_truncated_read():
     """Slots that do not pack back to the Bareiss value are an internal
-    error, never a wrong polynomial: here one slot too few is read."""
+    error, never a wrong polynomial: here one slot too few is read.  With
+    its first row times i, det is -2i + 16i x - 6i x^2, so only the
+    imaginary parts show the lost top slot."""
     rows = _SLOT_EDGE[0]
-    assert matpoly._det_packed(rows, 2) == [-2, 16, -6]
+    assert matpoly._det_packed(rows, 2, 1) == [-2, 16, -6]
     with pytest.raises(SmithError, match="outgrew"):
-        matpoly._det_packed(rows, 1)
+        matpoly._det_packed(rows, 1, 1)
+    one, i = GaussianRational(1), GaussianRational(0, 1)
+    rows = [[[c * s for c in cs] for cs in row] for s, row in zip((i, one), rows)]
+    assert matpoly._det_packed(rows, 2, one) == [-2 * i, 16 * i, -6 * i]
+    with pytest.raises(SmithError, match="outgrew"):
+        matpoly._det_packed(rows, 1, one)
 
 
 def test_unimodular_examples():

@@ -124,3 +124,11 @@ def test_poly_text_roundtrip():
         f = random_poly(rng, rng.below(7))
         assert parse_poly(f.coeff_text()) == f
         assert parse_poly(f.human_text()) == f
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "l + 1/" + "1" * 5000, "(1+" + "1" * 5000 + "i) l"])
+def test_overlong_coefficient_is_too_large(text):
+    """A coefficient over Python's int string conversion limit is
+    TooLarge, not a raw ValueError."""
+    with pytest.raises(TooLarge, match="limit"):
+        parse_poly(text)

@@ -1,7 +1,7 @@
 """sympy as an optional third oracle for the layers around the local
-forms: mat_det against sympy.Matrix.det and factor_over_rationals against
-sympy.factor_list, on derandomized random rational inputs.  Skipped where
-sympy is not installed."""
+forms: mat_det against sympy's DomainMatrix determinant on derandomized
+random matrices over Q and over Q+iQ, and factor_over_rationals against sympy.factor_list
+on random rational polynomials.  Skipped where sympy is not installed."""
 
 from fractions import Fraction
 
@@ -11,8 +11,10 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from smithpoly.factorization import factor_over_rationals  # noqa: E402
+from smithpoly.field import GaussianRational as G  # noqa: E402
 from smithpoly.matpoly import MatPoly, mat_det  # noqa: E402
 from smithpoly.poly import Poly  # noqa: E402
 
@@ -21,34 +23,44 @@ LAM = sympy.Symbol("l")
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(rationals, max_size=4).map(Poly)
+gaussians = st.builds(G, rationals, rationals)
+gaussian_polys = st.lists(st.one_of(rationals, gaussians), max_size=4).map(Poly)
+
+
+def _sympy_scalar(c):
+    if isinstance(c, G):
+        return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)
+    return sympy.Rational(c.numerator, c.denominator)
 
 
 def _to_sympy(f: Poly):
-    return sum(
-        (sympy.Rational(c.numerator, c.denominator) * LAM**k for k, c in enumerate(f.coeffs)),
-        sympy.Integer(0),
-    )
+    return sum((_sympy_scalar(c) * LAM**k for k, c in enumerate(f.coeffs)), sympy.Integer(0))
 
 
 def _from_sympy(expr) -> Poly:
-    coeffs = sympy.Poly(expr, LAM, domain="QQ").all_coeffs()[::-1]
-    return Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+    coeffs = sympy.Poly(sympy.expand(expr), LAM).all_coeffs()[::-1]
+    return Poly([_from_sympy_scalar(c) for c in coeffs])
+
+
+def _from_sympy_scalar(c):
+    re, im = (Fraction(int(v.p), int(v.q)) for v in c.as_real_imag())
+    return G(re, im) if im else re
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, entries):
     n = draw(st.integers(min_value=1, max_value=4))
-    return MatPoly([[draw(polys) for _ in range(n)] for _ in range(n)])
+    return MatPoly([[draw(entries) for _ in range(n)] for _ in range(n)])
 
 
 def _rows_over(rows, dens, scale=1):
     return MatPoly(
-        [[Poly(cs).scale(Fraction(scale, d)) for cs in row] for row, d in zip(rows, dens)]
+        [[Poly(cs).scale(scale * Fraction(1, d)) for cs in row] for row, d in zip(rows, dens)]
     )
 
 
 @ORACLE
-@given(_matrices())
+@given(st.one_of(_matrices(polys), _matrices(gaussian_polys)))
 # det near the packed route's slot bound, negative in the lowest and top
 # slot, each row over its own denominator
 @example(_rows_over([[[-1, 2], [0, -3]], [[3], [2, -3]]], (5, 7)))
@@ -58,9 +70,14 @@ def _rows_over(rows, dens, scale=1):
 @example(
     _rows_over([[[1, 2, -2], [3], [0, 1]], [[-1], [4, 0, 5], [2]], [[7, 1], [-3], [1, 1, 1]]], (2, 1, 9), 3**250)
 )
+# Gaussian: a slot-edge matrix times i, whose det is purely imaginary, and
+# a 400-bit factor on entries with nonzero imaginary parts
+@example(_rows_over([[[-3], [2], [0, -1]], [[-1, 1], [-3], [1]], [[-2], [-1], [0, 3]]], (1, 3, 2), G(0, 1)))
+@example(_rows_over([[[2, G(-1, 3)], [G(0, 3)]], [[G(-5, 2)], [G(1, 1), 4]]], (3, 1), 3**250))
 def test_mat_det_matches_sympy(A):
-    M = sympy.Matrix([[_to_sympy(e) for e in row] for row in A.entries])
-    assert mat_det(A) == _from_sympy(M.det(method="berkowitz"))
+    # sympy's own determinant over QQ[l] or QQ_I[l]
+    M = DomainMatrix.from_Matrix(sympy.Matrix([[_to_sympy(e) for e in row] for row in A.entries]))
+    assert mat_det(A) == _from_sympy(M.domain.to_sympy(M.det()))
 
 
 @st.composite
