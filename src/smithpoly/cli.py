@@ -25,7 +25,7 @@ from .errors import (
 )
 from .factorization import factor_over_rationals
 from .families import PERMUTATIONS, FamilySpec, gen_test_matrix
-from .field import GaussianRational
+from .field import GaussianRational, format_scalar
 from .globalsmith import factor_determinant, smith_with_multipliers
 from .localsmith import invertible_mod_p, local_smith, local_smith_over_K
 from .matio import (
@@ -169,7 +169,7 @@ def _check_irreducible(p: Poly, text: str):
 
 def _cmd_factor_det(args) -> int:
     fact = factor_determinant(read_matpoly_file(args.file))
-    print(f"unit {fact.unit}")
+    print(f"unit {format_scalar(fact.unit)}")
     for p, e in fact.factors:
         print(f"factor {p.human_text()} {e}")
     return EXIT_OK

@@ -160,7 +160,17 @@ def _rational(t: str, text: str) -> Fraction:
 
 
 def format_scalar(a) -> str:
-    """Canonical textual form; round-trips exactly through parse_scalar."""
+    """Canonical textual form; round-trips exactly through parse_scalar.
+    A part whose integers pass Python's int string conversion limit
+    raises TooLarge."""
+    try:
+        return _format(a)
+    except ValueError as exc:
+        # str(int) refuses more than sys.get_int_max_str_digits() digits
+        raise TooLarge(f"a coefficient is too long to write: {exc}") from exc
+
+
+def _format(a) -> str:
     if isinstance(a, GaussianRational):
         if a.im == 0:
             return str(a.re)

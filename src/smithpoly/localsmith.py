@@ -29,7 +29,6 @@ only as a slow cross-checking oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, compress
 
@@ -435,7 +434,8 @@ class _BaseFieldLane:
     lane's residual of a k-block chain is then sum_j G_{k-j} block_j, with
     G_t the rem map of digit t plus the quo map of digit t - 1, each an
     (s n) x (s n) matrix over F; G_0 is the tableau.  No polynomial
-    arithmetic runs in the kernel.
+    arithmetic runs in the kernel.  Round k reads G_0..G_k, and G_t is
+    built when a round first reads it (_map).
 
     A is held as planes: plane k lists coefficient k of every entry, row
     by row, so the digit expansion and the rem maps run a whole plane per
@@ -447,20 +447,26 @@ class _BaseFieldLane:
     lost), reduce, dot and decode."""
 
     def __init__(self, A: MatPoly, p: Poly, mu: int, F=BASE_FIELD):
+        # mu goes unread: the maps are built on demand
         check_modulus(p)
-        self.F, reduce = F, F.reduce
-        s, n, nc = p.degree, A.rows, A.cols
-        w = self.width = s * n
-        self.s = s
-        self.p = pf = F.embed(p.coeffs)
+        self.F = F
+        s, n = p.degree, A.rows
+        self.s, self.width = s, s * n
+        self.p = F.embed(p.coeffs)
+        planes = [F.embed(plane) for plane in _coefficient_planes(A)]
         self.G = []
+        self._maps = self._digit_maps(_plane_digits(planes, self.p, F.reduce), n, A.cols)
+        self.sparse = {}  # k -> the rows of [G_k, G_{k-1}, ..., G_1], sparse
+
+    def _digit_maps(self, digits, n, nc):
+        """G_0, G_1, ...: the maps of the successive digits."""
+        s, pf, reduce = self.s, self.p, self.F.reduce
         zero = [0] * (n * nc)
         # e l**b = quo_b p + rem_b: quo_b = sum_m c_{b-1-m} l**m, where c_b
         # is coefficient s-1 of rem_b; `carries` holds the c_b of digit t-1
         carries = [zero] * s
-        planes = [F.embed(plane) for plane in _coefficient_planes(A)]
-        for digit in _plane_digits(planes, pf, mu, reduce):
-            G = [[0] * (s * nc) for _ in range(w)]
+        for digit in digits:
+            G = [[0] * (s * nc) for _ in range(self.width)]
             R, now = digit, []  # R[a]: coefficient a of rem_b, for each entry
             for b in range(s):
                 if b:
@@ -474,17 +480,21 @@ class _BaseFieldLane:
                     for i in range(n):
                         G[i * s + a][b::s] = plane[i * nc : (i + 1) * nc]
             carries = now
-            self.G.append(G)
-        self.sparse = {}  # k -> the rows of [G_k, G_{k-1}, ..., G_1], sparse
+            yield G
+
+    def _map(self, t):
+        while len(self.G) <= t:
+            self.G.append(next(self._maps))
+        return self.G[t]
 
     def tableau(self):
-        return self.G[0]
+        return self._map(0)
 
     def _rows(self, k):
         if k not in self.sparse:
             rows = []
             for r in range(self.width):
-                full = list(chain.from_iterable(self.G[k - j][r] for j in range(k)))
+                full = list(chain.from_iterable(self._map(k - j)[r] for j in range(k)))
                 rows.append((list(compress(range(len(full)), full)), list(filter(None, full))))
             self.sparse[k] = rows
         return self.sparse[k]
@@ -518,15 +528,15 @@ def _coefficient_planes(A: MatPoly) -> list:
     return planes
 
 
-def _plane_digits(planes, p, count, reduce):
-    """The first `count` digits of the planes in powers of the monic p
-    (zero digits past the last), each as s planes.  A division reduces a
-    plane where it reads a quotient coefficient and once at the end, and
-    leaves an entry whose quotient coefficient is zero as it is, as a
-    polynomial division would (that keeps Gaussian coefficient types)."""
+def _plane_digits(planes, p, reduce):
+    """The digits of the planes in powers of the monic p, lowest first and
+    each as s planes, one per next() (zero digits past the last).  A
+    division reduces a plane where it reads a quotient coefficient and
+    once at the end, and leaves an entry whose quotient coefficient is
+    zero as it is, as a polynomial division would (that keeps Gaussian
+    coefficient types)."""
     s, size = len(p) - 1, len(planes[0])
-    out = []
-    while len(out) < count:
+    while True:
         a = planes + [[0] * size] * (s - len(planes))
         planes = [None] * (len(a) - s)
         for i in range(len(a) - 1, s - 1, -1):
@@ -534,10 +544,9 @@ def _plane_digits(planes, p, count, reduce):
             for j, pj in enumerate(p[:s]):
                 if pj:
                     a[i - s + j] = [x - pj * y if y else x for x, y in zip(a[i - s + j], f)]
-        out.append([reduce(a[j]) for j in range(s)])
+        yield [reduce(a[j]) for j in range(s)]
         if not planes:
             planes = [[0] * size]
-    return out
 
 
 def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
@@ -558,7 +567,7 @@ def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
     pivot the run meets over Q, V mod q is the image of the exact V, and
     the margin makes a wrong reconstruction unlikely; the caller's
     certificate decides."""
-    if not all(type(c) is Fraction for e in chain([p], *A.entries) for c in e.coeffs):
+    if any(e._nums is None for e in chain([p], *A.entries)):
         return None
     image, M = None, 1
     for q in modular.PRIMES:
@@ -566,7 +575,7 @@ def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
             loc = _local_chains(A, p, mu, partial(_BaseFieldLane, F=ModularField(q)))
         except (SmithError, UnluckyPrime):
             return None
-        now = [[[c.numerator for c in e.coeffs] for e in row] for row in loc.V.entries]
+        now = [[list(e._nums) for e in row] for row in loc.V.entries]
         if image is None:
             image, alphas = now, loc.alphas
         elif loc.alphas != alphas:

@@ -21,7 +21,7 @@ from .errors import (
     SmithError,
 )
 from .field import GaussianRational
-from .poly import Poly, _cleared, _from_ints, _int_divmod, _pack, _unpack
+from .poly import Poly, _from_ints, _int_divmod, _pack, _unpack
 from .poly import _pack_gaussian, _unpack_gaussian
 
 
@@ -170,11 +170,11 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     """E with E*D = A*V, by exact division of column i of A*V by d_i.
 
     D must be diagonal with V's column count and no zero d_i.  Rational A
-    and V with every d_i of leading coefficient +-1 once its denominators
-    are cleared (every monic integer d_i) divide on integers: the product
-    of A's integer rows and V's integer columns, by _int_products as in @,
-    goes column by column through _int_divmod by d_i's cleared
-    coefficients, or is only negated where those are +-1.  Other operands
+    and V with every d_i's numerators of leading coefficient +-1 (every
+    monic integer d_i) divide on integers: the product of A's integer
+    rows and V's integer columns, by _int_products as in @, goes column
+    by column through _int_divmod by d_i's numerators, or is only negated
+    where those are +-1.  Other operands
     take A @ V and Poly.divmod."""
     n = V.cols
     if A.cols != V.rows or D.rows != n or D.cols != n:
@@ -187,11 +187,11 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
             raise DivisibilityFailure(f"column {i + 1} of A*V: d_{i + 1} is zero")
     one_a, ra, rows = _integer_rows(A.entries)
     one_v, cv, cols = _integer_rows(list(zip(*V.entries)))
-    cleared = [_cleared(d.coeffs) for d in ds]
-    unit = all(c and c[0][-1] in (1, -1) for c in cleared)
+    unit = all(d._nums is not None and d._nums[-1] in (1, -1) for d in ds)
     if type(one_a) is int and type(one_v) is int and unit:
         out = [[None] * n for _ in rows]
-        for i, (prod_i, (b, sb)) in enumerate(zip(_int_products(rows, cols), cleared)):
+        for i, (prod_i, d) in enumerate(zip(_int_products(rows, cols), ds)):
+            b, sb = d._nums, d._den
             if len(b) == 1:
                 sb *= b[0]  # d_i = +-1: the quotient is the product, signed
             for r, c in enumerate(prod_i):
@@ -199,7 +199,7 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
                     c, rem = _int_divmod(c, b)
                     if rem:
                         raise _not_divisible(i)
-                out[r][i] = _from_ints([x * sb for x in c], ra[r] * cv[i])
+                out[r][i] = _from_ints([x * sb for x in c] if sb != 1 else c, ra[r] * cv[i])
         return MatPoly(out)
     AV = A @ V
     cols = []
@@ -276,25 +276,25 @@ def _modulus_bound(c) -> int:
 def _integer_rows(entries):
     """(one, scales, rows) for rows of Poly entries: rows[i][j] lists the
     coefficients of scales[i] * entries[i][j], scales[i] the lcm of row i's
-    denominators; int over Q, Gaussian integers held as GaussianRational
-    (and one = GaussianRational(1)) else."""
-    gaussian = any(
-        isinstance(c, GaussianRational) for row in entries for e in row for c in e.coeffs
-    )
-    one = GaussianRational(1) if gaussian else 1
+    denominators.  Over Q they are ints, read off the integer forms: the
+    scale is the lcm of the row's dens, and no coefficient is scanned.
+    With a Gaussian entry they are Gaussian integers held as
+    GaussianRational, and one = GaussianRational(1)."""
     scales, rows = [], []
+    if all(e._nums is not None for row in entries for e in row):
+        for row in entries:
+            m = lcm(*[e._den for e in row])
+            scales.append(m)
+            rows.append([
+                e._nums if e._den == m else [c * (m // e._den) for c in e._nums]
+                for e in row
+            ])
+        return 1, scales, rows
+    one = GaussianRational(1)
     for row in entries:
-        if gaussian:
-            m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
-        else:
-            m = lcm(*[c.denominator for e in row for c in e.coeffs])
+        m = lcm(*(q for e in row for c in e.coeffs for q in _denominators(c)))
         scales.append(m)
-        if gaussian:
-            rows.append([[one * (c * m) for c in e.coeffs] for e in row])
-        elif m == 1:
-            rows.append([[c.numerator for c in e.coeffs] for e in row])
-        else:
-            rows.append([[c.numerator * (m // c.denominator) for c in e.coeffs] for e in row])
+        rows.append([[one * (c * m) for c in e.coeffs] for e in row])
     return one, scales, rows
 
 
@@ -401,14 +401,13 @@ def _digits(e: Poly, p: Poly, count=None) -> list:
     rational and p integral."""
     if count is None:
         count = e.degree // p.degree + 1
-    ip, ie = _cleared(p.coeffs), _cleared(e.coeffs)
-    if ip is None or ip[1] != 1 or ie is None:
+    b, a, den = p._nums, e._nums, e._den
+    if b is None or p._den != 1 or a is None:
         ds = []
         while not e.is_zero() and len(ds) < count:
             e, r = e.divmod(p)
             ds.append(r)
         return ds
-    (b, _), (a, den) = ip, ie
     ds = []
     while a and len(ds) < count:
         a, r = _int_divmod(a, b)

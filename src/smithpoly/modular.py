@@ -10,11 +10,10 @@ with a margin of ``MARGIN`` bits (Wang, Guy & Davenport, SIGSAM Bull.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .matpoly import MatPoly
-from .poly import Poly
+from .poly import _from_ints
 
 # The moduli, in the order tried: the largest primes below 2**127.  A
 # local multiplier needing more is left to the exact lane.
@@ -36,7 +35,8 @@ def crt(image, M, now, q):
 
 def reconstruct(image, M):
     """The MatPoly over Q with the image mod M, or None when a coefficient
-    has no fraction within the bound."""
+    has no fraction within the bound.  Each entry is built in its integer
+    form, over the lcm of its coefficients' denominators."""
     bound = isqrt(M >> (MARGIN + 1))
     rows = []
     for row in image:
@@ -45,15 +45,17 @@ def reconstruct(image, M):
             cs = [wang(u, M, bound) for u in coeffs]
             if any(c is None for c in cs):
                 return None
-            out.append(Poly(cs))
+            den = lcm(*[d for _, d in cs])
+            out.append(_from_ints([n * (den // d) for n, d in cs], den))
         rows.append(out)
     return MatPoly(rows)
 
 
 def wang(u, M, bound):
-    """The fraction n/d == u mod M with |n|, d <= bound, or None: the
-    extended Euclidean algorithm on (M, u), stopped at the first remainder
-    <= bound.  With 2 bound**2 < M such a fraction is unique."""
+    """(n, d) with n/d == u mod M, |n| <= bound and 0 < d <= bound, in
+    lowest terms, or None: the extended Euclidean algorithm on (M, u),
+    stopped at the first remainder <= bound.  With 2 bound**2 < M such a
+    fraction is unique."""
     r0, r1, t0, t1 = M, u, 0, 1
     while r1 > bound:
         k = r0 // r1
@@ -61,4 +63,4 @@ def wang(u, M, bound):
         t0, t1 = t1, t0 - k * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)

@@ -1,15 +1,25 @@
 """Dense univariate polynomials over an exact field (Q or Q+iQ).
 
-Coefficients are stored ascending; the representation is canonical (no
-trailing zeros), so ``==`` on Poly is exact mathematical equality.  The
-zero polynomial has an empty coefficient tuple and degree -1.
+Coefficients are ascending, with no trailing zeros; the zero polynomial
+has none and degree -1.
+
+A rational polynomial is held in its integer form (nums, den): den > 0
+is the lcm of the coefficient denominators and nums[k] = den * c_k, so
+gcd(den, *nums) == 1.  The form is canonical, so ``==`` compares it
+directly, and every rational producer (the constructor, _from_ints and
+the arithmetic here, and the integer kernels of matpoly and
+globalsmith) stores it after one gcd and builds no Fraction.  ``coeffs``,
+the tuple of Fraction coefficients, is built from the integer form on
+its first read (_view) and then stored.  A polynomial with a Gaussian
+coefficient keeps a coefficient tuple and has no integer form.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from math import gcd as _igcd, lcm
+from math import gcd, lcm
 
 from .errors import ParseError, TooLarge
 from .field import GaussianRational, format_scalar, parse_scalar
@@ -24,16 +34,31 @@ def _coerce(c):
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    # _nums and _den: the integer form, None for Gaussian coefficients;
+    # _len: the number of coefficients; coeffs: unset until first read
+    # on an integer form (__getattr__)
+    __slots__ = ("coeffs", "_nums", "_den", "_len")
 
-    def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            return _form(tuple(_strip(cs)), 1)
+        cs = _strip([_coerce(c) for c in cs])
+        if not all(isinstance(c, Fraction) for c in cs):
+            return _form(None, None, tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        return _form(tuple(c.numerator * (den // c.denominator) for c in cs), den, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: coeffs of an integer form not read yet
+        if name != "coeffs":
+            raise AttributeError(name)
+        view = _view(self._nums, self._den)
+        _SET_COEFFS(self, view)
+        return view
 
     # -- constructors -------------------------------------------------
 
@@ -58,29 +83,37 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
+        return self._len - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._len
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        return self == _ONE
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self._len <= 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        if self._nums is not None:
+            return bool(self._len) and self._nums[-1] == self._den
+        return bool(self._len) and self.coeffs[-1] == 1
 
     def lc(self):
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        if not self._len:
+            return Fraction(0)
+        if self._nums is not None:
+            return Fraction(self._nums[-1], self._den)
+        return self.coeffs[-1]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._len)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
+            if self._nums is not None and other._nums is not None:
+                return self._den == other._den and self._nums == other._nums
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == Poly((other,))
@@ -95,6 +128,8 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
+        if self._nums is not None and other._nums is not None:
+            return _int_sum(self, other, 1)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -106,12 +141,16 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._nums is not None:
+            return _form(tuple([-c for c in self._nums]), self._den)
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
+        if self._nums is not None and other._nums is not None:
+            return _int_sum(self, other, -1)
         a, b = self.coeffs, other.coeffs
         out = [x - y for x, y in zip(a, b)]
         if len(a) > len(b):
@@ -131,16 +170,15 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self._len or not other._len:
             return _ZERO
+        if self._nums is not None and other._nums is not None:
+            return _from_ints(_int_mul(self._nums, other._nums), self._den * other._den)
+        a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        fast = _int_convolve(a, b)
-        if fast is not None:
-            return fast
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -155,6 +193,9 @@ class Poly:
         c = _coerce(c)
         if not c:
             return _ZERO
+        if self._nums is not None and isinstance(c, Fraction):
+            n = c.numerator
+            return _from_ints([a * n for a in self._nums], self._den * c.denominator)
         return Poly([a * c for a in self.coeffs])
 
     def __pow__(self, n: int):
@@ -172,22 +213,23 @@ class Poly:
     def divmod(self, other: "Poly"):
         """Exact quotient and remainder: self = q*other + r, deg r < deg other.
 
-        Rational operands divide on integers (_int_divmod) when the divisor,
-        its denominators cleared, has leading coefficient +-1, as every
-        monic integer p does; other divisors and Gaussian coefficients take
-        the field loop."""
+        Integer forms divide on integers (_int_divmod) when the divisor's
+        numerators have leading coefficient +-1, as every monic integer p
+        has; other divisors and Gaussian coefficients take the field
+        loop."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        b = other.coeffs
-        db = len(b) - 1
-        if len(self.coeffs) - 1 < db:
+        db = other._len - 1
+        if self._len - 1 < db:
             return _ZERO, self
-        ib = _cleared(b)
-        ia = _cleared(self.coeffs) if ib and ib[0][-1] in (1, -1) else None
-        if ia is not None:
-            (a, da), (b, sb) = ia, ib
+        a, b = self._nums, other._nums
+        if a is not None and b is not None and b[-1] in (1, -1):
             q, r = _int_divmod(a, b)
-            return _from_ints([c * sb for c in q], da), _from_ints(r, da)
+            sb = other._den
+            if sb != 1:
+                q = [c * sb for c in q]
+            return _from_ints(q, self._den), _from_ints(r, self._den)
+        b = other.coeffs
         a = list(self.coeffs)
         inv_lc = 1 / b[-1]
         q = [Fraction(0)] * (len(a) - db)
@@ -215,14 +257,15 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self._len or self.is_monic():
             return self
-        c = self.coeffs[-1]
-        if c == 1:
-            return self
-        return self.scale(1 / c)
+        if self._nums is not None:
+            return _from_ints(list(self._nums), self._nums[-1])
+        return self.scale(1 / self.coeffs[-1])
 
     def derivative(self) -> "Poly":
+        if self._nums is not None:
+            return _from_ints([i * c for i, c in enumerate(self._nums)][1:], self._den)
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
@@ -270,6 +313,42 @@ class Poly:
         return f"Poly[{self.human_text()}]"
 
 
+_SET_COEFFS = Poly.coeffs.__set__
+_SET_NUMS = Poly._nums.__set__
+_SET_DEN = Poly._den.__set__
+_SET_LEN = Poly._len.__set__
+_NEW = object.__new__
+
+
+def _form(nums, den, coeffs=None) -> Poly:
+    """The Poly with the integer form (nums, den), which must be
+    canonical, or with nums = den = None and Gaussian coeffs; coeffs, if
+    given, is its coefficient tuple."""
+    out = _NEW(Poly)
+    _SET_NUMS(out, nums)
+    _SET_DEN(out, den)
+    _SET_LEN(out, len(coeffs if nums is None else nums))
+    if coeffs is not None:
+        _SET_COEFFS(out, coeffs)
+    return out
+
+
+def _view(nums, den) -> tuple:
+    """The Fraction coefficients nums[k] / den, each in lowest terms after
+    one gcd.  Fraction's slots are written directly: Fraction(n, d) would
+    take the gcd and check its operands again."""
+    out = []
+    for n in nums:
+        f = _NEW(Fraction)
+        if den == 1:
+            f._numerator, f._denominator = n, 1
+        else:
+            g = gcd(n, den)
+            f._numerator, f._denominator = n // g, den // g
+        out.append(f)
+    return tuple(out)
+
+
 def _as_poly(v):
     if isinstance(v, Poly):
         return v
@@ -278,27 +357,32 @@ def _as_poly(v):
     return None
 
 
-def _cleared(coeffs):
-    """(ints, m): the coefficients times m, the lcm of their denominators,
-    as ints; None unless every coefficient is a Fraction."""
-    if not all(isinstance(c, Fraction) for c in coeffs):
-        return None
-    m = lcm(*[c.denominator for c in coeffs])
-    if m == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (m // c.denominator) for c in coeffs], m
-
-
 def _from_ints(ints, den=1) -> "Poly":
-    """The Poly with Fraction coefficients ints[k] / den; strips ints in place."""
+    """The Poly with coefficients ints[k] / den, den a nonzero int, in its
+    integer form: ints is stripped in place, and ints and den are divided
+    by gcd(den, *ints), signed so that den > 0.  No Fraction is built."""
     _strip(ints)
-    out = Poly.__new__(Poly)
-    object.__setattr__(
-        out,
-        "coeffs",
-        tuple(map(Fraction, ints) if den == 1 else (Fraction(c, den) for c in ints)),
-    )
-    return out
+    if den != 1:
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    return _form(tuple(ints), den)
+
+
+def _int_sum(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b for integer forms, over the lcm of their dens."""
+    da, db = a._den, b._den
+    den = da if da == db else lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    x = [c * fa for c in a._nums] if fa != 1 else list(a._nums)
+    y = [c * fb for c in b._nums] if fb != 1 else list(b._nums)
+    if len(x) < len(y):
+        x, y = y, x
+    x[: len(y)] = map(operator.add, x, y)
+    return _from_ints(x, den)
 
 
 def _int_divmod(a, b):
@@ -333,22 +417,8 @@ def _strip(a: list) -> list:
     return a
 
 
-def _int_convolve(a, b):
-    """Fast path: rational-only convolution through integers.
-
-    Clears denominators per operand, convolves with machine/bignum ints,
-    then restores a single common denominator.  Returns None when either
-    operand has a non-rational coefficient.
-    """
-    ca, cb = _cleared(a), _cleared(b)
-    if ca is None or cb is None:
-        return None
-    (ia, da), (ib, db) = ca, cb
-    return _from_ints(_int_mul(ia, ib), da * db)
-
-
-def _int_mul(a: list, b: list) -> list:
-    """a*b for nonempty integer coefficient lists (ascending)."""
+def _int_mul(a, b) -> list:
+    """a*b for nonempty integer coefficient sequences (ascending)."""
     acc = [0] * (len(a) + len(b) - 1)
     lb = len(b)
     for i, ai in enumerate(a):
@@ -400,12 +470,9 @@ def _unpack_gaussian(v: GaussianRational, B: int, count: int) -> list:
     return list(map(GaussianRational, *parts))
 
 
-_ZERO = Poly.__new__(Poly)
-object.__setattr__(_ZERO, "coeffs", ())
-_ONE = Poly.__new__(Poly)
-object.__setattr__(_ONE, "coeffs", (Fraction(1),))
-_X = Poly.__new__(Poly)
-object.__setattr__(_X, "coeffs", (Fraction(0), Fraction(1)))
+_ZERO = _form((), 1)
+_ONE = _form((1,), 1)
+_X = _form((0, 1), 1)
 
 
 # -- GCDs ----------------------------------------------------------------
@@ -433,13 +500,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def _int_primitive(f: Poly):
     """Primitive integer coefficient list for a rational poly, else None."""
-    cleared = _cleared(f.coeffs)
-    return None if cleared is None else _content_free(cleared[0])
+    return None if f._nums is None else _content_free(list(f._nums))
 
 
 def _content_free(ints: list) -> list:
     """An integer list divided by the gcd of its entries."""
-    g = _igcd(*ints)
+    g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
 
 
@@ -451,8 +517,7 @@ def _int_gcd_prs(a: list, b: list) -> Poly:
         if not r:
             break
         a, b = b, _content_free(r)
-    lc = b[-1]
-    return Poly([Fraction(c, lc) for c in b])
+    return _from_ints(b, b[-1])
 
 
 def _int_pseudo_rem(a: list, b: list) -> list:

@@ -299,3 +299,17 @@ def test_overlong_coefficient_exits_4(tmp_path, capsys, name, body, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "limit" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "factor-det"])
+def test_overlong_output_coefficient_exits_4(tmp_path, capsys, command):
+    """[[N, l], [l, N + l^2]] with a 3,000-digit N reads in, but det and E
+    carry coefficients of about 6,000 digits, past the int string
+    conversion limit: writing them is TooLarge, exit 4, no traceback."""
+    N = Poly.const(10**2999 + 7)
+    f = tmp_path / "A.mp"
+    write_matpoly_file(f, MatPoly([[N, X], [X, N + X**2]]))
+    assert run(command, str(f)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "too long to write" in err
