@@ -123,6 +123,101 @@ def test_verify_with_F_direction():
     F = invert_unimodular(r.V)
     rep = verify_smith(instance(6, 3, "none"), r.E, r.D, F=F)
     assert rep.overall
+    rep = verify_smith(instance(6, 3, "none"), r.E, r.D, F=_bumped(F, 1, 0))
+    assert rep.checks == (
+        ("product identity A = E*D*F", False, "first difference at entry (1,1)"),
+        ("D diagonal", True, ""),
+        ("monic diagonal", True, ""),
+        ("divisibility chain", True, ""),
+        ("unimodular E", True, "det E = 1"),
+        ("unimodular F", True, "det = 1"),
+        ("determinant product", True, ""),
+    )
+
+
+def _bumped(M, i, j):
+    """M with 1 added to the constant coefficient of entry (i + 1, j + 1)."""
+    rows = [list(row) for row in M.entries]
+    rows[i][j] = rows[i][j] + 1
+    return MatPoly(rows)
+
+
+def _swapped_first_columns(M):
+    cols = M.columns()
+    return MatPoly.from_columns([cols[1], cols[0], *cols[2:]])
+
+
+_CORRUPTED = {
+    # E(2,3) + 1: column 3 of E D moves by d_3 in row 2 only
+    "E": (
+        lambda r: (_bumped(r.E, 1, 2), r.D, r.V),
+        (
+            ("product identity A*V = E*D", False, "first difference at entry (2,3)"),
+            ("D diagonal", True, ""),
+            ("monic diagonal", True, ""),
+            ("divisibility chain", True, ""),
+            (
+                "unimodular E",
+                False,
+                "det E = -10/7*l^16-25/7*l^15+2390/7*l^14+10175/7*l^13-203078/7*l^12"
+                "-986024/7*l^11+7642083/7*l^10+3870126*l^9-135676028/7*l^8"
+                "-47102267/7*l^7+501258175/7*l^6-203643388/7*l^5-77322412*l^4"
+                "+431476523/7*l^3+42600906/7*l^2-11620117*l-1969",
+            ),
+            ("unimodular V", True, "det = 1"),
+            ("determinant product", True, ""),
+        ),
+    ),
+    # V(3,2) + 1: column 2 of A V moves by column 3 of A
+    "V": (
+        lambda r: (r.E, r.D, _bumped(r.V, 2, 1)),
+        (
+            ("product identity A*V = E*D", False, "first difference at entry (1,2)"),
+            ("D diagonal", True, ""),
+            ("monic diagonal", True, ""),
+            ("divisibility chain", True, ""),
+            ("unimodular E", True, "det E = 1"),
+            ("unimodular V", False, "det = -11/60*l^2+71/60"),
+            ("determinant product", True, ""),
+        ),
+    ),
+    # d_4 + 1
+    "D": (
+        lambda r: (r.E, _bumped(r.D, 3, 3), r.V),
+        (
+            ("product identity A*V = E*D", False, "first difference at entry (1,4)"),
+            ("D diagonal", True, ""),
+            ("monic diagonal", True, ""),
+            ("divisibility chain", False, "d_3 does not divide d_4"),
+            ("unimodular E", True, "det E = 1"),
+            ("unimodular V", True, "det = 1"),
+            ("determinant product", False, "det(A) is not a constant multiple of prod(d_i)"),
+        ),
+    ),
+    "V columns swapped": (
+        lambda r: (r.E, r.D, _swapped_first_columns(r.V)),
+        (
+            ("product identity A*V = E*D", False, "first difference at entry (1,1)"),
+            ("D diagonal", True, ""),
+            ("monic diagonal", True, ""),
+            ("divisibility chain", True, ""),
+            ("unimodular E", True, "det E = 1"),
+            ("unimodular V", True, "det = -1"),
+            ("determinant product", True, ""),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTED))
+def test_verify_smith_failure_witnesses(case):
+    """Every check of a corrupted result of (1, 4, "revcols"), in order,
+    with its verdict and witness."""
+    from corpus import pipeline
+
+    corrupt, checks = _CORRUPTED[case]
+    E, D, V = corrupt(pipeline(1, 4, "revcols"))
+    assert verify_smith(instance(1, 4, "revcols"), E, D, V=V).checks == checks
 
 
 def _det_E_cases():
