@@ -125,22 +125,18 @@ class MatPoly:
             raise DimensionMismatch("shapes differ")
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
-        """Product; rational factors multiply on integers, the rows of self
-        and the columns of other each scaled by their lcm of denominators,
-        by the packed kernel _int_products."""
+        """Product; rational factors multiply on integers by the packed
+        chain kernel (_rational_product), Gaussian ones by plain Poly
+        arithmetic."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        bt = list(zip(*other.entries))
-        one_a, ra, rows = _integer_rows(self.entries)
-        one_b, cb, cols = _integer_rows(bt)
-        if type(one_a) is int and type(one_b) is int:
-            prods = _int_products(rows, cols)
+        product = _rational_product((self, other))
+        if product is not None:
+            rows, s, t = product
             return MatPoly(
-                [
-                    [_from_ints(col[r], a * b) for b, col in zip(cb, prods)]
-                    for r, a in enumerate(ra)
-                ]
+                [[_from_ints(c, si * tj) for c, tj in zip(row, t)] for row, si in zip(rows, s)]
             )
+        bt = list(zip(*other.entries))
         return MatPoly(
             [
                 [sum((a * b for a, b in zip(row, col) if a and b), Poly.zero()) for col in bt]
@@ -172,10 +168,10 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     D must be diagonal with V's column count and no zero d_i.  Rational A
     and V with every d_i's numerators of leading coefficient +-1 (every
     monic integer d_i) divide on integers: the product of A's integer
-    rows and V's integer columns, by _int_products as in @, goes column
-    by column through _int_divmod by d_i's numerators, or is only negated
-    where those are +-1.  Other operands
-    take A @ V and Poly.divmod."""
+    rows and V's integer columns, from the chain kernel of @
+    (_rational_product), goes column by column through _int_divmod by
+    d_i's numerators, or is only negated where those are +-1.  Other
+    operands take A @ V and Poly.divmod."""
     n = V.cols
     if A.cols != V.rows or D.rows != n or D.cols != n:
         raise DimensionMismatch("compute_E needs A*V and D of matching sizes")
@@ -185,21 +181,22 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     for i, d in enumerate(ds):
         if d.is_zero():
             raise DivisibilityFailure(f"column {i + 1} of A*V: d_{i + 1} is zero")
-    one_a, ra, rows = _integer_rows(A.entries)
-    one_v, cv, cols = _integer_rows(list(zip(*V.entries)))
     unit = all(d._nums is not None and d._nums[-1] in (1, -1) for d in ds)
-    if type(one_a) is int and type(one_v) is int and unit:
+    product = _rational_product((A, V)) if unit else None
+    if product is not None:
+        rows, s, t = product
         out = [[None] * n for _ in rows]
-        for i, (prod_i, d) in enumerate(zip(_int_products(rows, cols), ds)):
+        for i, d in enumerate(ds):
             b, sb = d._nums, d._den
             if len(b) == 1:
                 sb *= b[0]  # d_i = +-1: the quotient is the product, signed
-            for r, c in enumerate(prod_i):
+            for r, row in enumerate(rows):
+                c = row[i]
                 if len(b) > 1:
                     c, rem = _int_divmod(c, b)
                     if rem:
                         raise _not_divisible(i)
-                out[r][i] = _from_ints([x * sb for x in c] if sb != 1 else c, ra[r] * cv[i])
+                out[r][i] = _from_ints([x * sb for x in c] if sb != 1 else c, s[r] * t[i])
         return MatPoly(out)
     AV = A @ V
     cols = []
@@ -256,21 +253,24 @@ def _det_packed(rows, bound, one) -> list:
     coefficient; sqrt(H) < isqrt(H) + 1 < 2**(B-1), so each part fits a
     signed B-bit slot.  Slots that do not pack back to the Bareiss value
     are a broken bound, raised, never a wrong det."""
-    if type(one) is int:
-        size, pack, unpack = abs, _pack, _unpack
-    else:
-        size, pack, unpack = _modulus_bound, _pack_gaussian, _unpack_gaussian
+    size, pack, unpack = _slots(one)
     H = prod(sum(sum(map(size, cs)) ** 2 for cs in row) for row in rows)
     B = (isqrt(H) + 1).bit_length() + 1
-    v = _bareiss([[pack(cs, B) for cs in row] for row in rows], one)
+    v = _bareiss(_packed(one, rows, B), one)
     coeffs = unpack(v, B, bound + 1)
     if pack(coeffs, B) != v:
         raise SmithError("packed determinant outgrew its slots")
     return coeffs
 
 
-def _modulus_bound(c) -> int:
-    return abs(c.re.numerator) + abs(c.im.numerator)
+def _slots(one):
+    """(size, pack, unpack) for integer coefficients (one = 1) or Gaussian
+    integers held as GaussianRational (one = GaussianRational(1)): size
+    bounds each part of a coefficient, |re| + |im| on a Gaussian one, and
+    pack and unpack fill and read signed B-bit slots."""
+    if type(one) is int:
+        return abs, _pack, _unpack
+    return lambda c: abs(c.re.numerator) + abs(c.im.numerator), _pack_gaussian, _unpack_gaussian
 
 
 def _integer_rows(entries):
@@ -298,36 +298,86 @@ def _integer_rows(entries):
     return one, scales, rows
 
 
-def _int_products(rows, cols) -> list:
-    """out[i][r] = sum_k rows[r][k] * cols[i][k] for integer coefficient
-    lists, by Kronecker substitution x = 2**B: each row and each column is
-    packed once (_pack), each product of entries is one int
-    multiplication, and each sum is unpacked once.
+def _integer_chain(factors):
+    """(scaled, s, t, bound) for a product of matrices on integers:
+    scaled[0] is (one, rows), rows[i][k] the coefficients of row i of the
+    first factor times its lcm of denominators, and scaled[k] a (one,
+    cols) for each further factor, the last one's columns each times its
+    own lcm and a middle one's all times one lcm; s (the first factor's
+    row lcms times the middle lcms) and t (the last factor's column lcms)
+    are such that entry (i, j) of the product is that of the scaled
+    product over s[i] t[j].  one is as in _integer_rows.
 
-    Column i takes its own B.  Coefficient t of an entry adds at most
-    T = sum_k min(la_k, len cols[i][k]) products, la_k the longest
-    rows[r][k], each below 2**(ba + bb) for ba and bb the largest bit
-    lengths in rows and in column i, so it lies below 2**(B - 1) for
-    B = ba + bb + T.bit_length() + 1 and fits a signed slot.  B is rounded
-    up to its four leading bits, so that columns of similar size share one
-    packing of the rows.  A sum whose top slot is t has more than
-    2**(B t - 1) in size, so bit_length // B + 1 slots hold it."""
-    ba = max(map(int.bit_length, chain.from_iterable(chain.from_iterable(rows))), default=0)
-    la = [max(map(len, entries)) for entries in zip(*rows)]
-    packed, out = {}, []
-    for col in cols:
-        bb = max(map(int.bit_length, chain.from_iterable(col)), default=0)
-        B = ba + bb + sum(map(min, la, map(len, col))).bit_length() + 1
-        step = 1 << max(B.bit_length() - 4, 0)
-        B = -(-B // step) * step
-        if B not in packed:
-            packed[B] = [[_pack(e, B) for e in row] for row in rows]
-        pc = [_pack(e, B) for e in col]
-        out.append([
-            _unpack(v, B, v.bit_length() // B + 1)
-            for v in (sum(map(operator.mul, pr, pc)) for pr in packed[B])
-        ])
-    return out
+    bound is at least the size of each part of each coefficient of the
+    scaled product, |re| + |im| bounding a Gaussian one: factor by factor
+    it takes the factor's largest coefficient and the number of products
+    one coefficient of the partial product adds, sum_k min(l_k, m_k), for
+    l_k the longest entry of column k of the partial product and m_k that
+    of row k of the factor."""
+    first, *rest = factors
+    one, s, rows = _integer_rows(first.entries)
+    scaled, bound = [(one, rows)], _largest(one, rows)
+    lengths = [max(map(len, col)) for col in zip(*rows)]
+    t = [1] * first.cols
+    for k, M in enumerate(rest, 1):
+        one_k, t, cols = _integer_rows(list(zip(*M.entries)))
+        if k < len(rest):  # a middle factor: one lcm for all columns, kept in s
+            m = lcm(*t)
+            cols = [[[c * (m // tj) for c in e] for e in col] for col, tj in zip(cols, t)]
+            s, t = [si * m for si in s], [1] * len(cols)
+        bound *= _largest(one_k, cols) * sum(
+            map(min, lengths, (max(map(len, row)) for row in zip(*cols)))
+        )
+        if k < len(rest):
+            lengths = [
+                max((a + len(e) - 1 for a, e in zip(lengths, col) if a and e), default=0)
+                for col in cols
+            ]
+        scaled.append((one_k, cols))
+    return scaled, s, t, bound
+
+
+def _largest(one, rows) -> int:
+    size = _slots(one)[0]
+    return max(map(size, chain.from_iterable(chain.from_iterable(rows))), default=0)
+
+
+def _packed(one, rows, B) -> list:
+    pack = _slots(one)[1]
+    return [[pack(e, B) for e in row] for row in rows]
+
+
+def _chain_rows(scaled, B):
+    """Row i of the scaled product of an _integer_chain, for i in order,
+    as one value at x = 2**B per entry: each factor is packed once
+    (_packed), and row i of the first is carried through the later ones,
+    each product of two entries one multiplication."""
+    (one, rows), *later = scaled
+    later = [_packed(one_k, cols, B) for one_k, cols in later]
+    for row in _packed(one, rows, B):
+        for cols in later:
+            row = [sum(map(operator.mul, row, col)) for col in cols]
+        yield row
+
+
+def _rational_product(factors):
+    """(rows, s, t) for a product of rational matrices, None if a factor
+    has a Gaussian entry: rows[i][j] lists the integer coefficients of
+    entry (i, j) of the scaled product (_integer_chain), so that entry of
+    the product is rows[i][j] / (s[i] t[j]).
+
+    The chain's bound is below 2**(B - 1) for B = bound.bit_length() + 1,
+    so every coefficient fits a signed B-bit slot and each entry is
+    unpacked once.  An entry whose top slot is u has more than
+    2**(B u - 1) in size, so bit_length // B + 1 slots hold it."""
+    scaled, s, t, bound = _integer_chain(factors)
+    if any(type(one) is not int for one, _ in scaled):
+        return None
+    B = bound.bit_length() + 1
+    rows = [
+        [_unpack(v, B, v.bit_length() // B + 1) for v in row] for row in _chain_rows(scaled, B)
+    ]
+    return rows, s, t
 
 
 def _denominators(c):
@@ -423,6 +473,8 @@ def lambda_iso(blocks, p: Poly) -> list:
     polynomial vector sum_k p**k * block_k."""
     s = p.degree
     blocks = [list(b) for b in blocks]
+    if not blocks:
+        raise EmptyInput("lambda_iso needs at least one digit block")
     n = len(blocks[0])
     for b in blocks:
         if len(b) != n:

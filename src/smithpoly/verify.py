@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
-from math import lcm
 
 from .errors import ShapeMismatch
-from .matpoly import MatPoly, _integer_rows, _modulus_bound, mat_det
-from .poly import Poly, _pack, _pack_gaussian
+from .matpoly import MatPoly, _chain_rows, _integer_chain, mat_det
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -40,10 +37,11 @@ def verify_smith(
     multiplier is given as V (the inverse of F).
 
     The product identity is one packed integer comparison per entry,
-    neither side formed (_first_unequal): every coefficient of both
-    sides is proven below 2**(B - 1) in size, so the two sides agree at
-    x = 2**B only where they are equal.  Its witness on failure is the
-    first unequal entry, row by row, "first difference at entry (i,j)"."""
+    neither side formed (_first_unequal, on the chain kernel of @):
+    every coefficient of both sides is proven below 2**(B - 1) in size,
+    so the two sides agree at x = 2**B only where they are equal.  Its
+    witness on failure is the first unequal entry, row by row, "first
+    difference at entry (i,j)"."""
     if (F is None) == (V is None):
         raise ShapeMismatch("provide exactly one of F and V")
     n = A.rows
@@ -118,14 +116,13 @@ def _first_unequal(left, right):
     the square matrices `left` differs from that of `right`, or None where
     the two products are equal.  Neither product is formed.
 
-    Each product is taken on integers (_integer_chain): its entry (i, j)
-    is c_ij / (s_i t_j), c_ij an integer (or Gaussian-integer)
-    polynomial, so the entries of the two products agree where
-    c_ij s'_i t'_j == c'_ij s_i t_j, primes marking the other side.  Each
-    entry of each factor is packed once as its value at x = 2**B
-    (poly._pack, or _pack_gaussian), row i of each side is carried through
-    its factors as one number per entry, and the two sides of each entry
-    are compared as two numbers.
+    Each product is taken on integers by the chain kernel of @
+    (matpoly._integer_chain): its entry (i, j) is c_ij / (s_i t_j), c_ij
+    an integer (or Gaussian-integer) polynomial, so the entries of the two
+    products agree where c_ij s'_i t'_j == c'_ij s_i t_j, primes marking
+    the other side.  matpoly._chain_rows gives row i of each side as one
+    number per entry, its value at x = 2**B, and the two sides of each
+    entry are compared as two numbers.
 
     B: each part of each coefficient of one side is at most its chain's
     bound times the other chain's largest scales, which is below
@@ -133,68 +130,13 @@ def _first_unequal(left, right):
     2**B in size, and such a polynomial is zero at x = 2**B only if it is
     zero (its lowest nonzero coefficient is no multiple of 2**B), so
     equal values are equal entries."""
-    (lrows, lcols, ls, lt, lb), (rrows, rcols, rs, rt, rb) = map(_integer_chain, (left, right))
+    (lf, ls, lt, lb), (rf, rs, rt, rb) = map(_integer_chain, (left, right))
     B = max(lb * max(rs) * max(rt), rb * max(ls) * max(lt)).bit_length() + 1
-    lcols = [_packed(one, cols, B) for one, cols in lcols]
-    rcols = [_packed(one, cols, B) for one, cols in rcols]
-    for i, (lrow, rrow) in enumerate(zip(_packed(*lrows, B), _packed(*rrows, B))):
-        for cols in lcols:
-            lrow = [sum(map(operator.mul, lrow, col)) for col in cols]
-        for cols in rcols:
-            rrow = [sum(map(operator.mul, rrow, col)) for col in cols]
+    for i, (lrow, rrow) in enumerate(zip(_chain_rows(lf, B), _chain_rows(rf, B))):
         for j, (a, b) in enumerate(zip(lrow, rrow)):
             if a * (rs[i] * rt[j]) != b * (ls[i] * lt[j]):
                 return i + 1, j + 1
     return None
-
-
-def _integer_chain(factors):
-    """((one, rows), later, s, t, bound) for a product of square matrices:
-    rows[i][k] the coefficients of row i of the first factor times its
-    lcm of denominators, later a (one, cols) for each further factor, the
-    last one's columns each times its own lcm and a middle one's all
-    times one lcm, and s (the first factor's row lcms times the middle
-    lcms) and t (the last factor's column lcms) such that entry (i, j) of
-    the product is that of the scaled product over s[i] t[j].  one is as
-    in matpoly._integer_rows.
-
-    bound is at least the size of each part of each coefficient of the
-    scaled product, |re| + |im| bounding a Gaussian one: factor by factor
-    it takes the factor's largest coefficient and the number of products
-    one coefficient of the partial product adds, sum_k min(l_k, m_k), for
-    l_k the longest entry of column k of the partial product and m_k that
-    of row k of the factor."""
-    first, *rest = factors
-    one, s, rows = _integer_rows(first.entries)
-    bound = _largest(one, rows)
-    lengths = [max(map(len, col)) for col in zip(*rows)]
-    later, t = [], [1] * len(rows)
-    for k, M in enumerate(rest, 1):
-        one_k, t, cols = _integer_rows(list(zip(*M.entries)))
-        if k < len(rest):  # a middle factor: one lcm for all columns, kept in s
-            m = lcm(*t)
-            cols = [[[c * (m // tj) for c in e] for e in col] for col, tj in zip(cols, t)]
-            s, t = [si * m for si in s], [1] * len(cols)
-        bound *= _largest(one_k, cols) * sum(
-            map(min, lengths, (max(map(len, row)) for row in zip(*cols)))
-        )
-        if k < len(rest):
-            lengths = [
-                max((a + len(e) - 1 for a, e in zip(lengths, col) if a and e), default=0)
-                for col in cols
-            ]
-        later.append((one_k, cols))
-    return (one, rows), later, s, t, bound
-
-
-def _largest(one, rows) -> int:
-    size = abs if type(one) is int else _modulus_bound
-    return max(map(size, chain.from_iterable(chain.from_iterable(rows))), default=0)
-
-
-def _packed(one, rows, B) -> list:
-    pack = _pack if type(one) is int else _pack_gaussian
-    return [[pack(e, B) for e in row] for row in rows]
 
 
 def _det_E(det_a: Poly, det_side: Poly, prod_d: Poly, side_is_F: bool):

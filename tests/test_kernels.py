@@ -1,10 +1,14 @@
 """Property tests for the integer kernels behind Poly.divmod, expand_in_p,
 MatPoly @ and compute_E, each against a plain reference written here over
-the field, for the packed-integer kernel (_pack, _unpack and the
-Kronecker-packed product _int_products), for the exact integer division
-of the fraction-free eliminations (mat_det itself is checked in
-test_matpoly.py), and for the echelon kernel over Q and over R/pR, whole
-(_rref) and grown by blocks of columns (_Echelon).
+the field, for the packed-integer kernel (_pack, _unpack and the one
+Kronecker-packed chain kernel of @, compute_E and verify_smith, here
+through _rational_product: one slot width for the whole product, one sign
+bit over the product of the factors' largest coefficients and the number
+of products a coefficient adds; verify's use of it is checked in
+test_verify.py), for the exact integer division of the fraction-free
+eliminations (mat_det itself is checked in test_matpoly.py), and for the
+echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
+columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands take the field
@@ -29,7 +33,7 @@ from smithpoly import (
 )
 from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
-from smithpoly.matpoly import _exact_div, _int_products
+from smithpoly.matpoly import _exact_div, _rational_product
 from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
 
@@ -273,7 +277,8 @@ def reference_int_dot(row, col):
 
 def _int_coeff_lists():
     """Short or long lists of small or long integers of either sign, some
-    with trailing zeros (zero-padded), some empty (the zero entry)."""
+    with trailing zeros (zero-padded, which Poly strips), some empty (the
+    zero entry)."""
     small = st.integers(min_value=-9, max_value=9)
     long = st.integers(min_value=-(1 << 300), max_value=1 << 300)
     body = st.one_of(
@@ -284,36 +289,48 @@ def _int_coeff_lists():
     return st.tuples(body, padding).map(lambda t: t[0] + t[1] if t[0] else t[0])
 
 
+def _chain_product(rows, cols):
+    """out[r][i] = sum_k rows[r][k] * cols[i][k] by the chain kernel of @
+    and compute_E, for integer coefficient lists (all scales 1)."""
+    A = MatPoly([[Poly(e) for e in row] for row in rows])
+    B = MatPoly.from_columns([[Poly(e) for e in col] for col in cols])
+    out, s, t = _rational_product((A, B))
+    assert set(s) == set(t) == {1}
+    return list(out)
+
+
 @KERNELS
 @given(data=st.data(), dims=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3))
-def test_int_products_matches_schoolbook(data, dims):
+def test_chain_product_matches_schoolbook(data, dims):
     n, m, k = dims
     rows = data.draw(st.lists(st.lists(_int_coeff_lists(), min_size=m, max_size=m),
                               min_size=n, max_size=n))
     cols = data.draw(st.lists(st.lists(_int_coeff_lists(), min_size=m, max_size=m),
                               min_size=k, max_size=k))
-    out = _int_products(rows, cols)
-    assert [[_trim(e) for e in col] for col in out] == [
-        [reference_int_dot(row, col) for row in rows] for col in cols
+    out = _chain_product(rows, cols)
+    assert [[_trim(e) for e in row] for row in out] == [
+        [reference_int_dot(row, col) for col in cols] for row in rows
     ]
 
 
-def test_int_products_at_the_slot_bound():
+def test_chain_product_at_the_slot_bound():
     """T products at the largest size their bit lengths allow, all of one
     sign and all landing on coefficient 0, for T = 2**m - 1 (the most the
     term count's bit length admits): each sum sits just inside its slot.
-    A 400-bit column beside them takes a wider slot of its own."""
+    With a 400-bit column beside them the slots widen for the whole
+    product, and the small sums still read back."""
     for ba, bb in ((1, 1), (7, 3), (64, 64), (200, 13)):
         ta, tb = (1 << ba) - 1, (1 << bb) - 1
         for terms in (1, 3, 7, 15):
             for sign in (1, -1):
                 rows = [[[sign * ta]] * terms, [[-sign * ta]] * terms]
-                cols = [[[tb, -tb]] * terms, [[LONG]] * terms]
                 t = terms * ta * tb
-                assert _int_products(rows, cols)[0] == [[sign * t, -sign * t], [-sign * t, sign * t]]
+                for wide in ([], [[[LONG]] * terms]):
+                    out = _chain_product(rows, [[[tb, -tb]] * terms] + wide)
+                    assert [row[0] for row in out] == [[sign * t, -sign * t], [-sign * t, sign * t]]
                 rows, cols = [[[sign * ta] * 5] * terms], [[[tb] * 3] * terms, [[LONG, 1]] * terms]
-                out = _int_products(rows, cols)
-                assert [_trim(c[0]) for c in out] == [reference_int_dot(rows[0], c) for c in cols]
+                out = _chain_product(rows, cols)
+                assert [_trim(c) for c in out[0]] == [reference_int_dot(rows[0], c) for c in cols]
 
 
 @KERNELS

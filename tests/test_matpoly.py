@@ -230,6 +230,12 @@ def test_lambda_iso_examples():
         lambda_iso([[X**2]], p)
 
 
+def test_lambda_iso_refuses_no_blocks():
+    """No digit block gives a typed error, not a raw IndexError."""
+    with pytest.raises(EmptyInput, match="digit block"):
+        lambda_iso([], X**2 + 1)
+
+
 def test_lambda_iso_roundtrip_random():
     rng = SplitMix64(103)
     for p in (X, Poly([1, 0, 1]), Poly([3, 2, 0, 1])):

@@ -10,7 +10,10 @@ equal by a unimodular P (X = Z P, Y = P^-1 W, W diagonal or not) are
 then moved by one coefficient: by +-1, or to +-2**(w-1) for w one more
 than the bit length of the largest coefficient of either product.  The
 slot-edge cases hold, for each term of B, two unequal products that agree
-at x = 2**B' for the B' the bound would give without that term."""
+at x = 2**B' for the B' the bound would give without that term; @ and
+compute_E take their products from the same chain kernel
+(matpoly._integer_chain, _chain_rows), and the cases run through them
+too."""
 
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smithpoly.field import GaussianRational
-from smithpoly.matpoly import MatPoly
+from smithpoly.matpoly import MatPoly, compute_E
 from smithpoly.poly import Poly, _pack, _unpack
 from smithpoly.verify import _first_unequal
 
@@ -198,9 +201,28 @@ def _slot_edges():
     yield "gaussian size", _single(Poly([g]), Poly([g])), _single(R, one), 2 * K + 1
 
 
-@pytest.mark.parametrize("case", list(_slot_edges()), ids=lambda c: c[0])
-def test_slot_edges(case):
+@pytest.mark.parametrize(
+    "case, route",
+    [
+        pytest.param(case, route, id=case[0] if route == "verify" else f"{case[0]} by {route}")
+        for case in _slot_edges()
+        for route in ("verify", "matmul", "compute_E")
+    ],
+)
+def test_slot_edges(case, route):
+    """Each case through each user of the chain kernel: the identity
+    check, and the product of the left side by @ and by compute_E (with
+    D = I), which must equal the Poly product of its entries.  @ and
+    compute_E pack only rational factors; a Gaussian case takes Poly
+    arithmetic there."""
     _, left, right, narrow = case
     P, Q = reduce(matmul, left), reduce(matmul, right)
     assert P != Q and P[0, 0].eval(2**narrow) == Q[0, 0].eval(2**narrow)
-    assert _first_unequal(left, right) == (1, 1)
+    if route == "verify":
+        assert _first_unequal(left, right) == (1, 1)
+        return
+    want = left[0][0, 0] * left[1][0, 0]
+    if route == "matmul":
+        assert P[0, 0] == want
+    else:
+        assert compute_E(*left, MatPoly.identity(1))[0, 0] == want
