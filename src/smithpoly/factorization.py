@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from operator import sub
 
 from .errors import NotRegular, UnsupportedField
 from .field import GaussianRational
@@ -40,6 +41,7 @@ from .poly import (
     _int_divmod,
     _int_mul,
     _int_primitive,
+    _list_sum,
     _strip,
     poly_gcd,
 )
@@ -187,20 +189,6 @@ def _z_mul(a, b):
     return _strip(_int_mul(a, b)) if a and b else []
 
 
-def _z_add(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _strip(out)
-
-
-def _z_sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _strip(out)
-
-
 def _z_trunc(a, m):
     """Coefficients reduced to the symmetric range (-m/2, m/2]."""
     out = []
@@ -219,21 +207,21 @@ def _hensel_step(m, f, g, h, s, t):
     Requires h monic and deg f = deg g + deg h.
     """
     M = m * m
-    e = _z_trunc(_z_sub(f, _z_mul(g, h)), M)
+    e = _z_trunc(_list_sum(f, _z_mul(g, h), sub), M)
     q, r = _int_divmod(_z_mul(s, e), h)
     q = _z_trunc(q, M)
     r = _z_trunc(r, M)
-    u = _z_add(_z_mul(t, e), _z_mul(q, g))
-    G = _z_trunc(_z_add(g, u), M)
-    H = _z_trunc(_z_add(h, r), M)
-    u = _z_add(_z_mul(s, G), _z_mul(t, H))
-    b = _z_trunc(_z_sub(u, [1]), M)
+    u = _list_sum(_z_mul(t, e), _z_mul(q, g))
+    G = _z_trunc(_list_sum(g, u), M)
+    H = _z_trunc(_list_sum(h, r), M)
+    u = _list_sum(_z_mul(s, G), _z_mul(t, H))
+    b = _z_trunc(_list_sum(u, [1], sub), M)
     c, d = _int_divmod(_z_mul(s, b), H)
     c = _z_trunc(c, M)
     d = _z_trunc(d, M)
-    u = _z_add(_z_mul(t, b), _z_mul(c, G))
-    S = _z_trunc(_z_sub(s, d), M)
-    T = _z_trunc(_z_sub(t, u), M)
+    u = _list_sum(_z_mul(t, b), _z_mul(c, G))
+    S = _z_trunc(_list_sum(s, d, sub), M)
+    T = _z_trunc(_list_sum(t, u, sub), M)
     return G, H, S, T
 
 

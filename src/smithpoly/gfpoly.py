@@ -8,7 +8,9 @@ result is reduced.
 
 from __future__ import annotations
 
-from .poly import _int_mul, _strip
+import operator
+
+from .poly import _int_mul, _list_sum, _strip
 
 
 def gf_from_int(f: list[int], q: int) -> list[int]:
@@ -16,10 +18,7 @@ def gf_from_int(f: list[int], q: int) -> list[int]:
 
 
 def gf_sub(a, b, q):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return gf_from_int(out, q)
+    return gf_from_int(_list_sum(a, b, operator.sub), q)
 
 
 def gf_mul(a, b, q):

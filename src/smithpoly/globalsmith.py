@@ -18,8 +18,8 @@ from .errors import (
 from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
 from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
-from .matpoly import MatPoly, _exact_div, _integer_rows, compute_E, mat_det
-from .poly import Poly, _from_ints, _pack, _pack_gaussian, _unpack, _unpack_gaussian, poly_xgcd
+from .matpoly import MatPoly, _exact_div, _integer_rows, _slots, compute_E, mat_det
+from .poly import Poly, _from_ints, poly_xgcd
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,9 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
     product with E' equals sigma I in every coefficient, and E^-1 =
     M R / sigma exactly.
 
-    Each row of each M_k is packed into one int (poly._pack), one B-bit
-    slot per column; a Gaussian row is one GaussianRational
-    (poly._pack_gaussian).  The sum S then costs one
+    Each row of each M_k is packed into one int, one B-bit slot per
+    column, or into one GaussianRational on Gaussian integers, by the
+    pack and unpack of matpoly._slots.  The sum S then costs one
     multiply-add (an entry of E'_j times a packed row of M_{k-j}) per
     nonzero of E'_j, X S one per nonzero of X, and each row of X S is
     unpacked once, for the content and the exact division.  A slot of
@@ -286,7 +286,7 @@ def invert_unimodular(E: MatPoly) -> MatPoly:
         def content(block):
             return gcd(*(v for row in block for v in row))
 
-    slots, read = (_pack_gaussian, _unpack_gaussian) if gaussian else (_pack, _unpack)
+    _, slots, read = _slots(one)
 
     def pack(row):
         return slots(row, B)

@@ -21,7 +21,7 @@ from .errors import (
     SmithError,
 )
 from .field import GaussianRational
-from .poly import Poly, _from_ints, _int_divmod, _pack, _unpack
+from .poly import Poly, _from_ints, _int_divmod, _pack, _pseudo_divmod, _unpack
 from .poly import _pack_gaussian, _unpack_gaussian
 
 
@@ -166,12 +166,12 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     """E with E*D = A*V, by exact division of column i of A*V by d_i.
 
     D must be diagonal with V's column count and no zero d_i.  Rational A
-    and V with every d_i's numerators of leading coefficient +-1 (every
-    monic integer d_i) divide on integers: the product of A's integer
-    rows and V's integer columns, from the chain kernel of @
-    (_rational_product), goes column by column through _int_divmod by
-    d_i's numerators, or is only negated where those are +-1.  Other
-    operands take A @ V and Poly.divmod."""
+    and V divide on integers: the product of A's integer rows and V's
+    integer columns, from the chain kernel of @ (_rational_product),
+    goes column by column through pseudo-division (_pseudo_divmod) by
+    d_i's numerators, whose scale joins the denominator; a constant d_i
+    only joins the denominator.  Gaussian operands take A @ V and
+    Poly.divmod."""
     n = V.cols
     if A.cols != V.rows or D.rows != n or D.cols != n:
         raise DimensionMismatch("compute_E needs A*V and D of matching sizes")
@@ -181,22 +181,19 @@ def compute_E(A: MatPoly, V: MatPoly, D: MatPoly) -> MatPoly:
     for i, d in enumerate(ds):
         if d.is_zero():
             raise DivisibilityFailure(f"column {i + 1} of A*V: d_{i + 1} is zero")
-    unit = all(d._nums is not None and d._nums[-1] in (1, -1) for d in ds)
-    product = _rational_product((A, V)) if unit else None
+    product = _rational_product((A, V)) if all(d._nums is not None for d in ds) else None
     if product is not None:
         rows, s, t = product
         out = [[None] * n for _ in rows]
         for i, d in enumerate(ds):
             b, sb = d._nums, d._den
-            if len(b) == 1:
-                sb *= b[0]  # d_i = +-1: the quotient is the product, signed
             for r, row in enumerate(rows):
-                c = row[i]
+                c, k = row[i], b[0]
                 if len(b) > 1:
-                    c, rem = _int_divmod(c, b)
+                    c, rem, k = _pseudo_divmod(c, b)
                     if rem:
                         raise _not_divisible(i)
-                out[r][i] = _from_ints([x * sb for x in c] if sb != 1 else c, s[r] * t[i])
+                out[r][i] = _from_ints([x * sb for x in c] if sb != 1 else c, s[r] * t[i] * k)
         return MatPoly(out)
     AV = A @ V
     cols = []
@@ -370,9 +367,9 @@ def _rational_product(factors):
     so every coefficient fits a signed B-bit slot and each entry is
     unpacked once.  An entry whose top slot is u has more than
     2**(B u - 1) in size, so bit_length // B + 1 slots hold it."""
-    scaled, s, t, bound = _integer_chain(factors)
-    if any(type(one) is not int for one, _ in scaled):
+    if any(e._nums is None for M in factors for row in M.entries for e in row):
         return None
+    scaled, s, t, bound = _integer_chain(factors)
     B = bound.bit_length() + 1
     rows = [
         [_unpack(v, B, v.bit_length() // B + 1) for v in row] for row in _chain_rows(scaled, B)

@@ -130,13 +130,7 @@ class Poly:
             return NotImplemented
         if self._nums is not None and other._nums is not None:
             return _int_sum(self, other, 1)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(_list_sum(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -151,13 +145,7 @@ class Poly:
             return NotImplemented
         if self._nums is not None and other._nums is not None:
             return _int_sum(self, other, -1)
-        a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        if len(a) > len(b):
-            out.extend(a[len(b) :])
-        else:
-            out.extend(-y for y in b[len(a) :])
-        return Poly(out)
+        return Poly(_list_sum(self.coeffs, other.coeffs, operator.sub))
 
     def __rsub__(self, other):
         other = _as_poly(other)
@@ -179,13 +167,7 @@ class Poly:
             return other.scale(a[0])
         if len(b) == 1:
             return self.scale(b[0])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(out)
+        return Poly(_int_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -213,36 +195,28 @@ class Poly:
     def divmod(self, other: "Poly"):
         """Exact quotient and remainder: self = q*other + r, deg r < deg other.
 
-        Integer forms divide on integers (_int_divmod) when the divisor's
-        numerators have leading coefficient +-1, as every monic integer p
-        has; other divisors and Gaussian coefficients take the field
-        loop."""
+        Integer forms divide on integers by pseudo-division
+        (_pseudo_divmod), whatever the divisor's leading coefficient: its
+        scale s goes into the denominators of q and r.  Gaussian
+        coefficients run the same kernel (_int_divmod) on the divisor
+        made monic, and q is scaled back by the inverse of the divisor's
+        leading coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        db = other._len - 1
-        if self._len - 1 < db:
+        if self._len < other._len:
             return _ZERO, self
         a, b = self._nums, other._nums
-        if a is not None and b is not None and b[-1] in (1, -1):
-            q, r = _int_divmod(a, b)
+        if a is not None and b is not None:
+            q, r, s = _pseudo_divmod(a, b)
             sb = other._den
             if sb != 1:
                 q = [c * sb for c in q]
-            return _from_ints(q, self._den), _from_ints(r, self._den)
-        b = other.coeffs
-        a = list(self.coeffs)
-        inv_lc = 1 / b[-1]
-        q = [Fraction(0)] * (len(a) - db)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if not c:
-                continue
-            f = c * inv_lc
-            q[i - db] = f
-            a[i] = c - c  # exact zero of the right type
-            for j in range(db):
-                a[i - db + j] = a[i - db + j] - f * b[j]
-        return Poly(q), Poly(a[:db])
+            return _from_ints(q, self._den * s), _from_ints(r, self._den * s)
+        inv = 1 / other.coeffs[-1]
+        q, r = _int_divmod(self.coeffs, [c * inv for c in other.coeffs])
+        # `c and`: an unset coefficient stays the int 0, read as Fraction(0)
+        # as in the long division over the field, not a Gaussian zero
+        return Poly([c and c * inv for c in q]), Poly(r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -386,9 +360,10 @@ def _int_sum(a: Poly, b: Poly, sign: int) -> Poly:
 
 
 def _int_divmod(a, b):
-    """Quotient and remainder of integer coefficient lists (ascending) when
-    every quotient coefficient is an integer, else (None, None).  A divisor
-    with leading coefficient +-1 always divides."""
+    """Quotient and remainder of coefficient lists (ascending) when every
+    quotient coefficient is an integer, else (None, None).  A divisor
+    with leading coefficient +-1 always divides, over any ring: the
+    Gaussian branch of Poly.divmod passes a monic divisor over Q(i)."""
     a = list(a)
     db = len(b) - 1
     if len(a) - 1 < db:
@@ -411,6 +386,27 @@ def _int_divmod(a, b):
     return q, _strip(a[:db])
 
 
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s a = q b + r for integer coefficient lists, deg r <
+    deg b: pseudo-division (Knuth, TAOCP Vol. 2, 4.6.1, Algorithm R).
+    s = lc(b)**(deg a - deg b + 1), or 1 where lc(b) is +-1 or deg a <
+    deg b, so every quotient coefficient of s a is an integer and
+    _int_divmod divides it."""
+    lc = b[-1]
+    s = 1 if lc in (1, -1) or len(a) < len(b) else lc ** (len(a) - len(b) + 1)
+    q, r = _int_divmod([c * s for c in a] if s != 1 else a, b)
+    return q, r, s
+
+
+def _list_sum(a, b, op=operator.add) -> list:
+    """op(a_k, b_k) for ascending coefficient lists over any ring (a + b,
+    or a - b for op = operator.sub), the shorter one padded with 0, and
+    stripped."""
+    out = list(a) + [0] * (len(b) - len(a))
+    out[: len(b)] = map(op, out, b)
+    return _strip(out)
+
+
 def _strip(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
@@ -418,7 +414,7 @@ def _strip(a: list) -> list:
 
 
 def _int_mul(a, b) -> list:
-    """a*b for nonempty integer coefficient sequences (ascending)."""
+    """a*b for nonempty coefficient sequences (ascending) over any ring."""
     acc = [0] * (len(a) + len(b) - 1)
     lb = len(b)
     for i, ai in enumerate(a):
@@ -513,29 +509,11 @@ def _int_gcd_prs(a: list, b: list) -> Poly:
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _int_pseudo_rem(a, b)
+        r = _pseudo_divmod(a, b)[1]
         if not r:
             break
         a, b = b, _content_free(r)
     return _from_ints(b, b[-1])
-
-
-def _int_pseudo_rem(a: list, b: list) -> list:
-    a = list(a)
-    db = len(b) - 1
-    lcb = b[-1]
-    while len(a) - 1 >= db:
-        lca = a[-1]
-        if lcb != 1:
-            a = [c * lcb for c in a]
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] -= lca * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
 
 
 def poly_xgcd(a: Poly, b: Poly):

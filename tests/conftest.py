@@ -5,9 +5,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hypothesis import settings
+
 from smithpoly.matpoly import MatPoly
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
+
+# every property test replays the same examples and keeps none between
+# runs; each one sets its own max_examples
+settings.register_profile("exact", deadline=None, derandomize=True, database=None)
+settings.load_profile("exact")
 
 
 def random_poly(rng: SplitMix64, deg: int, lo: int = -5, hi: int = 5) -> Poly:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import LIGHT, factored, instance, locals_rpr, pipeline
-from smithpoly import globalsmith, localsmith, modular, poly
+from smithpoly import globalsmith, localsmith, modular
 from smithpoly.errors import (
     DivisibilityFailure,
     FactorSetMismatch,
@@ -400,7 +400,7 @@ def _unimodular(draw):
     return MatPoly([[e.scale(c) for e in row] for row, c in zip(E.entries, scales)])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(E=_unimodular())
 def test_invert_matches_adjugate_over_det(E):
     U = invert_unimodular(E)
@@ -510,17 +510,40 @@ def test_invert_with_long_adjugate_entries():
     assert max(v.numerator.bit_length() for v in U0) >= 400
 
 
+def _spy_slots(monkeypatch, on_pack=None, on_unpack=None):
+    """Wrap the pack and unpack that invert_unimodular takes from
+    matpoly._slots: on_pack(B) sees each pack, on_unpack(out, B) each
+    unpacked row."""
+    slots = globalsmith._slots
+
+    def recording(one):
+        size, pack, unpack = slots(one)
+
+        def spy_pack(values, B):
+            if on_pack:
+                on_pack(B)
+            return pack(values, B)
+
+        def spy_unpack(v, B, count):
+            out = unpack(v, B, count)
+            if on_unpack:
+                on_unpack(out, B)
+            return out
+
+        return size, spy_pack, spy_unpack
+
+    monkeypatch.setattr(globalsmith, "_slots", recording)
+
+
 def _slot_widths(monkeypatch):
     """The slot widths invert_unimodular packs its rows with, in order."""
     widths = []
-    pack = globalsmith._pack
 
-    def recording(ints, B):
+    def seen(B):
         if not widths or widths[-1] != B:
             widths.append(B)
-        return pack(ints, B)
 
-    monkeypatch.setattr(globalsmith, "_pack", recording)
+    _spy_slots(monkeypatch, on_pack=seen)
     return widths
 
 
@@ -579,17 +602,13 @@ def test_invert_slot_sums_near_the_bound(kind, monkeypatch):
     E = MatPoly([[Poly([e * p * (i == j), e * p * a * m]) for j, m in enumerate(row)]
                  for i, (p, row) in enumerate(zip(ps, M))])
     fill = []
-    # Gaussian rows are read by poly._unpack_gaussian, one poly._unpack
-    # per part
-    module = poly if kind == "gaussian" else globalsmith
-    unpack = module._unpack
 
-    def recording(v, B, count):
-        out = unpack(v, B, count)
-        fill.append(max(abs(s) for s in out) / 2 ** (B - 1))
-        return out
+    def seen(out, B):
+        # each part of a Gaussian slot apart
+        parts = [p for s in out for p in ((s.re, s.im) if kind == "gaussian" else (s,))]
+        fill.append(max(map(abs, parts)) / 2 ** (B - 1))
 
-    monkeypatch.setattr(module, "_unpack", recording)
+    _spy_slots(monkeypatch, on_unpack=seen)
     U = invert_unimodular(E)
     xaM = MatPoly([[Poly([0, a * m]) for m in row] for row in M])
     want = MatPoly.identity(5) - xaM + xaM @ xaM
@@ -914,7 +933,7 @@ def _regular_matrices(draw):
     return A
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(A=_regular_matrices(), with_U=st.booleans())
 def test_pipeline_matches_minors_oracle(A, with_U):
     """smith_with_multipliers gives the D of both oracles, the

@@ -12,14 +12,27 @@ from hypothesis import strategies as st
 
 from corpus import instance
 from smithpoly.field import GaussianRational
-from smithpoly.globalsmith import invert_unimodular, smith_with_multipliers
-from smithpoly.localsmith import _BaseFieldLane, _local_chains, local_smith, local_smith_over_K
+from smithpoly.globalsmith import (
+    combine_local,
+    factor_determinant,
+    invert_unimodular,
+    smith_diagonal,
+    smith_with_multipliers,
+    triangularize,
+)
+from smithpoly.localsmith import (
+    _BaseFieldLane,
+    _local_chains,
+    _local_multiplier,
+    local_smith,
+    local_smith_over_K,
+)
 from smithpoly.matpoly import MatPoly, compute_E, mat_det
-from smithpoly.poly import Poly, _from_ints, _view
+from smithpoly.poly import Poly, _from_ints, _view, poly_gcd, poly_xgcd
 from smithpoly.verify import verify_smith
 
 X = Poly.x()
-FORMS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+FORMS = settings(max_examples=60)
 
 ints = st.integers(min_value=-12, max_value=12)
 rationals = st.one_of(ints, st.fractions(min_value=-9, max_value=9, max_denominator=8))
@@ -117,6 +130,8 @@ def test_gaussian_input_keeps_its_types():
         Poly([i, 1]) + Poly([Fraction(1, 2), 0, 3]),
         Poly([Fraction(1, 2), 0, 3]) * Poly([GaussianRational(2, 0)]),
         Poly([1, 2]).scale(i),
+        Poly([i, 1]) - Poly([Fraction(1, 2), 0, 3]),
+        *Poly([Fraction(1, 2), 0, 0, 3]).divmod(Poly([i, 0, GaussianRational(2, 0)])),
     ]
     want = [
         [GaussianRational, Fraction],
@@ -124,6 +139,9 @@ def test_gaussian_input_keeps_its_types():
         [GaussianRational, Fraction, Fraction],
         [GaussianRational, GaussianRational, GaussianRational],
         [GaussianRational, GaussianRational],
+        [GaussianRational, Fraction, Fraction],
+        [Fraction, GaussianRational],
+        [Fraction, GaussianRational],
     ]
     for P, types in zip(cases, want):
         assert P._nums is None and P._den is None
@@ -170,8 +188,9 @@ def test_matrix_producers_store_the_canonical_form(data, n):
             term = _ref_mul(term, cells[i * n + perm[i]])
         det = _ref_add(det, term)
     _check(mat_det(A), det)
-    # E = c E0 from A = E0 D and V = c I, with D monic or -1
-    ds = st.sampled_from([Poly([-1]), X + 2, X**2 - 3])
+    # E = c E0 from A = E0 D and V = c I, with d_i monic, -1, a non-unit
+    # constant or of non-unit leading coefficient (pseudo-division)
+    ds = st.sampled_from([Poly([-1]), X + 2, X**2 - 3, Poly([3]), 2 * X - Fraction(1, 3)])
     D = MatPoly.diag(data.draw(st.lists(ds, min_size=n, max_size=n)))
     c = data.draw(rationals.filter(bool))
     E = compute_E(A @ D, MatPoly.diag([Poly([c])] * n), D)
@@ -247,12 +266,25 @@ def test_solve_and_verify_build_no_view_of_the_matrices(views, monkeypatch, spec
 def test_integer_kernels_build_no_view(views):
     A = instance(1, 4, "revcols")
     r = smith_with_multipliers(A)
+    # two primes: the Bezout weights divide by non-monic remainders
+    B = instance(4, 4, "none")
+    factored = factor_determinant(B)
+    locals_ = [_local_multiplier(B, p, e) for p, e in factored.factors]
+    D = smith_diagonal(locals_, B.rows)
+    f = Poly([Fraction(2, 3), 0, -5, Fraction(7, 2)]) * Poly([1, Fraction(3, 4)])
+    g = Poly([Fraction(-1, 6), 3]) * Poly([1, Fraction(3, 4)])
     views.clear()
     compute_E(A, r.V, r.D)
     mat_det(A)
     mat_det(r.E)
     invert_unimodular(r.E)
+    assert poly_gcd(f, g) == Poly([Fraction(4, 3), 1])
+    h, u, v = poly_xgcd(f, g)
+    q, rem = f.divmod(g)
+    combined = combine_local(B, locals_, factored=factored, check=False)
+    triangularize(combined, D)
     assert views == []
+    assert h == u * f + v * g and q * g + rem == f and rem.degree < g.degree
 
 
 # -- the base-field lane builds the digit maps it reads --------------------------

@@ -11,8 +11,9 @@ echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
 columns (_Echelon).
 
 Rational operands must give exactly the reference's coefficients, type
-included (every coefficient a Fraction).  Gaussian operands take the field
-loop; their quotients and remainders keep the reference's types too."""
+included (every coefficient a Fraction).  Gaussian operands run the same
+list kernels on field coefficients; their quotients and remainders keep
+the reference's types too."""
 
 from fractions import Fraction
 
@@ -37,10 +38,7 @@ from smithpoly.matpoly import _exact_div, _rational_product
 from smithpoly.poly import _pack, _unpack
 from smithpoly.residue import BASE_FIELD, ResidueField
 
-settings.register_profile(
-    "kernels", max_examples=60, deadline=None, derandomize=True, database=None
-)
-KERNELS = settings.get_profile("kernels")
+KERNELS = settings(max_examples=60)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 rationals = st.one_of(
@@ -385,7 +383,9 @@ UNIT_DIVISORS = st.one_of(
 )
 # constants +-1 once cleared: the integer route without a division
 UNIT_CONSTANTS = st.sampled_from([Poly.one(), -Poly.one(), Poly.const(HALF), Poly.const(-HALF)])
-# a non-unit leading coefficient, or Gaussian: the field route
+# a non-unit leading coefficient, which compute_E pseudo-divides on the
+# integer route, or Gaussian, which takes the whole call to A @ V and
+# Poly.divmod
 FIELD_DIVISORS = st.sampled_from(
     [(2 * X + 1) ** 2, (X + HALF) ** 2, 3 * X - 1, X + GaussianRational(0, 1)]
 )

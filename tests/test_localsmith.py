@@ -415,7 +415,7 @@ def _sandwich(rng, n, p, exps, bits):
     return L @ MatPoly.diag([p**e for e in exps]) @ R
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     n=st.integers(min_value=2, max_value=3),
     p=st.sampled_from(SANDWICH_PRIMES),
@@ -441,7 +441,7 @@ def test_modular_lane_matches_exact_lane(n, p, bits, exps, seed):
     assert _typed(_local_multiplier(A, p, mu).V) == _typed(exact.V)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     n=st.integers(min_value=2, max_value=3),
     p=st.sampled_from(SANDWICH_PRIMES),

@@ -265,6 +265,29 @@ def test_matmul_and_permutations():
     assert swapped.entries[0] == A.entries[1]
 
 
+def test_gaussian_product_builds_no_integer_chain(monkeypatch):
+    """A Gaussian factor sends @ to Poly arithmetic before any scaled
+    chain is built; rational factors still take the chain."""
+    calls = []
+    real = matpoly._integer_chain
+
+    def spy(factors):
+        calls.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(matpoly, "_integer_chain", spy)
+    i = GaussianRational(0, 1)
+    A = MatPoly([[Poly([i, 1]), X], [Poly.one(), Poly([2, Fraction(1, 3)])]])
+    B = MatPoly([[X, Poly.one()], [Poly([Fraction(1, 2)]), X + 1]])
+    for P, Q in ((A, B), (B, A)):
+        C = P @ Q
+        assert C[0, 0] == P[0, 0] * Q[0, 0] + P[0, 1] * Q[1, 0]
+    assert calls == []
+    half = Fraction(1, 2)
+    assert B @ B == MatPoly([[X**2 + half, 2 * X + 1], [X + half, (X + 1) ** 2 + half]])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "entries, error",
     [

@@ -18,7 +18,7 @@ from smithpoly.field import GaussianRational as G  # noqa: E402
 from smithpoly.matpoly import MatPoly, mat_det  # noqa: E402
 from smithpoly.poly import Poly  # noqa: E402
 
-ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=40)
 LAM = sympy.Symbol("l")
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)

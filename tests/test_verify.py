@@ -29,7 +29,7 @@ from smithpoly.matpoly import MatPoly, compute_E
 from smithpoly.poly import Poly, _pack, _unpack
 from smithpoly.verify import _first_unequal
 
-PACKED = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PACKED = settings(max_examples=60)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 rationals = st.one_of(
