@@ -19,6 +19,7 @@ from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
 from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
 from .matpoly import MatPoly, _exact_div, _integer_rows, _slots, compute_E, mat_det
+from .matpoly import _sub_multiple
 from .poly import Poly, _from_ints, poly_xgcd
 
 
@@ -96,17 +97,15 @@ def combine_local(
     else:
         primes = [loc.p for loc in locals_]
         top = tuple(loc.alphas[-1] for loc in locals_)
-        weights = {}  # exponent vector -> [w_j]
+        weights = {}  # exponent vector -> [-w_j], as the row operation subtracts
         cols = []
         for i in range(n):
             exps = top if mode == "whole" else tuple(max(loc.alphas[i], 1) for loc in locals_)
             if exps not in weights:
-                weights[exps] = _crt_weights(primes, exps)
+                weights[exps] = [-w for w in _crt_weights(primes, exps)]
             col = [Poly.zero()] * n
-            for loc, w in zip(locals_, weights[exps]):
-                for r, v in enumerate(loc.V.column(i)):
-                    if not v.is_zero():
-                        col[r] = col[r] + v * w
+            for loc, minus_w in zip(locals_, weights[exps]):
+                _sub_multiple(col, loc.V.column(i), minus_w)
             cols.append(col)
         combined = CombinedMultiplier(matrix=MatPoly.from_columns(cols), mode=mode)
     if check:
@@ -164,6 +163,9 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
     composition of those operations is the unimodular gcd-extracting
     transform, applied in place to the working matrix and mirrored on
     the accumulated V, so no cofactor products are ever materialized.
+    V is held by columns: a row operation on B and its inverse on two
+    columns of V are one matpoly._sub_multiple each, and a row swap or
+    scaling on B moves or scales one column of V.
 
     Returns (V, B1): V unimodular and B1 the triangularized working matrix
     (zero above the diagonal in every processed column).
@@ -174,20 +176,7 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
     stop = 0
     while stop < n and ds[stop].is_one():
         stop += 1
-    vacc = [
-        [Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)
-    ]
-
-    def row_sub(r, piv, q, width):
-        # B row r -= q * B row piv; the inverse lands on V column piv
-        brow, prow = B[r], B[piv]
-        for c in range(width):
-            if not prow[c].is_zero():
-                brow[c] = brow[c] - q * prow[c]
-        for vrow in vacc:
-            if not vrow[r].is_zero():
-                vrow[piv] = vrow[piv] + q * vrow[r]
-
+    V = [list(col) for col in MatPoly.identity(n).entries]  # columns
     for i in range(n - 1, stop - 1, -1):
         for r in range(i + 1):
             B[r][i] = B[r][i] % ds[i]
@@ -199,23 +188,22 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
                 )
             if len(nz) == 1:
                 src = nz[0]
-                if src != i:
-                    B[src], B[i] = B[i], B[src]
-                    for vrow in vacc:
-                        vrow[src], vrow[i] = vrow[i], vrow[src]
+                B[src], B[i] = B[i], B[src]
+                V[src], V[i] = V[i], V[src]
                 lead = B[i][i].lc()
                 if lead != 1:
                     inv = 1 / lead
                     B[i] = [e.scale(inv) for e in B[i]]
-                    for vrow in vacc:
-                        vrow[i] = vrow[i].scale(lead)
+                    V[i] = [e.scale(lead) for e in V[i]]
                 break
             piv = min(nz, key=lambda r: B[r][i].degree)
             for r in nz:
                 if r != piv:
                     q = B[r][i] // B[piv][i]
-                    row_sub(r, piv, q, i + 1)
-    return MatPoly(vacc), MatPoly(B)
+                    # rows r, piv <= i are zero in every processed column
+                    _sub_multiple(B[r], B[piv], q)
+                    _sub_multiple(V[piv], V[r], -q)
+    return MatPoly.from_columns(V), MatPoly(B)
 
 
 def invert_unimodular(E: MatPoly) -> MatPoly:

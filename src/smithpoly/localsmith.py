@@ -42,6 +42,7 @@ from .errors import (
 )
 from . import modular
 from .matpoly import MatPoly, _integer_rows, compute_E, expand_in_p, lambda_iso, mat_det
+from .matpoly import _sub_multiple
 from .poly import Poly
 from .residue import BASE_FIELD, ModularField, ResidueField, UnluckyPrime, check_modulus
 
@@ -296,7 +297,9 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
         raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
     if len(null_basis) != r0 * s:
         raise MultiplicityMismatch("kernel is not a module over R/pR")
-    accepted = [(0, _unit_column(n, g)) for g in pivot_super]
+    accepted = [
+        (0, [Poly.one() if r == g else Poly.zero() for r in range(n)]) for g in pivot_super
+    ]
     R = r0
     chains = null_basis
     stacked = list(chains)  # every kernel chain so far, zero-padded on top
@@ -327,12 +330,6 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
     for g in range(len(chains) // s):
         accepted.append((k + 1, lane.decode(chains[g * s])))
     return _finish_local(p, accepted, mu)
-
-
-def _unit_column(n, c):
-    col = [Poly.zero()] * n
-    col[c] = Poly.one()
-    return col
 
 
 def _chain_combination(stacked, u, rows, zero):
@@ -599,7 +596,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
         raise NotSquare("local Smith form needs a square matrix")
     F = ResidueField(p)
     n = A.rows
-    cols = [_unit_column(n, i) for i in range(n)]
+    cols = MatPoly.identity(n).columns()
     alphas = [0] * n
     accepted_res = []  # residue rows of accepted leading residuals
     k = 0
@@ -612,7 +609,7 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
         active = n - done
         for _ in range(active):
             x = cols[done]
-            ax = _matvec_poly(A, x)
+            ax = (A @ MatPoly.from_columns([x])).column(0)
             y = []
             for e in ax:
                 q, rem = e.divmod(pk)
@@ -625,32 +622,15 @@ def local_smith_reference(A: MatPoly, p: Poly) -> LocalSmithResult:
                 accepted_res.append(y)
                 done += 1
             else:
-                newx = list(x)
                 for m, a in enumerate(coeffs):
-                    if a.is_zero():
-                        continue
-                    shift = p ** (k - alphas[m])
-                    fct = a * shift
-                    for r in range(n):
-                        if not cols[m][r].is_zero():
-                            newx[r] = newx[r] - fct * cols[m][r]
-                cols = cols[:done] + cols[done + 1 :] + [newx]
+                    if not a.is_zero():
+                        _sub_multiple(x, cols[m], a * p ** (k - alphas[m]))
+                cols = cols[:done] + cols[done + 1 :] + [x]
         k += 1
         pk = pk * p
     if not any(alphas):
         raise PrimeDoesNotDivideDet("leading coefficient of A is invertible mod p")
     return _with_E(A, _finish_local(p, list(zip(alphas, cols)), sum(alphas)))
-
-
-def _matvec_poly(A: MatPoly, x):
-    out = []
-    for row in A.entries:
-        acc = Poly.zero()
-        for a, b in zip(row, x):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out
 
 
 def _dependence(accepted, y, F):

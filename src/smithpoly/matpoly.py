@@ -48,9 +48,7 @@ class MatPoly:
 
     @staticmethod
     def identity(n: int) -> "MatPoly":
-        return MatPoly(
-            [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-        )
+        return MatPoly.diag([Poly.one()] * n)
 
     @staticmethod
     def diag(entries) -> "MatPoly":
@@ -476,14 +474,20 @@ def lambda_iso(blocks, p: Poly) -> list:
     for b in blocks:
         if len(b) != n:
             raise DimensionMismatch("digit blocks of differing length")
-        for e in b:
-            if e.degree >= s:
-                raise DegreeTooHigh("digit entry with degree >= deg p")
+        if any(e.degree >= s for e in b):
+            raise DegreeTooHigh("digit entry with degree >= deg p")
     out = [Poly.zero()] * n
-    pk = Poly.one()
+    minus_pk = -Poly.one()  # -p**k: the row operation subtracts
     for b in blocks:
-        for i, e in enumerate(b):
-            if not e.is_zero():
-                out[i] = out[i] + e * pk
-        pk = pk * p
+        _sub_multiple(out, b, minus_pk)
+        minus_pk = minus_pk * p
     return out
+
+
+def _sub_multiple(y: list, x, q: Poly) -> None:
+    """y[c] = y[c] - q * x[c] in place, for each nonzero x[c]: the one
+    polynomial row operation that triangularize, the Bezout splice,
+    lambda_iso and both oracles run on the rows or columns they hold."""
+    for c, v in enumerate(x):
+        if v:
+            y[c] = y[c] - q * v

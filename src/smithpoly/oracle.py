@@ -11,10 +11,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import NotRegular, NotSquare, TooLarge
-from .matpoly import MatPoly, mat_det
+from .matpoly import MatPoly, _sub_multiple, mat_det
 from .poly import Poly, poly_gcd
 
 _MAX_MINOR_SIZE = 5
+_MINUS_ONE = -Poly.one()
 
 
 def minors_gcd_smith(A: MatPoly) -> MatPoly:
@@ -56,13 +57,17 @@ def elementary_smith(A: MatPoly):
 
     Pivot choice: minimum degree, ties broken by smallest coefficient
     height then position, for determinism and bounded growth.
+
+    U is held by rows and V by columns.  The row operations run on M and
+    U, the column operations on the transpose of M and on V, so each
+    operation is one matpoly._sub_multiple on M and one on U or V.
     """
     if not A.is_square():
         raise NotSquare("needs a square matrix")
     n = A.rows
     M = [list(row) for row in A.entries]
-    U = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-    V = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+    U = [list(row) for row in MatPoly.identity(n).entries]
+    V = [list(col) for col in MatPoly.identity(n).entries]  # columns
 
     for k in range(n):
         while True:
@@ -70,56 +75,42 @@ def elementary_smith(A: MatPoly):
             if pos is None:
                 raise NotRegular("matrix is not regular")
             pi, pj = pos
-            if pi != k:
-                M[k], M[pi] = M[pi], M[k]
-                U[k], U[pi] = U[pi], U[k]
-            if pj != k:
-                for row in M:
-                    row[k], row[pj] = row[pj], row[k]
-                for row in V:
-                    row[k], row[pj] = row[pj], row[k]
-            pivot = M[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if M[i][k].is_zero():
-                    continue
-                q = M[i][k] // pivot
-                if not q.is_zero():
-                    for c in range(k, n):
-                        M[i][c] = M[i][c] - q * M[k][c]
-                    for c in range(n):
-                        U[i][c] = U[i][c] - q * U[k][c]
-                if not M[i][k].is_zero():
-                    dirty = True
-            for j in range(k + 1, n):
-                if M[k][j].is_zero():
-                    continue
-                q = M[k][j] // pivot
-                if not q.is_zero():
-                    for r in range(k, n):
-                        M[r][j] = M[r][j] - q * M[r][k]
-                    for r in range(n):
-                        V[r][j] = V[r][j] - q * V[r][k]
-                if not M[k][j].is_zero():
-                    dirty = True
+            M[k], M[pi] = M[pi], M[k]
+            U[k], U[pi] = U[pi], U[k]
+            for row in M:
+                row[k], row[pj] = row[pj], row[k]
+            V[k], V[pj] = V[pj], V[k]
+            dirty = _clear_below(M, U, k)
+            M = [list(col) for col in zip(*M)]  # the column operations
+            dirty = _clear_below(M, V, k) or dirty
+            M = [list(row) for row in zip(*M)]
             if dirty:
                 continue
-            culprit = _indivisible_entry(M, k, n, pivot)
+            culprit = _indivisible_entry(M, k, n, M[k][k])
             if culprit is None:
                 break
             ci, _ = culprit
-            for c in range(k, n):
-                M[k][c] = M[k][c] + M[ci][c]
-            for c in range(n):
-                U[k][c] = U[k][c] + U[ci][c]
+            _sub_multiple(M[k], M[ci], _MINUS_ONE)
+            _sub_multiple(U[k], U[ci], _MINUS_ONE)
         lead = M[k][k].lc()
         if lead != 1:
             inv = 1 / lead
             M[k][k] = M[k][k].scale(inv)
-            for c in range(n):
-                U[k][c] = U[k][c].scale(inv)
+            U[k] = [e.scale(inv) for e in U[k]]
 
-    return MatPoly(U), MatPoly(M), MatPoly(V)
+    return MatPoly(U), MatPoly(M), MatPoly.from_columns(V)
+
+
+def _clear_below(M, X, k) -> bool:
+    """Row i > k of M less (M[i][k] // M[k][k]) times row k, and the same
+    on X; True if an M[i][k] is left nonzero.  Row k is zero before
+    column k."""
+    for i in range(k + 1, len(M)):
+        q = M[i][k] // M[k][k]
+        if q:
+            _sub_multiple(M[i], M[k], q)
+            _sub_multiple(X[i], X[k], q)
+    return any(M[i][k] for i in range(k + 1, len(M)))
 
 
 def _best_pivot(M, k, n):

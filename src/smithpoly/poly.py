@@ -161,7 +161,9 @@ class Poly:
         if not self._len or not other._len:
             return _ZERO
         if self._nums is not None and other._nums is not None:
-            return _from_ints(_int_mul(self._nums, other._nums), self._den * other._den)
+            # _int_mul's outer loop runs over its first factor: the shorter one
+            a, b = (self, other) if self._len <= other._len else (other, self)
+            return _from_ints(_int_mul(a._nums, b._nums), self._den * other._den)
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
             return other.scale(a[0])

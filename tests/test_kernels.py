@@ -391,6 +391,27 @@ FIELD_DIVISORS = st.sampled_from(
 )
 
 
+def _check_compute_E(A, V, ds):
+    """compute_E(A, V, diag(ds)) against the reference: its quotients, or
+    DivisibilityFailure naming its first non-divisible column; None then.
+    Rational operands take the integer route, whose quotients have
+    Fraction coefficients only.  On Q(i) a coefficient's type depends on
+    the arithmetic path (a zero coefficient times i is a GaussianRational
+    in the reference, which multiplies every pair of coefficients, and
+    Poly skips zero ones), so there only the values are compared."""
+    ref = reference_compute_E(A, V, ds)
+    if isinstance(ref, int):
+        with pytest.raises(DivisibilityFailure, match=f"^column {ref} of A\\*V"):
+            compute_E(A, V, MatPoly.diag(ds))
+        return None
+    E = compute_E(A, V, MatPoly.diag(ds))
+    assert [[list(e.coeffs) for e in row] for row in E.entries] == ref
+    rows = [*A.entries, *V.entries, ds]
+    if all(e._nums is not None for row in rows for e in row):
+        assert all(type(c) is Fraction for row in E.entries for e in row for c in e.coeffs)
+    return E
+
+
 @pytest.mark.parametrize("route", ["integer", "field", "gaussian"])
 @settings(KERNELS, max_examples=60)
 @given(
@@ -401,12 +422,12 @@ FIELD_DIVISORS = st.sampled_from(
 )
 def test_compute_E_matches_division_reference(route, data, dims, bump, shape):
     """compute_E(A, V, D) for V = W D (so A V = (A W) D), with one entry
-    of V moved by the constant `bump`: the reference's quotients,
-    coefficient types included, or DivisibilityFailure naming the
-    reference's first non-divisible column.  One field d_i (or Gaussian
-    entries) takes the whole call off the integer route.  The shapes are
-    the product's (SHAPES); under "bound" every d_i is a constant, so that
-    V keeps W's extreme coefficients."""
+    of V moved by the constant `bump`, checked by _check_compute_E.  Only
+    a Q(i) d_i (under "field") or Q(i) entries (under "gaussian") take the
+    call off the integer route; a rational d_i with a non-unit leading
+    coefficient is pseudo-divided on it.  The shapes are the product's
+    (SHAPES); under "bound" every d_i is a constant, so that V keeps W's
+    extreme coefficients."""
     rows, inner, n = dims
     divisors = UNIT_CONSTANTS if shape == "bound" else UNIT_DIVISORS
     ds = [data.draw(divisors) for _ in range(n)]
@@ -426,19 +447,19 @@ def test_compute_E_matches_division_reference(route, data, dims, bump, shape):
     V = [list(row) for row in (W @ MatPoly.diag(ds)).entries]
     k, i = data.draw(st.tuples(st.integers(0, inner - 1), st.integers(0, n - 1)))
     V[k][i] = V[k][i] + bump
-    V, D = MatPoly(V), MatPoly.diag(ds)
-    ref = reference_compute_E(A, V, ds)
-    if isinstance(ref, int):
-        with pytest.raises(DivisibilityFailure, match=f"^column {ref} of A\\*V"):
-            compute_E(A, V, D)
-        return
-    E = compute_E(A, V, D)
-    assert [[list(e.coeffs) for e in row] for row in E.entries] == ref
-    assert [[_types(e.coeffs) for e in row] for row in E.entries] == [
-        [_types(q) for q in row] for row in ref
-    ]
-    if not bump:
+    E = _check_compute_E(A, MatPoly(V), ds)
+    if E is not None and not bump:
         assert E == A @ W
+
+
+def test_compute_E_gaussian_divisor_of_a_rational_product():
+    """A Q(i) d_2 with rational A and W: compute_E gives E[0][1] = l^2+1
+    with Fraction coefficients, where the reference's constant term is a
+    GaussianRational; the values agree."""
+    A, W = MatPoly([[X**2 + 1]]), MatPoly([[0, 1]])
+    ds = [-(X**2) + 3, X + GaussianRational(0, 1)]
+    E = _check_compute_E(A, W @ MatPoly.diag(ds), ds)
+    assert E == A @ W
 
 
 def test_compute_E_rejects_a_bad_D():

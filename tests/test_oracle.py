@@ -2,6 +2,7 @@ import pytest
 
 from conftest import random_matrix
 from smithpoly.errors import NotRegular, TooLarge
+from smithpoly.field import GaussianRational
 from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import elementary_smith, minors_gcd_smith
 from smithpoly.poly import Poly
@@ -44,6 +45,30 @@ def test_elementary_sorts_by_divisibility():
     assert D == MatPoly.diag([X, X**2])
     assert (U @ A @ V) == D
     assert mat_det(U).degree == 0 and mat_det(V).degree == 0
+
+
+def _check_elementary(A):
+    """U A V = D with U and V of constant determinant, and D the
+    determinantal-divisor diagonal."""
+    U, D, V = elementary_smith(A)
+    assert (U @ A @ V) == D
+    assert mat_det(U).degree == 0 and mat_det(V).degree == 0
+    assert D == minors_gcd_smith(A)
+    return D
+
+
+def test_elementary_indivisible_entry_step():
+    """In diag(l, l+1) neither entry divides the other, so the Smith form
+    diag(1, l^2+l) is reached only by adding the row of an entry the pivot
+    does not divide to the pivot row."""
+    assert _check_elementary(MatPoly.diag([X, X + 1])) == MatPoly.diag([Poly.one(), X**2 + X])
+
+
+def test_elementary_gaussian_entries():
+    """Q(i) entries: the pivot rule ranks them by the height of both parts."""
+    i = GaussianRational(0, 1)
+    D = _check_elementary(MatPoly([[X - i, 2], [i, X + 1]]))
+    assert D == MatPoly.diag([Poly.one(), X**2 + (1 - i) * X - 3 * i])
 
 
 def test_oracles_agree_random():
