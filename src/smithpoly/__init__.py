@@ -49,13 +49,7 @@ from .matio import (
     write_matpoly_json,
     write_matpoly_text,
 )
-from .matpoly import (
-    MatPoly,
-    PAdicExpansion,
-    expand_in_p,
-    lambda_iso,
-    mat_det,
-)
+from .matpoly import MatPoly, lambda_iso, mat_det
 from .oracle import elementary_smith, minors_gcd_smith
 from .poly import Poly, parse_poly, poly_gcd, poly_xgcd
 from .verify import VerifyReport, verify_smith

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from .errors import (
     MultiplicityMismatch,
@@ -41,7 +41,7 @@ from .errors import (
     SmithError,
 )
 from . import modular
-from .matpoly import MatPoly, _integer_rows, compute_E, expand_in_p, lambda_iso, mat_det
+from .matpoly import MatPoly, _integer_rows, compute_E, lambda_iso, mat_det
 from .matpoly import _sub_multiple
 from .poly import Poly
 from .residue import BASE_FIELD, ModularField, ResidueField, UnluckyPrime, check_modulus
@@ -259,10 +259,10 @@ def exact_local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
     operations that reduce V to a permutation matrix, so det V is a
     nonzero constant.
 
-    Only the first mu p-adic digits of A are expanded.  Round 0 finds
-    r0 >= 1 chains and every later round adds at least one, or raises,
-    so the last round k is at most mu - 1, and round k reads digits
-    0..k."""
+    The lane keeps only the first mu p-adic digits of A (_plane_digits).
+    Round 0 finds r0 >= 1 chains and every later round adds at least one,
+    or raises, so the last round k is at most mu - 1, and round k reads
+    digits 0..k."""
     return _local_chains(A, p, mu, _ResidueLane)
 
 
@@ -376,14 +376,19 @@ class _ResidueLane:
     s = 1
 
     def __init__(self, A: MatPoly, p: Poly, mu: int):
-        """Round k < mu reads digits 0..k of A, so mu digits suffice."""
-        self.p = p
-        self.F = ResidueField(p)
+        """Round k < mu reads digits 0..k of A, so the first mu digits of
+        _plane_digits over K are kept, each a grid of Poly of degree
+        < deg p.  A's rational rows, scaled to integers there, scale the
+        tableau's rows and nothing else, as in the base-field lane."""
+        self.p, self.F = p, ResidueField(p)
         self.n = self.width = A.rows
-        self.digits = expand_in_p(A, p, mu).blocks
+        m = A.cols
+        digits = islice(_plane_digits(A, BASE_FIELD.embed(p.coeffs), BASE_FIELD), mu)
+        grids = ([Poly(cs) for cs in zip(*digit)] for digit in digits)
+        self.digits = [[es[i : i + m] for i in range(0, len(es), m)] for es in grids]
 
     def tableau(self):
-        return [list(row) for row in self.digits[0].entries]
+        return [list(row) for row in self.digits[0]]
 
     def residual(self, chain, k):
         """Images of a length-k chain under the next two digit diagonals:
@@ -396,9 +401,7 @@ class _ResidueLane:
         for j in range(k):
             block = chain[j * n : (j + 1) * n]
             for acc, d in ((hi, k - j), (lo, k - 1 - j)):
-                if d >= len(digits):
-                    continue
-                for i, row in enumerate(digits[d].entries):
+                for i, row in enumerate(digits[d]):
                     e = acc[i]
                     for a, b in zip(row, block):
                         if a and b:
@@ -450,9 +453,8 @@ class _BaseFieldLane:
         s, n = p.degree, A.rows
         self.s, self.width = s, s * n
         self.p = F.embed(p.coeffs)
-        planes = [F.embed(plane) for plane in _coefficient_planes(A)]
         self.G = []
-        self._maps = self._digit_maps(_plane_digits(planes, self.p, F.reduce), n, A.cols)
+        self._maps = self._digit_maps(_plane_digits(A, self.p, F), n, A.cols)
         self.sparse = {}  # k -> the rows of [G_k, G_{k-1}, ..., G_1], sparse
 
     def _digit_maps(self, digits, n, nc):
@@ -510,29 +512,27 @@ class _BaseFieldLane:
         return self.F.decode(blocks, self.p)
 
 
-def _coefficient_planes(A: MatPoly) -> list:
-    """Plane k: coefficient k of A[i][j] at i*m + j, m = A.cols.  Rational
-    rows are scaled to integers (matpoly._integer_rows)."""
+def _plane_digits(A: MatPoly, p: list, F):
+    """The digits of A in powers of the monic p, whose coefficients p lists
+    in the field F: the one p-adic expansion, which both lanes read.  Each
+    digit is s planes over F, one per next(), lowest first (zero digits
+    past the last); plane k holds coefficient k of each entry A[i][j] at
+    i*m + j, m = A.cols, rational rows scaled to integers first
+    (matpoly._integer_rows).  A division reduces (F.reduce) a plane where
+    it reads a quotient coefficient and once at the end, and leaves an
+    entry whose quotient coefficient is zero as it is, as a polynomial
+    division would (that keeps Gaussian coefficient types)."""
     one, _, rows = _integer_rows(A.entries)
     if type(one) is not int:
         rows = [[e.coeffs for e in row] for row in A.entries]
-    m = A.cols
-    planes = [[0] * (A.rows * m) for _ in range(max(A.max_degree() + 1, 1))]
+    m, size = A.cols, A.rows * A.cols
+    planes = [[0] * size for _ in range(max(A.max_degree() + 1, 1))]
     for i, row in enumerate(rows):
         for j, coeffs in enumerate(row):
             for k, c in enumerate(coeffs):
                 planes[k][i * m + j] = c
-    return planes
-
-
-def _plane_digits(planes, p, reduce):
-    """The digits of the planes in powers of the monic p, lowest first and
-    each as s planes, one per next() (zero digits past the last).  A
-    division reduces a plane where it reads a quotient coefficient and
-    once at the end, and leaves an entry whose quotient coefficient is
-    zero as it is, as a polynomial division would (that keeps Gaussian
-    coefficient types)."""
-    s, size = len(p) - 1, len(planes[0])
+    planes = [F.embed(plane) for plane in planes]
+    s, reduce = len(p) - 1, F.reduce
     while True:
         a = planes + [[0] * size] * (s - len(planes))
         planes = [None] * (len(a) - s)

@@ -1,11 +1,11 @@
 """Matrix polynomials: products, exact division of the columns of A*V by a
-diagonal, exact determinants, expansion in powers of an irreducible p, and
-the digit/polynomial isomorphism used by the local Smith form algorithms."""
+diagonal, exact determinants, and the digit/polynomial isomorphism that
+reassembles the local Smith form algorithms' digits in powers of p (the
+digits themselves come from localsmith._plane_digits)."""
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm, prod
@@ -15,13 +15,12 @@ from .errors import (
     DimensionMismatch,
     DivisibilityFailure,
     EmptyInput,
-    NotMonic,
     NotSquare,
     ShapeMismatch,
     SmithError,
 )
 from .field import GaussianRational
-from .poly import Poly, _from_ints, _int_divmod, _pack, _pseudo_divmod, _unpack
+from .poly import Poly, _from_ints, _pack, _pseudo_divmod, _unpack
 from .poly import _pack_gaussian, _unpack_gaussian
 
 
@@ -60,8 +59,10 @@ class MatPoly:
 
     @staticmethod
     def from_columns(cols) -> "MatPoly":
-        # the columns as rows first, so empty and ragged input is refused
-        return MatPoly(zip(*MatPoly(cols).entries))
+        cols = list(cols)
+        if len(set(map(len, cols))) > 1:  # zip would cut ragged columns short
+            raise ShapeMismatch("ragged columns")
+        return MatPoly(zip(*cols))
 
     # -- access ----------------------------------------------------------
 
@@ -142,9 +143,6 @@ class MatPoly:
             ]
         )
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def permute_rows(self, perm) -> "MatPoly":
         return MatPoly([self.entries[p] for p in perm])
 
@@ -214,23 +212,27 @@ def _not_divisible(i):
 
 
 def mat_det(A: MatPoly) -> Poly:
-    """Exact determinant on integers.
-
-    Each row is scaled by the lcm of its coefficient denominators, which
-    makes every entry an integer (or Gaussian-integer) polynomial, and the
-    result is divided once by the product of the scales.  deg det is at
-    most bound = min(sum of row degrees, sum of column degrees).  A zero
-    row or column gives zero.  The scaled rows take one packed Bareiss
-    elimination (_det_packed)."""
+    """Exact determinant on integers: that of A's rows scaled to integers
+    (_integer_rows), by _det_of."""
     if not A.is_square():
         raise NotSquare("determinant needs a square matrix")
     if A.rows == 1:
         return A[0, 0]
-    degrees = [[e.degree for e in row] for row in A.entries]
+    one, scales, rows = _integer_rows(A.entries)
+    return _det_of((one, rows), scales)
+
+
+def _det_of(factor, scales) -> Poly:
+    """det of the matrix with rows rows[i] / scales[i], for (one, rows) from
+    _integer_rows or a factor of _integer_chain (its scaled columns give
+    the det of the transpose, the same), divided once by prod(scales).
+    deg det <= bound = min(sum of row degrees, sum of column degrees); a
+    zero row or column gives zero.  One packed Bareiss (_det_packed)."""
+    one, rows = factor
+    degrees = [[len(cs) - 1 for cs in row] for row in rows]
     row_deg, col_deg = list(map(max, degrees)), list(map(max, zip(*degrees)))
     if min(row_deg + col_deg) < 0:
         return Poly.zero()
-    one, scales, rows = _integer_rows(A.entries)
     coeffs = _det_packed(rows, min(sum(row_deg), sum(col_deg)), one)
     if type(one) is int:
         return _from_ints(coeffs, prod(scales))
@@ -413,51 +415,6 @@ def _bareiss(m, one):
         ]
         prev = pivot
     return m[0][0] * sign if m else one
-
-
-# -- expansion in powers of p --------------------------------------------
-
-
-@dataclass(frozen=True)
-class PAdicExpansion:
-    """Digits of a matrix in powers of a monic irreducible p, every digit
-    entry of degree < deg p; lambda_iso reassembles them exactly."""
-
-    p: Poly
-    blocks: tuple  # of MatPoly
-
-
-def expand_in_p(A: MatPoly, p: Poly, count: int | None = None) -> PAdicExpansion:
-    """The digits of A in powers of p, or only the first `count` of them."""
-    if not p.is_monic() or p.degree < 1:
-        raise NotMonic("expansion needs a monic p of degree >= 1")
-    grids = [[_digits(e, p, count) for e in row] for row in A.entries]
-    q = max([1] + [len(d) for row in grids for d in row])
-    blocks = tuple(
-        MatPoly([[d[k] if k < len(d) else Poly.zero() for d in row] for row in grids])
-        for k in range(q)
-    )
-    return PAdicExpansion(p=p, blocks=blocks)
-
-
-def _digits(e: Poly, p: Poly, count=None) -> list:
-    """The digits of e in powers of the monic p, lowest first, at most
-    `count` of them: repeated division by p, on integers when p and e are
-    rational and p integral."""
-    if count is None:
-        count = e.degree // p.degree + 1
-    b, a, den = p._nums, e._nums, e._den
-    if b is None or p._den != 1 or a is None:
-        ds = []
-        while not e.is_zero() and len(ds) < count:
-            e, r = e.divmod(p)
-            ds.append(r)
-        return ds
-    ds = []
-    while a and len(ds) < count:
-        a, r = _int_divmod(a, b)
-        ds.append(_from_ints(r, den))
-    return ds
 
 
 # -- digit <-> polynomial isomorphism -------------------------------------

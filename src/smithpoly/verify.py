@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
-from .matpoly import MatPoly, _chain_rows, _integer_chain, mat_det
+from .matpoly import MatPoly, _chain_rows, _det_of, _integer_chain, mat_det
 from .poly import Poly
 
 
@@ -55,9 +55,12 @@ def verify_smith(
         checks.append((name, bool(ok), witness))
 
     if F is not None:
-        name, diff = "product identity A = E*D*F", _first_unequal((E, D, F), (A,))
+        name, left, right = "product identity A = E*D*F", (E, D, F), (A,)
     else:
-        name, diff = "product identity A*V = E*D", _first_unequal((A, V), (E, D))
+        name, left, right = "product identity A*V = E*D", (A, V), (E, D)
+    # det A and det V (or F) are read off the chains' scaled rows and columns
+    lchain, rchain = _integer_chain(left), _integer_chain(right)
+    diff = _first_unequal(lchain, rchain)
     identity = diff is None
     add(name, identity, "" if identity else "first difference at entry ({},{})".format(*diff))
 
@@ -81,9 +84,9 @@ def verify_smith(
             break
     add("divisibility chain", chain_ok, witness)
 
-    det_a = mat_det(A)
-    side = F if F is not None else V
-    det_side = mat_det(side)
+    a_chain = rchain if F is not None else lchain
+    det_a = _det_of(a_chain[0][0], a_chain[1])
+    det_side = _det_of(lchain[0][-1], lchain[2])
     prod_d = diag[0]
     for d in diag[1:]:
         prod_d = prod_d * d
@@ -111,10 +114,11 @@ def verify_smith(
     return VerifyReport(checks=tuple(checks), overall=all(c[1] for c in checks))
 
 
-def _first_unequal(left, right):
+def _first_unequal(lchain, rchain):
     """The first entry (i + 1, j + 1), row by row, at which the product of
-    the square matrices `left` differs from that of `right`, or None where
-    the two products are equal.  Neither product is formed.
+    the square matrices of one _integer_chain differs from that of the
+    other, or None where the two products are equal.  Neither product is
+    formed.
 
     Each product is taken on integers by the chain kernel of @
     (matpoly._integer_chain): its entry (i, j) is c_ij / (s_i t_j), c_ij
@@ -130,7 +134,7 @@ def _first_unequal(left, right):
     2**B in size, and such a polynomial is zero at x = 2**B only if it is
     zero (its lowest nonzero coefficient is no multiple of 2**B), so
     equal values are equal entries."""
-    (lf, ls, lt, lb), (rf, rs, rt, rb) = map(_integer_chain, (left, right))
+    (lf, ls, lt, lb), (rf, rs, rt, rb) = lchain, rchain
     B = max(lb * max(rs) * max(rt), rb * max(ls) * max(lt)).bit_length() + 1
     for i, (lrow, rrow) in enumerate(zip(_chain_rows(lf, B), _chain_rows(rf, B))):
         for j, (a, b) in enumerate(zip(lrow, rrow)):

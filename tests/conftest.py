@@ -7,7 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hypothesis import settings
 
-from smithpoly.matpoly import MatPoly
+from smithpoly.localsmith import _ResidueLane
+from smithpoly.matpoly import MatPoly, _integer_rows
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
 
@@ -25,6 +26,25 @@ def random_matrix(rng: SplitMix64, n: int, deg: int, lo: int = -5, hi: int = 5):
     return MatPoly(
         [[random_poly(rng, deg, lo, hi) for _ in range(n)] for _ in range(n)]
     )
+
+
+def digits_in_p(A: MatPoly, p: Poly, count: int | None = None) -> list:
+    """The first `count` digits of A in powers of p (by default as many as
+    the highest degree needs), from localsmith._plane_digits over K as the
+    residue lane keeps them: grids of Poly of degree < deg p, of A's rows
+    scaled to integers (integer_scaled) when A is rational."""
+    if count is None:
+        count = max(A.max_degree(), 0) // p.degree + 1
+    return _ResidueLane(A, p, count).digits
+
+
+def integer_scaled(A: MatPoly) -> MatPoly:
+    """A rational A with each row times the lcm of its denominators
+    (matpoly._integer_rows); a Gaussian A as it is."""
+    one, scales, _ = _integer_rows(A.entries)
+    if type(one) is not int:
+        return A
+    return MatPoly([[e.scale(m) for e in row] for row, m in zip(A.entries, scales)])
 
 
 @lru_cache(maxsize=None)

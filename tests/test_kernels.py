@@ -1,5 +1,5 @@
-"""Property tests for the integer kernels behind Poly.divmod, expand_in_p,
-MatPoly @ and compute_E, each against a plain reference written here over
+"""Property tests for the integer kernels behind Poly.divmod, the p-adic
+expansion (localsmith._plane_digits), MatPoly @ and compute_E, each against a plain reference written here over
 the field, for the packed-integer kernel (_pack, _unpack and the one
 Kronecker-packed chain kernel of @, compute_E and verify_smith, here
 through _rational_product: one slot width for the whole product, one sign
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import companion_product
+from conftest import companion_product, digits_in_p, integer_scaled
 from smithpoly import (
     DimensionMismatch,
     DivisibilityFailure,
@@ -29,7 +29,6 @@ from smithpoly import (
     Poly,
     ShapeMismatch,
     compute_E,
-    expand_in_p,
     lambda_iso,
 )
 from smithpoly.field import GaussianRational
@@ -137,26 +136,43 @@ def _matrices(scalars, rows, cols, max_degree=5):
     degree=st.integers(min_value=1, max_value=4),
     n=st.integers(min_value=1, max_value=3),
 )
-def test_expand_in_p_inverts_lambda_iso(data, degree, n):
+def test_plane_digits_invert_lambda_iso(data, degree, n):
+    """Digits over Q of degree < deg p reassemble to A, its rows scaled to
+    integers, and the digit after the last is zero."""
     p = data.draw(_monic_integer(degree))
     A = data.draw(_matrices(rationals, n, n, max_degree=9))
-    blocks = expand_in_p(A, p).blocks
-    for blk in blocks:
-        assert blk.max_degree() < degree
-        assert all(type(c) is Fraction for row in blk.entries for e in row for c in e.coeffs)
-    rows = [lambda_iso([blk.entries[r] for blk in blocks], p) for r in range(n)]
-    assert MatPoly(rows) == A
+    digits = digits_in_p(A, p)
+    for digit in digits:
+        assert all(e.degree < degree for row in digit for e in row)
+        assert all(type(c) is Fraction for row in digit for e in row for c in e.coeffs)
+    rows = [lambda_iso([digit[r] for digit in digits], p) for r in range(n)]
+    assert MatPoly(rows) == integer_scaled(A)
+    assert not any(e for row in digits_in_p(A, p, len(digits) + 1)[-1] for e in row)
 
 
-def test_expand_in_p_non_integral_prime():
-    """A monic p with a fractional coefficient takes the field loop."""
+def test_plane_digits_non_integral_prime():
+    """A monic p with a fractional coefficient divides on Fractions."""
     x = Poly.x()
     p = x + Poly.const(Fraction(1, 2))
     A = MatPoly([[x**3 + 1, Poly.const(Fraction(2, 3))]])
-    blocks = expand_in_p(A, p).blocks
-    assert [lambda_iso([blk.entries[0] for blk in blocks], p)] == list(
-        map(list, A.entries)
-    )
+    digits = digits_in_p(A, p)
+    assert [lambda_iso([digit[0] for digit in digits], p)] == [[3 * x**3 + 3, Poly([2])]]
+
+
+@pytest.mark.parametrize("p", ["l^2+1", "l-i"])
+def test_plane_digits_gaussian_entries(p):
+    """Q(i) entries are expanded as they are, unscaled, and reassemble to A
+    at a rational and at a Gaussian prime."""
+    x, i = Poly.x(), Poly.const(GaussianRational(0, 1))
+    p = {"l^2+1": x**2 + 1, "l-i": x - i}[p]
+    A = MatPoly([
+        [x**3 + i, Poly.const(Fraction(1, 2)) * x + i],
+        [i * x**4 - Poly.const(Fraction(2, 3)), Poly([3])],
+    ])
+    digits = digits_in_p(A, p)
+    assert all(e.degree < p.degree for digit in digits for row in digit for e in row)
+    rows = [lambda_iso([digit[r] for digit in digits], p) for r in range(A.rows)]
+    assert MatPoly(rows) == A
 
 
 def reference_matmul(A, B):

@@ -35,7 +35,7 @@ from smithpoly.localsmith import (
     local_smith_reference,
     rref_over_residue,
 )
-from smithpoly.matpoly import MatPoly, expand_in_p, mat_det
+from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.modular import PRIMES
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
@@ -235,6 +235,15 @@ def test_corpus_variant_agreement(key):
         assert ref.alphas == r1.alphas
 
 
+@pytest.mark.parametrize("key", GROUND_TRUTH, ids=str)
+def test_exact_lanes_agree_at_every_corpus_prime(key):
+    """The residue lane and the K lane's own chains give the same alphas
+    and the same typed V at every prime of the corpus, the quartic one
+    included: both read A's digits from one expansion (_plane_digits)."""
+    for exact, k in zip(chains_exact(*key), chains_over_k(*key), strict=True):
+        assert k.alphas == exact.alphas and _typed(k.V) == _typed(exact.V)
+
+
 def test_single_factor_local_is_global():
     """When det(A) is a power of one irreducible, the local form already
     satisfies the global contract."""
@@ -331,7 +340,7 @@ def test_single_chain_reads_last_kept_digit(fn, p):
     L = MatPoly([[one, zero], [p**3, one]])
     R = MatPoly([[one, p**3], [zero, one]])
     A = L @ MatPoly.diag([one, p**4]) @ R
-    assert not expand_in_p(A, p).blocks[3].is_zero()
+    assert any(e for row in _ResidueLane(A, p, 4).digits[3] for e in row)
     res = fn(A, p, 4)
     assert res.alphas == (0, 4)
     _check_contract(A, p, res, 4)
@@ -339,11 +348,14 @@ def test_single_chain_reads_last_kept_digit(fn, p):
 
 @pytest.mark.parametrize("p", CUT_PRIMES, ids=lambda p: p.human_text())
 def test_cut_expansion_is_a_prefix(p):
+    """The residue lane keeps exactly mu digits, the first mu of the
+    expansion, zero digits past the last."""
     A = MatPoly([[p**5 + X, p**2 * (X + 1)], [Poly.one(), p**3 - p]])
-    full = expand_in_p(A, p).blocks
-    for count in range(1, len(full) + 2):
-        assert expand_in_p(A, p, count).blocks == full[:count]
-    assert len(_ResidueLane(A, p, 2).digits) == 2
+    full = _ResidueLane(A, p, 8).digits
+    assert any(e for row in full[5] for e in row)
+    assert not any(e for row in full[6] for e in row)
+    for mu in range(1, len(full) + 1):
+        assert _ResidueLane(A, p, mu).digits == full[:mu]
 
 
 def test_gaussian_prime_local_form():

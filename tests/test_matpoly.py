@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_matrix, random_poly
+from conftest import digits_in_p, random_matrix, random_poly
 from corpus import instance, pipeline
 from smithpoly import matpoly
 from smithpoly.errors import (
@@ -15,12 +15,8 @@ from smithpoly.errors import (
     SmithError,
 )
 from smithpoly.field import GaussianRational
-from smithpoly.matpoly import (
-    MatPoly,
-    expand_in_p,
-    lambda_iso,
-    mat_det,
-)
+from smithpoly.localsmith import _ResidueLane
+from smithpoly.matpoly import MatPoly, lambda_iso, mat_det
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
 
@@ -187,38 +183,35 @@ def test_family_sandwich_factors_unimodular():
         assert mat_det(L @ Z).is_one()
 
 
-def test_expand_in_p_examples():
+def test_plane_digits_examples():
+    """Digits of integer matrices, as grids of Poly: the digits past the
+    last are zero."""
     A = MatPoly([[X, Poly.one()], [Poly([3]), X + 1]])
-    exp = expand_in_p(A, X**2 + 1)
-    assert len(exp.blocks) == 1 and exp.blocks[0] == A
+    zero = [[Poly.zero()] * 2] * 2
+    assert digits_in_p(A, X**2 + 1, 2) == [[list(row) for row in A.entries], zero]
 
-    scalar = MatPoly([[X**2]])
-    exp = expand_in_p(scalar, X)
-    assert [b[0, 0] for b in exp.blocks] == [Poly.zero(), Poly.zero(), Poly.one()]
+    digits = digits_in_p(MatPoly([[X**2]]), X, 4)
+    assert [d[0][0] for d in digits] == [Poly.zero(), Poly.zero(), Poly.one(), Poly.zero()]
 
-    entry = MatPoly([[X**2 + X + 1]])
-    exp = expand_in_p(entry, X - 1)
-    assert [b[0, 0] for b in exp.blocks] == [Poly([3]), Poly([3]), Poly.one()]
+    digits = digits_in_p(MatPoly([[X**2 + X + 1]]), X - 1)
+    assert [d[0][0] for d in digits] == [Poly([3]), Poly([3]), Poly.one()]
 
     with pytest.raises(NotMonic):
-        expand_in_p(A, 2 * X)
+        _ResidueLane(A, 2 * X, 1)
 
 
-def test_expand_roundtrip_random():
+def test_plane_digits_roundtrip_random():
     rng = SplitMix64(101)
     primes = [X, X - 1, Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([1, 0, 1, 1, 1])]
     for _ in range(30):
         A = random_matrix(rng, 2 + rng.below(2), rng.below(6))
         p = primes[rng.below(len(primes))]
-        exp = expand_in_p(A, p)
-        rows = [
-            lambda_iso([blk.entries[r] for blk in exp.blocks], p)
-            for r in range(A.rows)
-        ]
+        digits = digits_in_p(A, p)
+        rows = [lambda_iso([d[r] for d in digits], p) for r in range(A.rows)]
         assert MatPoly(rows) == A
         s = p.degree
-        for blk in exp.blocks:
-            assert blk.max_degree() < s
+        for d in digits:
+            assert all(e.degree < s for row in d for e in row)
 
 
 def test_lambda_iso_examples():
@@ -247,10 +240,9 @@ def test_lambda_iso_roundtrip_random():
                 [random_poly(rng, s - 1) for _ in range(n)] for _ in range(k)
             ]
             vec = lambda_iso(blocks, p)
-            # expand_in_p inverts lambda_iso up to trailing zero digits
+            # the p-adic expansion inverts lambda_iso
             column = MatPoly.from_columns([vec])
-            back = [blk.column(0) for blk in expand_in_p(column, p).blocks]
-            back += [[Poly.zero()] * n] * (k - len(back))
+            back = [[row[0] for row in d] for d in digits_in_p(column, p, k)]
             assert back == blocks
             assert lambda_iso(back, p) == vec
 

@@ -1,7 +1,8 @@
 """The packed product identity of verify_smith: verify._first_unequal
-compares two products of matrices at x = 2**B without forming them, and
-must name the same first unequal entry, row by row, as the products
-formed with MatPoly @ and compared entry by entry.
+compares two products of matrices, each given as its
+matpoly._integer_chain, at x = 2**B without forming them, and must name
+the same first unequal entry, row by row, as the products formed with
+MatPoly @ and compared entry by entry.
 
 The property tests draw rational operands with denominators, Gaussian
 operands, and pairs whose values agree while one side holds
@@ -25,9 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smithpoly.field import GaussianRational
-from smithpoly.matpoly import MatPoly, compute_E
+from smithpoly.matpoly import MatPoly, _integer_chain, compute_E
 from smithpoly.poly import Poly, _pack, _unpack
-from smithpoly.verify import _first_unequal
+from smithpoly.verify import _first_unequal as _first_unequal_chains
 
 PACKED = settings(max_examples=60)
 
@@ -38,6 +39,10 @@ rationals = st.one_of(
 )
 gaussians = st.builds(GaussianRational, rationals, rationals)
 KINDS = {"rational": rationals, "gaussian": gaussians}
+
+
+def _first_unequal(left, right):
+    return _first_unequal_chains(_integer_chain(left), _integer_chain(right))
 
 
 def _reference(left, right):
