@@ -5,7 +5,7 @@ and triangularize the combination into a unimodular right multiplier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     EmptyInput,
@@ -26,7 +26,10 @@ from .poly import Poly, _from_ints, poly_xgcd
 @dataclass(frozen=True)
 class SmithResult:
     """A*V = E*D with D monic diagonal under divisibility, V and E
-    unimodular; U = inverse of E when requested."""
+    unimodular; U = inverse of E when requested.  On rational input each
+    column of V is a primitive integer vector (_primitive_columns), so
+    det V is a nonzero integer and det E a nonzero constant, neither of
+    them 1 as a rule."""
 
     D: MatPoly
     V: MatPoly
@@ -167,8 +170,12 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
     columns of V are one matpoly._sub_multiple each, and a row swap or
     scaling on B moves or scales one column of V.
 
-    Returns (V, B1): V unimodular and B1 the triangularized working matrix
-    (zero above the diagonal in every processed column).
+    Returns (V, B1): V unimodular, each rational column scaled to a
+    primitive integer vector (_primitive_columns), and B1 the
+    triangularized working matrix (zero above the diagonal in every
+    processed column).  Scaling a column of the combined multiplier by a
+    positive constant leaves V as it is: the quotients stay, and only the
+    lead of the finished row changes.
     """
     B = [list(row) for row in combined.matrix.entries]
     n = len(B)
@@ -203,7 +210,39 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
                     # rows r, piv <= i are zero in every processed column
                     _sub_multiple(B[r], B[piv], q)
                     _sub_multiple(V[piv], V[r], -q)
-    return MatPoly.from_columns(V), MatPoly(B)
+    return _primitive_columns(MatPoly.from_columns(V)), MatPoly(B)
+
+
+def _primitive_columns(V: MatPoly) -> MatPoly:
+    """V with each rational column scaled to a primitive integer vector:
+    times the lcm of its coefficient denominators, then divided by the
+    positive gcd of the resulting numerators, so signs are kept.  V
+    itself comes back when every column is already primitive; a Gaussian
+    column or a zero column is left as it is.
+
+    The scaling is free: column i of E = A V D^-1 scales with column i
+    of V, so A V = E D still holds, and det V and det E stay nonzero
+    constants.  It keeps V's denominators out of E, U and the
+    verification."""
+    rows = V.entries
+    if {e._den for row in rows for e in row} == {1} and all(
+        gcd(*[c for e in col for c in e._nums]) == 1 for col in zip(*rows)
+    ):
+        return V  # every column integer and primitive: the common case
+    scaled = {}
+    for j, col in enumerate(zip(*rows)):
+        nums = [e._nums for e in col]
+        if None in nums:  # a Gaussian column
+            continue
+        den = lcm(*[e._den for e in col])
+        if den != 1:
+            nums = [[c * (den // e._den) for c in cs] for cs, e in zip(nums, col)]
+        g = gcd(*[c for cs in nums for c in cs])
+        if g and (g != 1 or den != 1):  # g == 0: a zero column
+            scaled[j] = [_from_ints([c // g for c in cs]) for cs in nums]
+    if not scaled:
+        return V
+    return MatPoly.from_columns([scaled.get(j, col) for j, col in enumerate(zip(*rows))])
 
 
 def invert_unimodular(E: MatPoly) -> MatPoly:
@@ -376,7 +415,10 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     identity by unimodular steps.  No prime gives the identity V, one
     prime its local V, whose determinant is checked to be a nonzero
     constant (cheap: a local V is mostly unit columns), as a V from the
-    modular lane is not unimodular by construction.  On every
+    modular lane is not unimodular by construction.  Either way each
+    rational column of V is scaled to a primitive integer vector, which
+    changes neither A V = E D nor the constancy of det V and det E, and
+    keeps V's denominators out of E and U.  On every
     route the one compute_E then proves A V = E D exactly or raises
     DivisibilityFailure, and as the exponents of each prime sum to its
     multiplicity, det E is constant too.  If this certificate fails, the
@@ -400,7 +442,7 @@ def _certified(A: MatPoly, factored: FactoredPoly, locals_: list):
         combined = combine_local(A, locals_, factored=factored, check=False)
         V, _ = triangularize(combined, D)
     else:
-        V = locals_[0].V if locals_ else D
+        V = _primitive_columns(locals_[0].V) if locals_ else D
         if mat_det(V).degree != 0:
             raise NotUnimodular("the local multiplier V is not unimodular")
     return D, V, compute_E(A, V, D)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TooLarge
+from .field import GaussianRational
 from .matpoly import MatPoly, _chain_rows, _det_of, _integer_chain, mat_det
 from .poly import Poly
 
@@ -96,9 +98,9 @@ def verify_smith(
         det_e = _det_E(det_a, det_side, prod_d, F is not None)
     if det_e is None:
         det_e = mat_det(E)
-    add("unimodular E", det_e.degree == 0, f"det E = {det_e.human_text()}")
+    add("unimodular E", det_e.degree == 0, f"det E = {_det_text(det_e)}")
     name = "unimodular F" if F is not None else "unimodular V"
-    add(name, det_side.degree == 0, f"det = {det_side.human_text()}")
+    add(name, det_side.degree == 0, f"det = {_det_text(det_side)}")
 
     if prod_d.is_zero():
         add("determinant product", det_a.is_zero(), "diagonal product is zero")
@@ -151,3 +153,23 @@ def _det_E(det_a: Poly, det_side: Poly, prod_d: Poly, side_is_F: bool):
         return None
     q, r = num.divmod(den)
     return q if r.is_zero() else None
+
+
+def _det_text(det: Poly) -> str:
+    """det.human_text(), or, where a coefficient is too long to write
+    (TooLarge), a short form such as "<constant, 5001 digits>" that gives
+    the degree and the most digits of any numerator or denominator."""
+    try:
+        return det.human_text()
+    except TooLarge:
+        parts = [
+            q
+            for c in det.coeffs
+            for q in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
+        ]
+        n = max(max(abs(q.numerator), q.denominator) for q in parts)
+        digits = max(1, int((n.bit_length() - 1) * log10(2)))  # at most the digit count
+        while 10**digits <= n:
+            digits += 1
+        kind = "constant" if det.degree == 0 else f"degree {det.degree}"
+        return f"<{kind}, {digits} digits>"

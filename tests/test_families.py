@@ -159,12 +159,12 @@ _CORRUPTED = {
             (
                 "unimodular E",
                 False,
-                "det E = -10/7*l^16-25/7*l^15+2390/7*l^14+10175/7*l^13-203078/7*l^12"
-                "-986024/7*l^11+7642083/7*l^10+3870126*l^9-135676028/7*l^8"
-                "-47102267/7*l^7+501258175/7*l^6-203643388/7*l^5-77322412*l^4"
-                "+431476523/7*l^3+42600906/7*l^2-11620117*l-1969",
+                "det E = -2700*l^16-6750*l^15+645300*l^14+2747250*l^13-54831060*l^12"
+                "-266226480*l^11+2063362410*l^10+7314538140*l^9-36632527560*l^8"
+                "-12717612090*l^7+135339707250*l^6-54983714760*l^5-146139358680*l^4"
+                "+116498661210*l^3+11502244620*l^2-21962021130*l-3609900",
             ),
-            ("unimodular V", True, "det = 1"),
+            ("unimodular V", True, "det = 113400"),
             ("determinant product", True, ""),
         ),
     ),
@@ -176,8 +176,8 @@ _CORRUPTED = {
             ("D diagonal", True, ""),
             ("monic diagonal", True, ""),
             ("divisibility chain", True, ""),
-            ("unimodular E", True, "det E = 1"),
-            ("unimodular V", False, "det = -11/60*l^2+71/60"),
+            ("unimodular E", True, "det E = 113400"),
+            ("unimodular V", False, "det = -6930*l^2+120330"),
             ("determinant product", True, ""),
         ),
     ),
@@ -189,8 +189,8 @@ _CORRUPTED = {
             ("D diagonal", True, ""),
             ("monic diagonal", True, ""),
             ("divisibility chain", False, "d_3 does not divide d_4"),
-            ("unimodular E", True, "det E = 1"),
-            ("unimodular V", True, "det = 1"),
+            ("unimodular E", True, "det E = 113400"),
+            ("unimodular V", True, "det = 113400"),
             ("determinant product", False, "det(A) is not a constant multiple of prod(d_i)"),
         ),
     ),
@@ -201,8 +201,8 @@ _CORRUPTED = {
             ("D diagonal", True, ""),
             ("monic diagonal", True, ""),
             ("divisibility chain", True, ""),
-            ("unimodular E", True, "det E = 1"),
-            ("unimodular V", True, "det = -1"),
+            ("unimodular E", True, "det E = 113400"),
+            ("unimodular V", True, "det = -113400"),
             ("determinant product", True, ""),
         ),
     ),
@@ -243,3 +243,16 @@ def test_verify_smith_det_E_witness_matches_mat_det(case):
     rep = verify_smith(A, E, D, **side)
     det_e = mat_det(E)
     assert ("unimodular E", det_e.degree == 0, f"det E = {det_e.human_text()}") in rep.checks
+
+
+def test_verify_smith_witness_of_an_unwritable_determinant():
+    """A correct result whose constant det E passes Python's int string
+    limit verifies; the witness gives the determinant's digit count, and
+    a failing one its degree too."""
+    big, I = 10**5000 + 1, MatPoly.identity(2)
+    rep = verify_smith(MatPoly.diag([big, X]), MatPoly.diag([big, 1]), MatPoly.diag([1, X]), V=I)
+    assert rep.overall
+    assert ("unimodular E", True, "det E = <constant, 5001 digits>") in rep.checks
+    rep = verify_smith(MatPoly.diag([big, X]), MatPoly.diag([big * X, 1]), I, V=I)
+    assert ("unimodular E", False, "det E = <degree 1, 5001 digits>") in rep.checks
+    assert not rep.overall and rep.lines()

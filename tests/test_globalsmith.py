@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import LIGHT, factored, instance, locals_rpr, pipeline
+from corpus import GROUND_TRUTH, LIGHT, factored, instance, locals_rpr, pipeline
 from smithpoly import globalsmith, localsmith, modular
 from smithpoly.errors import (
     DivisibilityFailure,
@@ -21,6 +21,7 @@ from smithpoly.errors import (
 from smithpoly.globalsmith import (
     CombinedMultiplier,
     _crt_weights,
+    _primitive_columns,
     combine_local,
     compute_E,
     factor_determinant,
@@ -29,6 +30,8 @@ from smithpoly.globalsmith import (
     smith_with_multipliers,
     triangularize,
 )
+from smithpoly.families import family_diagonal
+from smithpoly.field import GaussianRational
 from smithpoly.localsmith import LocalMultiplier, local_smith, local_smith_over_K
 from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import elementary_smith, minors_gcd_smith
@@ -245,6 +248,71 @@ def test_triangularize_rejects_invalid_multiplier():
     D = MatPoly.diag([Poly.one(), X])
     with pytest.raises(SmithError):
         triangularize(CombinedMultiplier(matrix=B, mode="whole"), D)
+
+
+# -- primitive integer columns of V ---------------------------------------------
+
+
+def _has_primitive_integer_columns(V):
+    for col in V.columns():
+        cs = [c for e in col for c in e.coeffs]
+        if any(c.denominator != 1 for c in cs) or gcd(*(c.numerator for c in cs)) != 1:
+            return False
+    return True
+
+
+def _check_normal_form(key, A, r):
+    assert _has_primitive_integer_columns(r.V), key
+    assert r.diagonal() == family_diagonal(*key[:2]), key
+    assert verify_smith(A, r.E, r.D, V=r.V).overall, key
+
+
+def test_V_has_primitive_integer_columns_on_the_corpus():
+    """Every corpus instance, in both column orders."""
+    for key in GROUND_TRUTH:
+        _check_normal_form(key, instance(*key), pipeline(*key))
+
+
+@pytest.mark.parametrize("fam, par", [(1, 6), (2, 3), (4, 4), (6, 4)])
+def test_V_has_primitive_integer_columns_in_random_column_orders(fam, par):
+    """Three random column orders of one instance: the normal form is
+    not fitted to revcols, the only order the with-U workload runs."""
+    A = instance(fam, par, "none")
+    rng = SplitMix64(1000 * fam + par)
+    for _ in range(3):
+        perm = list(range(A.cols))
+        rng.shuffle(perm)
+        B = A.permute_cols(perm)
+        _check_normal_form((fam, par, perm), B, smith_with_multipliers(B))
+
+
+@pytest.mark.parametrize("key", [(1, 4, "revcols"), (5, 2, "none"), (6, 4, "revcols")])
+def test_triangularize_ignores_positive_column_scales(key):
+    """Column i of the combined multiplier times c_i > 0 scales column i
+    of the working matrix by c_i: every quotient stays, only each
+    finished row's lead changes, so the primitive V is the same."""
+    A = instance(*key)
+    locs = list(locals_rpr(*key))
+    assert len(locs) > 1
+    D = smith_diagonal(locs, A.rows)
+    comb = combine_local(A, locs, factored=factored(*key))
+    rng = SplitMix64(sum(map(ord, key[2])) + key[1])
+    scales = [Fraction(1 + rng.below(60), 1 + rng.below(60)) for _ in range(A.cols)]
+    cols = [[e.scale(c) for e in col] for col, c in zip(comb.matrix.columns(), scales)]
+    scaled = CombinedMultiplier(matrix=MatPoly.from_columns(cols), mode=comb.mode)
+    assert triangularize(scaled, D)[0] == triangularize(comb, D)[0]
+
+
+def test_primitive_columns_paths():
+    """Already primitive: the same object.  A rational column is scaled
+    by a positive constant; a Gaussian column and a zero column stay."""
+    V = MatPoly([[1, X], [-3, 2 * X + 3]])
+    assert _primitive_columns(V) is V
+    Z = MatPoly([[0, 2], [0, 3 * X]])
+    assert _primitive_columns(Z) is Z
+    g = Poly([Fraction(1, 2), GaussianRational(0, 1)])
+    G = MatPoly([[g, Fraction(-2, 3), 0, -4], [0, 4 * X, 0, 6 * X]])
+    assert _primitive_columns(G) == MatPoly([[g, -1, 0, -2], [0, 6 * X, 0, 3 * X]])
 
 
 def test_pipeline_on_random_rational_matrices():
@@ -698,7 +766,10 @@ def _by_hand(A, local_fn, mode):
     locs = [local_fn(A, p, e) for p, e in factored_.factors]
     D = smith_diagonal(locs, A.rows)
     comb = combine_local(A, locs, mode, factored=factored_)
-    V = comb.matrix if comb.mode == "single" else triangularize(comb, D)[0]
+    if comb.mode == "single":
+        V = _primitive_columns(comb.matrix)
+    else:
+        V = triangularize(comb, D)[0]
     return D, V, compute_E(A, V, D)
 
 

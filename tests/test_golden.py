@@ -36,7 +36,7 @@ INSTANCES = [
     (5, 2, "none", 20240811, False),
 ]
 
-GOLDEN = "6e0d4387879db3c90aff860eb9c971a6ebe60a250b4883ea75e73bec4e85ef38"
+GOLDEN = "921d0430d0485046da961a3b39ba167fb791c9ccd6ae46a16a0f8898656da4fc"
 
 
 def _text(M: MatPoly) -> str:
