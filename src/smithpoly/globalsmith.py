@@ -167,8 +167,11 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
     transform, applied in place to the working matrix and mirrored on
     the accumulated V, so no cofactor products are ever materialized.
     V is held by columns: a row operation on B and its inverse on two
-    columns of V are one matpoly._sub_multiple each, and a row swap or
-    scaling on B moves or scales one column of V.
+    columns of V are one matpoly._sub_multiple each, and a row swap on B
+    moves one column of V.  Making a finished row's diagonal entry monic
+    scales that row of B by 1/lead.  The matching column of V is final,
+    and _primitive_columns would undo a scale by lead up to its sign, so
+    the column is only negated when a rational lead is negative.
 
     Returns (V, B1): V unimodular, each rational column scaled to a
     primitive integer vector (_primitive_columns), and B1 the
@@ -199,9 +202,9 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
                 V[src], V[i] = V[i], V[src]
                 lead = B[i][i].lc()
                 if lead != 1:
-                    inv = 1 / lead
-                    B[i] = [e.scale(inv) for e in B[i]]
-                    V[i] = [e.scale(lead) for e in V[i]]
+                    B[i] = [e.scale(1 / lead) for e in B[i]]
+                    if not isinstance(lead, GaussianRational) and lead < 0:
+                        V[i] = [-e for e in V[i]]
                 break
             piv = min(nz, key=lambda r: B[r][i].degree)
             for r in nz:
@@ -215,31 +218,27 @@ def triangularize(combined: CombinedMultiplier, D: MatPoly):
 
 def _primitive_columns(V: MatPoly) -> MatPoly:
     """V with each rational column scaled to a primitive integer vector:
-    times the lcm of its coefficient denominators, then divided by the
-    positive gcd of the resulting numerators, so signs are kept.  V
-    itself comes back when every column is already primitive; a Gaussian
-    column or a zero column is left as it is.
+    times the lcm of its entries' denominators, divided by the gcd of
+    their numerators, so signs are kept.  V itself comes back when every
+    column is already primitive; a Gaussian column or a zero column is
+    left as it is.
 
     The scaling is free: column i of E = A V D^-1 scales with column i
     of V, so A V = E D still holds, and det V and det E stay nonzero
     constants.  It keeps V's denominators out of E, U and the
     verification."""
     rows = V.entries
-    if {e._den for row in rows for e in row} == {1} and all(
-        gcd(*[c for e in col for c in e._nums]) == 1 for col in zip(*rows)
-    ):
-        return V  # every column integer and primitive: the common case
     scaled = {}
     for j, col in enumerate(zip(*rows)):
         nums = [e._nums for e in col]
         if None in nums:  # a Gaussian column
             continue
-        den = lcm(*[e._den for e in col])
-        if den != 1:
-            nums = [[c * (den // e._den) for c in cs] for cs, e in zip(nums, col)]
+        # an entry's content is gcd(_nums) / _den in lowest terms, so the
+        # column's is the gcd of the numerators over the lcm of the _dens
         g = gcd(*[c for cs in nums for c in cs])
+        den = lcm(*[e._den for e in col])
         if g and (g != 1 or den != 1):  # g == 0: a zero column
-            scaled[j] = [_from_ints([c // g for c in cs]) for cs in nums]
+            scaled[j] = [_from_ints([c * den for c in e._nums], e._den * g) for e in col]
     if not scaled:
         return V
     return MatPoly.from_columns([scaled.get(j, col) for j, col in enumerate(zip(*rows))])

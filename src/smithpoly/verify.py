@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log10
 
 from .errors import ShapeMismatch, TooLarge
 from .field import GaussianRational
@@ -157,8 +156,8 @@ def _det_E(det_a: Poly, det_side: Poly, prod_d: Poly, side_is_F: bool):
 
 def _det_text(det: Poly) -> str:
     """det.human_text(), or, where a coefficient is too long to write
-    (TooLarge), a short form such as "<constant, 5001 digits>" that gives
-    the degree and the most digits of any numerator or denominator."""
+    (TooLarge), a short form such as "<constant, 16610 bits>" that gives
+    the degree and the bit length of the longest numerator or denominator."""
     try:
         return det.human_text()
     except TooLarge:
@@ -167,9 +166,6 @@ def _det_text(det: Poly) -> str:
             for c in det.coeffs
             for q in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
         ]
-        n = max(max(abs(q.numerator), q.denominator) for q in parts)
-        digits = max(1, int((n.bit_length() - 1) * log10(2)))  # at most the digit count
-        while 10**digits <= n:
-            digits += 1
+        bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in parts)
         kind = "constant" if det.degree == 0 else f"degree {det.degree}"
-        return f"<{kind}, {digits} digits>"
+        return f"<{kind}, {bits} bits>"

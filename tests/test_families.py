@@ -247,12 +247,12 @@ def test_verify_smith_det_E_witness_matches_mat_det(case):
 
 def test_verify_smith_witness_of_an_unwritable_determinant():
     """A correct result whose constant det E passes Python's int string
-    limit verifies; the witness gives the determinant's digit count, and
+    limit verifies; the witness gives the determinant's bit length, and
     a failing one its degree too."""
     big, I = 10**5000 + 1, MatPoly.identity(2)
     rep = verify_smith(MatPoly.diag([big, X]), MatPoly.diag([big, 1]), MatPoly.diag([1, X]), V=I)
     assert rep.overall
-    assert ("unimodular E", True, "det E = <constant, 5001 digits>") in rep.checks
+    assert ("unimodular E", True, "det E = <constant, 16610 bits>") in rep.checks
     rep = verify_smith(MatPoly.diag([big, X]), MatPoly.diag([big * X, 1]), I, V=I)
-    assert ("unimodular E", False, "det E = <degree 1, 5001 digits>") in rep.checks
+    assert ("unimodular E", False, "det E = <degree 1, 16610 bits>") in rep.checks
     assert not rep.overall and rep.lines()
