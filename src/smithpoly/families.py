@@ -112,31 +112,21 @@ def _off_diag_entry(rng: SplitMix64) -> Poly:
     return _L - rng.randint(-10, 10)
 
 
+def _unit_triangular(n: int, rng: SplitMix64, below: bool) -> MatPoly:
+    """I plus _off_diag_entry(rng) at each entry below the diagonal (or
+    above it), drawn in row-major order."""
+    return MatPoly([
+        [
+            Poly.one() if i == j else _off_diag_entry(rng) if (j < i) == below else Poly.zero()
+            for j in range(n)
+        ]
+        for i in range(n)
+    ])
+
+
 def _unit_lower(n: int, rng: SplitMix64) -> MatPoly:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Poly.one())
-            elif j < i:
-                row.append(_off_diag_entry(rng))
-            else:
-                row.append(Poly.zero())
-        rows.append(row)
-    return MatPoly(rows)
+    return _unit_triangular(n, rng, below=True)
 
 
 def _unit_upper(n: int, rng: SplitMix64) -> MatPoly:
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Poly.one())
-            elif j > i:
-                row.append(_off_diag_entry(rng))
-            else:
-                row.append(Poly.zero())
-        rows.append(row)
-    return MatPoly(rows)
+    return _unit_triangular(n, rng, below=False)

@@ -409,19 +409,15 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     Smith form at each prime (_local_multiplier), one V, E = A V D^-1,
     and with with_U the inverse U of E.
 
-    Several primes are spliced and triangularized into V, which is
-    unimodular by construction: triangularize builds it from the
-    identity by unimodular steps.  No prime gives the identity V, one
-    prime its local V, whose determinant is checked to be a nonzero
-    constant (cheap: a local V is mostly unit columns), as a V from the
-    modular lane is not unimodular by construction.  Either way each
-    rational column of V is scaled to a primitive integer vector, which
-    changes neither A V = E D nor the constancy of det V and det E, and
-    keeps V's denominators out of E and U.  On every
-    route the one compute_E then proves A V = E D exactly or raises
+    The local multipliers are spliced (one is its own splice) and
+    triangularized into V, which is unimodular by construction:
+    triangularize builds it from the identity by unimodular steps, and
+    scales each rational column to a primitive integer vector, which
+    keeps V's denominators out of E and U.  No prime gives the identity
+    V.  The one compute_E then proves A V = E D exactly or raises
     DivisibilityFailure, and as the exponents of each prime sum to its
-    multiplicity, det E is constant too.  If this certificate fails, the
-    run is redone with the exact lane's local multipliers
+    multiplicity, det E is a nonzero constant too.  If this certificate
+    fails, the run is redone with the exact lane's local multipliers
     (exact_local_multiplier), whose errors stand."""
     factored = factor_determinant(A)
     locals_ = [_local_multiplier(A, p, e) for p, e in factored.factors]
@@ -437,11 +433,7 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
 def _certified(A: MatPoly, factored: FactoredPoly, locals_: list):
     """D, V and E = A V D^-1 from the local multipliers, or a SmithError."""
     D = smith_diagonal(locals_, A.rows)
-    if len(locals_) > 1:
-        combined = combine_local(A, locals_, factored=factored, check=False)
-        V, _ = triangularize(combined, D)
-    else:
-        V = _primitive_columns(locals_[0].V) if locals_ else D
-        if mat_det(V).degree != 0:
-            raise NotUnimodular("the local multiplier V is not unimodular")
+    V = D  # no prime: D is the identity
+    if locals_:
+        V, _ = triangularize(combine_local(A, locals_, factored=factored, check=False), D)
     return D, V, compute_E(A, V, D)

@@ -296,40 +296,30 @@ def _integer_rows(entries):
 
 
 def _integer_chain(factors):
-    """(scaled, s, t, bound) for a product of matrices on integers:
-    scaled[0] is (one, rows), rows[i][k] the coefficients of row i of the
-    first factor times its lcm of denominators, and scaled[k] a (one,
-    cols) for each further factor, the last one's columns each times its
-    own lcm and a middle one's all times one lcm; s (the first factor's
-    row lcms times the middle lcms) and t (the last factor's column lcms)
-    are such that entry (i, j) of the product is that of the scaled
-    product over s[i] t[j].  one is as in _integer_rows.
+    """(scaled, s, t, bound) for a product of one or two matrices on
+    integers: scaled[0] is (one, rows), rows[i][k] the coefficients of
+    row i of the first factor times its lcm of denominators, and
+    scaled[1], for a second factor, is (one, cols), its columns each times
+    its own lcm; s (the first factor's row lcms) and t (the second
+    factor's column lcms, all 1 without one) are such that entry (i, j)
+    of the product is that of the scaled product over s[i] t[j].  one is
+    as in _integer_rows.
 
     bound is at least the size of each part of each coefficient of the
-    scaled product, |re| + |im| bounding a Gaussian one: factor by factor
-    it takes the factor's largest coefficient and the number of products
-    one coefficient of the partial product adds, sum_k min(l_k, m_k), for
-    l_k the longest entry of column k of the partial product and m_k that
-    of row k of the factor."""
+    scaled product, |re| + |im| bounding a Gaussian one: the product of
+    both factors' largest coefficients and the number of products one
+    coefficient adds, sum_k min(l_k, m_k), for l_k the longest entry of
+    column k of the first factor and m_k that of row k of the second."""
     first, *rest = factors
     one, s, rows = _integer_rows(first.entries)
-    scaled, bound = [(one, rows)], _largest(one, rows)
-    lengths = [max(map(len, col)) for col in zip(*rows)]
-    t = [1] * first.cols
-    for k, M in enumerate(rest, 1):
-        one_k, t, cols = _integer_rows(list(zip(*M.entries)))
-        if k < len(rest):  # a middle factor: one lcm for all columns, kept in s
-            m = lcm(*t)
-            cols = [[[c * (m // tj) for c in e] for e in col] for col, tj in zip(cols, t)]
-            s, t = [si * m for si in s], [1] * len(cols)
+    scaled, bound, t = [(one, rows)], _largest(one, rows), [1] * first.cols
+    if rest:
+        (second,) = rest
+        one_k, t, cols = _integer_rows(list(zip(*second.entries)))
         bound *= _largest(one_k, cols) * sum(
-            map(min, lengths, (max(map(len, row)) for row in zip(*cols)))
+            map(min, (max(map(len, col)) for col in zip(*rows)),
+                (max(map(len, row)) for row in zip(*cols)))
         )
-        if k < len(rest):
-            lengths = [
-                max((a + len(e) - 1 for a, e in zip(lengths, col) if a and e), default=0)
-                for col in cols
-            ]
         scaled.append((one_k, cols))
     return scaled, s, t, bound
 
@@ -347,18 +337,18 @@ def _packed(one, rows, B) -> list:
 def _chain_rows(scaled, B):
     """Row i of the scaled product of an _integer_chain, for i in order,
     as one value at x = 2**B per entry: each factor is packed once
-    (_packed), and row i of the first is carried through the later ones,
-    each product of two entries one multiplication."""
-    (one, rows), *later = scaled
-    later = [_packed(one_k, cols, B) for one_k, cols in later]
+    (_packed), and row i of the first is multiplied by the second, if
+    there is one, each product of two entries one multiplication."""
+    (one, rows), *second = scaled
+    second = [_packed(one_k, cols, B) for one_k, cols in second]
     for row in _packed(one, rows, B):
-        for cols in later:
+        for cols in second:
             row = [sum(map(operator.mul, row, col)) for col in cols]
         yield row
 
 
 def _rational_product(factors):
-    """(rows, s, t) for a product of rational matrices, None if a factor
+    """(rows, s, t) for the product of two rational matrices, None if one
     has a Gaussian entry: rows[i][j] lists the integer coefficients of
     entry (i, j) of the scaled product (_integer_chain), so that entry of
     the product is rows[i][j] / (s[i] t[j]).

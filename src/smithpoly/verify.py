@@ -37,12 +37,13 @@ def verify_smith(
     """Check a claimed Smith form: A = E*D*F, or A*V = E*D when the right
     multiplier is given as V (the inverse of F).
 
-    The product identity is one packed integer comparison per entry,
-    neither side formed (_first_unequal, on the chain kernel of @):
-    every coefficient of both sides is proven below 2**(B - 1) in size,
-    so the two sides agree at x = 2**B only where they are equal.  Its
-    witness on failure is the first unequal entry, row by row, "first
-    difference at entry (i,j)"."""
+    The product identity is one packed integer comparison per entry of
+    two products of one or two factors, neither product formed
+    (_first_unequal, on the chain kernel of @): A V against E D, or
+    (E D) F against A, E D formed by @.  Every coefficient of both sides
+    is proven below 2**(B - 1) in size, so the two sides agree at
+    x = 2**B only where they are equal.  Its witness on failure is the
+    first unequal entry, row by row, "first difference at entry (i,j)"."""
     if (F is None) == (V is None):
         raise ShapeMismatch("provide exactly one of F and V")
     n = A.rows
@@ -56,7 +57,7 @@ def verify_smith(
         checks.append((name, bool(ok), witness))
 
     if F is not None:
-        name, left, right = "product identity A = E*D*F", (E, D, F), (A,)
+        name, left, right = "product identity A = E*D*F", (E @ D, F), (A,)
     else:
         name, left, right = "product identity A*V = E*D", (A, V), (E, D)
     # det A and det V (or F) are read off the chains' scaled rows and columns
@@ -117,9 +118,9 @@ def verify_smith(
 
 def _first_unequal(lchain, rchain):
     """The first entry (i + 1, j + 1), row by row, at which the product of
-    the square matrices of one _integer_chain differs from that of the
-    other, or None where the two products are equal.  Neither product is
-    formed.
+    the one or two square matrices of one _integer_chain differs from
+    that of the other, or None where the two products are equal.  Neither
+    product is formed.
 
     Each product is taken on integers by the chain kernel of @
     (matpoly._integer_chain): its entry (i, j) is c_ij / (s_i t_j), c_ij

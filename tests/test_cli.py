@@ -160,6 +160,7 @@ def test_not_regular_exit_code(tmp_path):
     write_matpoly_file(a, bad)
     assert run("compute", str(a)) == 2
     assert run("factor-det", str(a)) == 2
+    assert run("local", str(a), "--prime", "l") == 2
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -174,7 +175,18 @@ def test_bad_arguments_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("gen", "--family", "7", "--param", "3", "--seed", "0")
     assert exc.value.code == 5
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "--family", "1", "--param", "4", "--seed", str(2**64))
+    assert exc.value.code == 5
+    assert "seed must fit in 64 bits" in capsys.readouterr().err
+
+
+def test_verify_with_both_F_and_V_exits_3(tmp_path, capsys):
+    a = tmp_path / "A.mp"
+    write_matpoly_file(a, MatPoly.identity(2))
+    files = ("--A", "--E", "--D", "--F", "--V")
+    assert run("verify", *(arg for flag in files for arg in (flag, str(a)))) == 3
+    assert "provide exactly one of --F and --V" in capsys.readouterr().err
 
 
 def test_local_accepts_coefficient_form_prime(tmp_path, capsys):

@@ -12,6 +12,7 @@ from corpus import GROUND_TRUTH, LIGHT, factored, instance, locals_rpr, pipeline
 from smithpoly import globalsmith, localsmith, modular
 from smithpoly.errors import (
     DivisibilityFailure,
+    EmptyInput,
     FactorSetMismatch,
     NotRegular,
     NotSquare,
@@ -57,6 +58,11 @@ def test_factor_determinant_not_regular():
         factor_determinant(A)
 
 
+def test_factor_determinant_not_square():
+    with pytest.raises(NotSquare):
+        factor_determinant(MatPoly([[X, Poly.one()]]))
+
+
 def test_factor_determinant_unimodular():
     A = MatPoly([[Poly.one(), X], [Poly.zero(), Poly([3])]])
     fac = factor_determinant(A)
@@ -73,6 +79,15 @@ def test_combine_single_factor_is_local_v():
     comb = combine_local(A, locs, factored=factored(*key))
     assert comb.mode == "single"
     assert comb.matrix == locs[0].V
+
+
+def test_combine_rejects_no_locals_and_an_unknown_mode():
+    key = (3, 2, "none")
+    A = instance(*key)
+    with pytest.raises(EmptyInput):
+        combine_local(A, [])
+    with pytest.raises(ValueError, match="unknown combine mode: 'nope'"):
+        combine_local(A, list(locals_rpr(*key)), "nope")
 
 
 def test_combine_two_linear_factors_formula():
@@ -765,11 +780,7 @@ def _by_hand(A, local_fn, mode):
     factored_ = factor_determinant(A)
     locs = [local_fn(A, p, e) for p, e in factored_.factors]
     D = smith_diagonal(locs, A.rows)
-    comb = combine_local(A, locs, mode, factored=factored_)
-    if comb.mode == "single":
-        V = _primitive_columns(comb.matrix)
-    else:
-        V = triangularize(comb, D)[0]
+    V = triangularize(combine_local(A, locs, mode, factored=factored_), D)[0]
     return D, V, compute_E(A, V, D)
 
 
@@ -859,7 +870,7 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
     self-check: a local multiplier with one faulty column gives a typed
     SmithError or a result that verify_smith accepts with the true D,
     never a raw exception or a wrong answer.  On one prime the faulty V
-    is the answer's V, and E comes from the pipeline's compute_E.  A
+    is its own splice and is triangularized like any other.  A
     failed certificate makes the pipeline redo the run with the exact
     lane's multipliers, which would repair the fault, so that entry point
     returns the same faulty local."""
@@ -892,6 +903,22 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
                     assert verify_smith(A, r.E, r.D, V=r.V).overall, where
                     outcomes["verified"] += 1
     assert outcomes["error"] > 0 and outcomes["verified"] > 0, outcomes
+
+
+@pytest.mark.parametrize("key", [(2, 1, "none"), (3, 2, "none"), (3, 4, "revcols")])
+def test_one_prime_forms_only_det_A(monkeypatch, key):
+    """One prime takes the route of several: its V is triangularized,
+    unimodular by construction, so the run forms det A and no det V."""
+    assert len(locals_rpr(*key)) == 1
+    A, truth, calls, real = instance(*key), pipeline(*key), [], globalsmith.mat_det
+
+    def spy(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(globalsmith, "mat_det", spy)
+    assert smith_with_multipliers(A) == truth
+    assert calls == [A]
 
 
 # -- the modular lane's certificate and fallback --------------------------------

@@ -175,6 +175,15 @@ def test_errors(fn):
 
 
 @pytest.mark.parametrize("fn", ALL_LOCAL)
+def test_last_round_overshooting_mu(fn):
+    """diag(l^2, l^2) at l has multiplicity 4; a caller's mu = 3 is met by
+    the last round with two chains of exponent 2, and the message names
+    both sums."""
+    with pytest.raises(MultiplicityMismatch, match="^accepted exponents sum to 4, expected 3$"):
+        fn(MatPoly.diag([X**2, X**2]), X, 3)
+
+
+@pytest.mark.parametrize("fn", ALL_LOCAL)
 def test_prime_split_over_gaussians_is_not_irreducible(fn):
     """l^2+1 = (l-i)(l+i): R/pR is not a field.  Both lanes say so, whether
     the split shows at the first round or only at a later one."""

@@ -23,6 +23,10 @@ def test_divmod_examples():
         p.divmod(Poly.zero())
 
 
+def test_subtraction_from_a_scalar():
+    assert 1 - X == Poly([1, -1])
+
+
 def test_divmod_roundtrip_random():
     rng = SplitMix64(17)
     for _ in range(300):

@@ -160,14 +160,15 @@ def test_planted_equal_products(data, kind, n, diagonal, move):
     n=st.integers(1, 3),
     moved=st.booleans(),
 )
-def test_three_factors_against_one(data, kind, n, moved):
-    """The F route of verify_smith: E D F against A."""
+def test_F_route_against_one(data, kind, n, moved):
+    """The F route of verify_smith: (E D) F, E D formed by @, against A."""
     E, D, F = (data.draw(_matrices(KINDS[kind], n)) for _ in range(3))
-    A = E @ D @ F
+    left = (E @ D, F)
+    A = left[0] @ F
     if moved:
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         A = _moved(A, i, j, data.draw(st.integers(0, A[i, j].degree + 1)), 1)
-    assert _first_unequal((E, D, F), (A,)) == _reference((E, D, F), (A,))
+    assert _first_unequal(left, (A,)) == _reference(left, (A,))
 
 
 # -- slot edges ------------------------------------------------------------
