@@ -137,12 +137,9 @@ def _cmd_local(args) -> int:
         raise PrimeDoesNotDivideDet(f"{args.prime} does not divide det(A)")
     fn = local_smith if args.variant == "rpr" else local_smith_over_K
     result = fn(A, p, mu)
-    if not invertible_mod_p(result.E, p):
-        # a local form at an irreducible p has E invertible mod p; a
-        # singular one means R/pR is not a field: p splits over the base field
-        raise NotIrreducible(
-            f"{p.human_text()} is not irreducible: E is singular mod p"
-        )
+    # det E = c det A / p**mu is nonzero mod p, so a split p shows only as
+    # a zero divisor met here, which raises NotIrreducible
+    invertible_mod_p(result.E, p)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     print(f"prime: {p.human_text()}")

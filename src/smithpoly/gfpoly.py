@@ -1,9 +1,8 @@
 """Polynomials over GF(q), q prime, as ascending lists of ints in [0, q)
 with no trailing zeros (the zero polynomial is []).
 
-Factoring runs these with a small q (Zassenhaus), the modular lane of the
-local forms with q just below 2**127.  Inputs may hold any ints; every
-result is reduced.
+Factoring runs these with a small q (Zassenhaus).  Inputs may hold any
+ints; every result is reduced.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .factorization import FactoredPoly, factor_over_rationals
 from .field import GaussianRational
-from .localsmith import _local_multiplier, exact_local_multiplier, invertible_mod_p
+from .localsmith import _local_multiplier, invertible_mod_p
 from .matpoly import MatPoly, _exact_div, _integer_rows, _slots, compute_E, mat_det
 from .matpoly import _sub_multiple
 from .poly import Poly, _from_ints, poly_xgcd
@@ -416,24 +416,13 @@ def smith_with_multipliers(A: MatPoly, with_U: bool = False) -> SmithResult:
     keeps V's denominators out of E and U.  No prime gives the identity
     V.  The one compute_E then proves A V = E D exactly or raises
     DivisibilityFailure, and as the exponents of each prime sum to its
-    multiplicity, det E is a nonzero constant too.  If this certificate
-    fails, the run is redone with the exact lane's local multipliers
-    (exact_local_multiplier), whose errors stand."""
+    multiplicity, det E is a nonzero constant too."""
     factored = factor_determinant(A)
     locals_ = [_local_multiplier(A, p, e) for p, e in factored.factors]
-    try:
-        D, V, E = _certified(A, factored, locals_)
-    except SmithError:
-        locals_ = [exact_local_multiplier(A, p, e) for p, e in factored.factors]
-        D, V, E = _certified(A, factored, locals_)
-    U = invert_unimodular(E) if with_U else None
-    return SmithResult(D=D, V=V, E=E, U=U)
-
-
-def _certified(A: MatPoly, factored: FactoredPoly, locals_: list):
-    """D, V and E = A V D^-1 from the local multipliers, or a SmithError."""
     D = smith_diagonal(locals_, A.rows)
     V = D  # no prime: D is the identity
     if locals_:
         V, _ = triangularize(combine_local(A, locals_, factored=factored, check=False), D)
-    return D, V, compute_E(A, V, D)
+    E = compute_E(A, V, D)
+    U = invert_unimodular(E) if with_U else None
+    return SmithResult(D=D, V=V, E=E, U=U)

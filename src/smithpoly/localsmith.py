@@ -13,14 +13,13 @@ extends the rest.  The two lanes differ only in the scalars it runs on:
 * the base-field lane: residue elements become their s coefficients over
   a base field (s = deg p), the tableau has width s*n, chain columns come
   in supercolumns of s, of which the first is kept, and residuals are
-  linear maps of A's digits.  The modular route runs it over GF(q), q a
-  prime just below 2**127, and lifts V back to Q by CRT over
-  ``modular.PRIMES`` and rational reconstruction.
+  linear maps of A's digits.  On rational input it runs over Q on
+  integer rows (``residue.IntegerRows``), otherwise over K.
 
-``local_smith`` and ``local_smith_over_K`` both take the modular route on
-rational input, and certify its V.  Otherwise, or whenever the route or
-its certificate fails, each runs its own exact lane: the residue lane for
-``local_smith``, the base-field lane over K for ``local_smith_over_K``.
+``local_smith_over_K`` runs the base-field lane.  ``local_smith`` runs it
+too on rational input, and the residue lane on Gaussian input.  Both lanes
+are exact and give the same V, which is unimodular by construction (see
+_local_chains), so no certificate or second run follows.
 
 ``local_smith_reference`` is the simple column-rotation version, kept
 only as a slow cross-checking oracle.
@@ -29,7 +28,6 @@ only as a slow cross-checking oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, islice
 
 from .errors import (
@@ -38,13 +36,11 @@ from .errors import (
     NotRegular,
     NotSquare,
     PrimeDoesNotDivideDet,
-    SmithError,
 )
-from . import modular
-from .matpoly import MatPoly, _integer_rows, compute_E, lambda_iso, mat_det
+from .matpoly import MatPoly, _integer_rows, compute_E, lambda_iso
 from .matpoly import _sub_multiple
 from .poly import Poly
-from .residue import BASE_FIELD, ModularField, ResidueField, UnluckyPrime, check_modulus
+from .residue import BASE_FIELD, INTEGER_ROWS, ResidueField, check_modulus
 
 
 @dataclass(frozen=True)
@@ -86,18 +82,18 @@ class _Echelon:
 
     Pivoting is leftmost column, topmost usable row, pivot scaled to 1,
     so ``rows`` is the canonical reduced echelon form of every column
-    appended so far.  Each pivot step logs (row, swapped row, pivot
-    inverse, cleared (row, multiplier) pairs).  Appended columns replay
-    the log, which gives them exactly the operations a reduction of the
-    whole tableau would, and are then reduced alone: rows at or below the
-    rank are zero on the old columns, so old pivots never change and a
-    new pivot row's update touches only the new columns.  Row updates
-    skip the zero entries of the pivot row.
+    appended so far, in F's row form.  Each pivot step logs (row, swapped
+    row, pivot inverse, cleared (row, multiplier) pairs).  Appended
+    columns replay the log, which gives them exactly the operations a
+    reduction of the whole tableau would, and are then reduced alone:
+    rows at or below the rank are zero on the old columns, so old pivots
+    never change and a new pivot row's update touches only the new
+    columns.  Row updates skip the zero entries of the pivot row.
     """
 
     def __init__(self, F, nrows):
         self.F = F
-        self.rows = [[] for _ in range(nrows)]
+        self.rows = [F.row([]) for _ in range(nrows)]
         self.pivots = []
         self.log = []
         self.ncols = 0
@@ -105,17 +101,17 @@ class _Echelon:
     def extend(self, block):
         """Append the columns of `block` (one list per row)."""
         F, rows, log = self.F, self.rows, self.log
-        new = [list(b) for b in block]
+        new = [F.row(b) for b in block]
         for r, piv, inv, cleared in log:
             new[r], new[piv] = new[piv], new[r]
-            new[r] = F.scaled(new[r], inv)
-            support = [(j, b) for j, b in enumerate(new[r]) if b]
+            top = new[r] = F.scaled(new[r], inv)
+            support = [(j, b) for j, b in enumerate(top) if b]
             if support:
                 for i, f in cleared:
-                    F.sub_multiple(new[i], f, support)
+                    F.sub_multiple(new[i], f, top, support)
         base = self.ncols
         for row, tail in zip(rows, new):
-            row.extend(tail)
+            F.join(row, tail)
         self.ncols += len(new[0]) if new else 0
         nrows, r = len(rows), len(self.pivots)
         for c in range(base, self.ncols):
@@ -125,16 +121,16 @@ class _Echelon:
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r][c:] = F.scaled(rows[r][c:], inv)
-            support = [(j, b) for j, b in enumerate(rows[r][c:], c) if b]
+            top = rows[r]
+            inv = F.unit(top, c)
+            support = [(j, b) for j, b in enumerate(top[c:], c) if b]
             cleared = []
             for i in range(nrows):
                 row = rows[i]
                 if i != r and row[c]:
-                    f = row[c]
+                    f = F.multiplier(row, c)
                     cleared.append((i, f))
-                    F.sub_multiple(row, f, support)
+                    F.sub_multiple(row, f, top, support)
             log.append((r, piv, inv, cleared))
             self.pivots.append(c)
             r += 1
@@ -143,17 +139,17 @@ class _Echelon:
         """Null-space basis columns for the free columns from `start` on:
         1 in the free position, the negated reduced coefficients in the
         pivot positions."""
-        zero, neg, rows, pivots = self.F.zero, self.F.neg, self.rows, self.pivots
+        F, rows, pivots = self.F, self.rows, self.pivots
         pivot_set = set(pivots)
         out = []
         for c in range(start, self.ncols):
             if c in pivot_set:
                 continue
-            vec = [zero] * self.ncols
-            vec[c] = self.F.one
+            vec = [F.zero] * self.ncols
+            vec[c] = F.one
             for pr, pc in enumerate(pivots):
                 if rows[pr][c]:
-                    vec[pc] = neg(rows[pr][c])
+                    vec[pc] = F.neg(F.entry(rows[pr], c))
             out.append(vec)
         return out
 
@@ -211,66 +207,25 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     MultiplicityMismatch; a smaller one is not always detected and can
     return a wrong local form.
 
-    The chains come from the modular route where it gives a certified V
-    (_certified_local), else from the exact residue lane, whose V is
-    unimodular by construction (see exact_local_multiplier)."""
-    return _certified_local(A, p, mu, _ResidueLane)
-
-
-def _certified_local(A: MatPoly, p: Poly, mu: int, exact_lane) -> LocalSmithResult:
-    """The modular route's V where it gives one, with
-    E = A V diag(p**alpha_i)^-1 from compute_E.  A lifted V is not
-    unimodular by construction, so this checks that det V is a nonzero
-    constant; compute_E proves A V = E D.  If the route gives no V or
-    either check fails, the chains in `exact_lane` give the form, and
-    decide every error."""
-    loc = _modular_multiplier(A, p, mu)
-    if loc is not None:
-        try:
-            if mat_det(loc.V).degree == 0:
-                return _with_E(A, loc)
-        except SmithError:
-            pass
-    return _with_E(A, _local_chains(A, p, mu, exact_lane))
+    The chains come from _local_multiplier: the base-field lane on
+    rational input, else the residue lane."""
+    return _with_E(A, _local_multiplier(A, p, mu))
 
 
 def _local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
-    """The p, V and alphas of local_smith, without its E or its checks:
-    the modular route's where it gives a V, else exact_local_multiplier's.
-    The modular V is not certified here: the caller proves it, as
-    smith_with_multipliers does with compute_E."""
-    loc = _modular_multiplier(A, p, mu)
-    return exact_local_multiplier(A, p, mu) if loc is None else loc
+    """The p, V and alphas of local_smith, without its E."""
+    return _local_chains(A, p, mu, _BaseFieldLane if _rational(A, p) else _ResidueLane)
 
 
-def exact_local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
-    """The chain construction in the residue lane, with the exponent
-    checks.  Every error of the local forms is decided here.
-
-    V is unimodular by construction.  Its exponent-0 columns are the unit
-    vectors at the pivot columns of A_0 = A mod p.  Every other column is
-    a chain accepted in round k, and is the sum of three parts: the
-    initial null vector of A_0 it grew from, which is 1 at its own free
-    column and otherwise nonzero only on pivot columns; p**k times a
-    vector on the pivot columns (the new kernel vectors' part on A_0);
-    and polynomial multiples of columns accepted in earlier rounds.
-    Taking columns in acceptance order, subtracting those multiples and
-    then clearing the pivot entries with the unit columns are column
-    operations that reduce V to a permutation matrix, so det V is a
-    nonzero constant.
-
-    The lane keeps only the first mu p-adic digits of A (_plane_digits).
-    Round 0 finds r0 >= 1 chains and every later round adds at least one,
-    or raises, so the last round k is at most mu - 1, and round k reads
-    digits 0..k."""
-    return _local_chains(A, p, mu, _ResidueLane)
+def _rational(A: MatPoly, p: Poly) -> bool:
+    """Whether A and p are over Q: no coefficient is Gaussian."""
+    return all(e._nums is not None for e in chain([p], *A.entries))
 
 
 def local_smith_over_K(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
     """Same contract as local_smith, with arithmetic in base fields only:
-    the modular route's certified V where it gives one, else the
-    base-field lane over K, which then decides every error."""
-    return _certified_local(A, p, mu, _BaseFieldLane)
+    the base-field lane, over Q on integer rows or over K."""
+    return _with_E(A, _local_chains(A, p, mu, _BaseFieldLane))
 
 
 def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
@@ -281,6 +236,23 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
     tableau's echelon form.  A chain whose residual is a pivot
     supercolumn is accepted with exponent k; each new kernel vector
     combines the earlier chains (`stacked`) into a chain one longer.
+    Every error of the local forms is decided here.
+
+    V is unimodular by construction, in either lane.  Its exponent-0
+    columns are the unit vectors at the pivot columns of A_0 = A mod p.
+    Every other column is a chain accepted in round k, and is the sum of
+    three parts: the initial null vector of A_0 it grew from, which is 1
+    at its own free column and otherwise nonzero only on pivot columns;
+    p**k times a vector on the pivot columns (the new kernel vectors' part
+    on A_0); and polynomial multiples of columns accepted in earlier
+    rounds.  Taking columns in acceptance order, subtracting those
+    multiples and then clearing the pivot entries with the unit columns
+    are column operations that reduce V to a permutation matrix, so det V
+    is a nonzero constant.
+
+    Round 0 finds r0 >= 1 chains and every later round adds at least one,
+    or raises, so the last round k is at most mu - 1, and round k reads
+    digits 0..k of A: the lanes keep or build only those.
     """
     if not A.is_square():
         raise NotSquare("local Smith form needs a square matrix")
@@ -424,10 +396,11 @@ class _ResidueLane:
 
 
 class _BaseFieldLane:
-    """Scalars in a base field F, K (BASE_FIELD) or GF(q) (ModularField):
-    each residue entry becomes its s coefficients (s = deg p), the tableau
-    has width s*n, and chains come in supercolumns of s, of which the
-    first is decoded.
+    """Scalars in the base field: each residue entry becomes its s
+    coefficients (s = deg p), the tableau has width s*n, and chains come
+    in supercolumns of s, of which the first is decoded.  Over Q (A and p
+    rational) the echelon rows are integer rows (INTEGER_ROWS), otherwise
+    lists of K's scalars (BASE_FIELD); the scalars met are the same.
 
     A digit entry e acts on a chain entry c (both of degree < s) by two
     F-linear maps, c -> rem(e c, p) and c -> quo(e c, p).  The residue
@@ -442,14 +415,12 @@ class _BaseFieldLane:
     list operation.  Rational rows are scaled to integers first, which
     scales the tableau's rows and nothing else: the reduced echelon form,
     the chains and V are unchanged.  Gaussian coefficients are taken as
-    they are, which keeps their types.  What is field-specific is F's: embed
-    (over GF(q), UnluckyPrime where a coefficient of A or p would be
-    lost), reduce, dot and decode."""
+    they are, which keeps their types."""
 
-    def __init__(self, A: MatPoly, p: Poly, mu: int, F=BASE_FIELD):
+    def __init__(self, A: MatPoly, p: Poly, mu: int):
         # mu goes unread: the maps are built on demand
         check_modulus(p)
-        self.F = F
+        self.F = F = INTEGER_ROWS if _rational(A, p) else BASE_FIELD
         s, n = p.degree, A.rows
         self.s, self.width = s, s * n
         self.p = F.embed(p.coeffs)
@@ -459,7 +430,7 @@ class _BaseFieldLane:
 
     def _digit_maps(self, digits, n, nc):
         """G_0, G_1, ...: the maps of the successive digits."""
-        s, pf, reduce = self.s, self.p, self.F.reduce
+        s, pf = self.s, self.p
         zero = [0] * (n * nc)
         # e l**b = quo_b p + rem_b: quo_b = sum_m c_{b-1-m} l**m, where c_b
         # is coefficient s-1 of rem_b; `carries` holds the c_b of digit t-1
@@ -469,13 +440,13 @@ class _BaseFieldLane:
             R, now = digit, []  # R[a]: coefficient a of rem_b, for each entry
             for b in range(s):
                 if b:
-                    R = [reduce(x - y * pa for x, y in zip(ra, R[-1]))
+                    R = [[x - y * pa for x, y in zip(ra, R[-1])]
                          for ra, pa in zip([zero] + R[:-1], pf)]
                 now.append(R[-1])
                 for a in range(s):
-                    plane = R[a] if a >= b else reduce(
+                    plane = R[a] if a >= b else [
                         x + y for x, y in zip(R[a], carries[b - 1 - a])
-                    )
+                    ]
                     for i in range(n):
                         G[i * s + a][b::s] = plane[i * nc : (i + 1) * nc]
             carries = now
@@ -502,7 +473,7 @@ class _BaseFieldLane:
         return self.F.dot(self._rows(k), chain)
 
     def extend(self, head, y, k):
-        return self.F.reduce(head) + y
+        return head + y
 
     def decode(self, vec):
         """The polynomial column sum_j p**j * digit_j of a stacked
@@ -518,10 +489,9 @@ def _plane_digits(A: MatPoly, p: list, F):
     digit is s planes over F, one per next(), lowest first (zero digits
     past the last); plane k holds coefficient k of each entry A[i][j] at
     i*m + j, m = A.cols, rational rows scaled to integers first
-    (matpoly._integer_rows).  A division reduces (F.reduce) a plane where
-    it reads a quotient coefficient and once at the end, and leaves an
-    entry whose quotient coefficient is zero as it is, as a polynomial
-    division would (that keeps Gaussian coefficient types)."""
+    (matpoly._integer_rows).  A division leaves an entry whose quotient
+    coefficient is zero as it is, as a polynomial division would (that
+    keeps Gaussian coefficient types)."""
     one, _, rows = _integer_rows(A.entries)
     if type(one) is not int:
         rows = [[e.coeffs for e in row] for row in A.entries]
@@ -532,58 +502,18 @@ def _plane_digits(A: MatPoly, p: list, F):
             for k, c in enumerate(coeffs):
                 planes[k][i * m + j] = c
     planes = [F.embed(plane) for plane in planes]
-    s, reduce = len(p) - 1, F.reduce
+    s = len(p) - 1
     while True:
         a = planes + [[0] * size] * (s - len(planes))
         planes = [None] * (len(a) - s)
         for i in range(len(a) - 1, s - 1, -1):
-            f = planes[i - s] = reduce(a[i])
+            f = planes[i - s] = a[i]
             for j, pj in enumerate(p[:s]):
                 if pj:
                     a[i - s + j] = [x - pj * y if y else x for x, y in zip(a[i - s + j], f)]
-        yield [reduce(a[j]) for j in range(s)]
+        yield a[:s]
         if not planes:
             planes = [[0] * size]
-
-
-def _modular_multiplier(A: MatPoly, p: Poly, mu: int):
-    """_local_multiplier from the base-field lane over GF(q), or None to
-    hand over to the exact lane.
-
-    The chains run modulo each prime of modular.PRIMES in turn, and V's
-    coefficients are joined by CRT to V mod M.  As soon as every one has a
-    fraction n/d == it mod M with |n|, d <= sqrt(M / 2**(MARGIN + 1))
-    (Wang, Guy & Davenport, SIGSAM Bull. 1982), those fractions are V.
-    Gaussian input, a non-monic or constant p, a q that divides a
-    denominator of p or a nonzero coefficient of p or of A (rows scaled to
-    integers), any error of the run (a split supercolumn, exponents that
-    are not nondecreasing or do not sum to mu), exponents that differ
-    between primes, or no reconstruction within modular.PRIMES give None.
-
-    Nothing here proves V.  For a q that divides no denominator and no
-    pivot the run meets over Q, V mod q is the image of the exact V, and
-    the margin makes a wrong reconstruction unlikely; the caller's
-    certificate decides."""
-    if any(e._nums is None for e in chain([p], *A.entries)):
-        return None
-    image, M = None, 1
-    for q in modular.PRIMES:
-        try:
-            loc = _local_chains(A, p, mu, partial(_BaseFieldLane, F=ModularField(q)))
-        except (SmithError, UnluckyPrime):
-            return None
-        now = [[list(e._nums) for e in row] for row in loc.V.entries]
-        if image is None:
-            image, alphas = now, loc.alphas
-        elif loc.alphas != alphas:
-            return None
-        else:
-            image = modular.crt(image, M, now, q)
-        M *= q
-        V = modular.reconstruct(image, M)
-        if V is not None:
-            return LocalMultiplier(p=p, V=V, alphas=alphas)
-    return None
 
 
 # -- preliminary column-rotation version (test oracle) -----------------------

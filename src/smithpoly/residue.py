@@ -1,37 +1,35 @@
-"""The scalar fields of the echelon kernel: the base field K, the
-residue field R/pR held as polynomials of degree < deg p, and GF(q) for a
-prime q, held as ints in [0, q).
+"""The scalar fields of the echelon kernel: the base field K, K = Q with
+integer rows, and the residue field R/pR held as polynomials of degree
+< deg p.
 
-A field object gives ``zero``, ``one``, ``inv`` and ``neg``, and the
-kernel's two row operations: ``scaled`` (a row times a scalar) and
-``sub_multiple`` (row[j] -= f * b in place, over the pivot row's support
-of (j, b) pairs).  The exact fields K and R/pR also give the ``mul`` those
-use, and add and subtract with the scalars' own operators; in R/pR a
-product is the polynomial product reduced mod p, and an inverse comes
-from the extended Euclidean algorithm.  GF(q) reduces every result, so
-zero is always the int 0, as the kernel's zero tests need.
+A field object gives ``zero``, ``one``, ``inv`` and ``neg`` on scalars,
+and the kernel's row operations: ``row`` (a new row from a list of
+scalars), ``join`` (columns appended to a row), ``unit`` (a pivot row
+scaled to 1 at its pivot, giving the log's pivot inverse), ``scaled`` (a
+row times such an inverse), ``multiplier`` (the f that clears a row at
+a column), ``sub_multiple`` (row -= f * top in place, over the pivot row
+top's support of (j, b) pairs) and ``entry`` (the scalar at a column).
+K and R/pR hold a row as a list of scalars, and give the ``mul`` those
+use; in R/pR a product is the polynomial product reduced mod p, and an
+inverse comes from the extended Euclidean algorithm.  ``IntegerRows``
+holds a row over Q as ints over one positive denominator, and so runs
+the K lane's elimination on rational input without Fraction arithmetic.
 
-K and GF(q) also give what is field-specific in the base-field lane
+The K fields also give what is field-specific in the base-field lane
 (``localsmith._BaseFieldLane``): ``embed`` takes A's and p's coefficients
-into the field, ``reduce`` keeps computed values reduced, ``dot`` is the
-residuals' dot product and ``decode`` turns a chain into a column of V.
+into the field, ``dot`` is the residuals' dot product and ``decode`` turns
+a chain into a column of V.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DegreeZero, NotIrreducible, NotMonic
-from .gfpoly import gf_from_int, gf_mul
 from .matpoly import lambda_iso
-from .poly import Poly, poly_xgcd
-
-
-class UnluckyPrime(Exception):
-    """q divides a denominator, or a nonzero numerator, of A or p."""
+from .poly import Poly, _from_ints, _int_mul, _list_sum, _strip, poly_xgcd
 
 
 def check_modulus(p: Poly) -> None:
@@ -42,15 +40,29 @@ def check_modulus(p: Poly) -> None:
 
 
 class _ExactRows:
-    """The row operations of an exact field, in its own mul."""
+    """The row operations of an exact field on lists of its scalars, in
+    its own mul."""
 
     neg = staticmethod(operator.neg)
+    row = staticmethod(list)
+    join = staticmethod(list.extend)
+
+    @staticmethod
+    def entry(row, c):
+        return row[c]
+
+    multiplier = entry
+
+    def unit(self, row, c):
+        inv = self.inv(row[c])
+        row[c:] = self.scaled(row[c:], inv)
+        return inv
 
     def scaled(self, row, c):
         mul = self.mul
         return [mul(e, c) if e else e for e in row]
 
-    def sub_multiple(self, row, f, support):
+    def sub_multiple(self, row, f, top, support):
         mul = self.mul
         for j, b in support:
             row[j] = row[j] - mul(f, b)
@@ -62,7 +74,6 @@ class BaseField(_ExactRows):
     zero = Fraction(0)
     one = Fraction(1)
     mul = staticmethod(operator.mul)
-    reduce = staticmethod(list)
 
     def inv(self, a):
         return self.one / a
@@ -98,6 +109,115 @@ class BaseField(_ExactRows):
 BASE_FIELD = BaseField()
 
 
+class _IntRow(list):
+    """A row of ints over one positive denominator ``den``: its value is
+    row[j] / den, with gcd(den, *row) = 1."""
+
+    __slots__ = ("den",)
+
+
+def _int_row(ints, den) -> _IntRow:
+    """ints / den as an _IntRow, in lowest terms."""
+    if den < 0:
+        ints, den = [-v for v in ints], -den
+    g = gcd(den, *ints)
+    row = _IntRow(ints if g == 1 else [v // g for v in ints])
+    row.den = den // g
+    return row
+
+
+class IntegerRows(BaseField):
+    """K = Q with each echelon row held as an _IntRow, so elimination is
+    fraction-free (Bareiss, Math. Comp. 1968).  A pivot row is scaled to
+    1 by taking its pivot as its denominator, and a row is cleared by
+    cross-multiplication and one gcd.  The log's pivot inverses are
+    integer pairs (u, w), meaning u / w: a row's pivot inverse
+    (den, pivot) and its multiplier (row[c], den).  Every row holds the
+    value the same step gives over BASE_FIELD, and ``entry`` reads a
+    value as a lowest-terms Fraction, so the null vectors, the chains and
+    V are BASE_FIELD's."""
+
+    def row(self, values):
+        """Ints or Fractions over the lcm of their denominators."""
+        m = lcm(*[v.denominator for v in values])
+        return _int_row([v.numerator * (m // v.denominator) for v in values], m)
+
+    @staticmethod
+    def join(row, tail):
+        """Both over the lcm of their denominators: the old entries are
+        scaled only when it grows."""
+        m = lcm(row.den, tail.den)
+        if m != row.den:
+            k = m // row.den
+            row[:] = [v * k for v in row]
+            row.den = m
+        k = m // tail.den
+        row.extend(tail if k == 1 else [v * k for v in tail])
+
+    @staticmethod
+    def entry(row, c):
+        return Fraction(row[c], row.den)
+
+    @staticmethod
+    def multiplier(row, c):
+        return row[c], row.den
+
+    @staticmethod
+    def unit(row, c):
+        """row / row[c] is row's ints over the pivot: no entry is
+        multiplied, and only their gcd is divided out."""
+        a, inv = row[c], (row.den, row[c])
+        g = gcd(*row) if a > 0 else -gcd(*row)
+        if g != 1:
+            row[:] = [v // g for v in row]
+        row.den = a // g
+        return inv
+
+    @staticmethod
+    def scaled(row, inv):
+        u, w = inv
+        return _int_row([v * u for v in row], row.den * w)
+
+    @staticmethod
+    def sub_multiple(row, f, top, support):
+        """row - (u / w) top over row.den * a, with a / b = (w top.den) /
+        (u row.den) in lowest terms: row times a less b times top's
+        support, then divided by the gcd."""
+        (u, w), den = f, row.den
+        a, b = w * top.den, u * den
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row[:] = [v * a for v in row]
+        for j, e in support:
+            row[j] -= b * e
+        den *= a
+        g = gcd(den, *row)
+        if g != 1:
+            row[:] = [v // g for v in row]
+        row.den = den // g
+
+    def decode(self, blocks, p) -> list:
+        """sum_j p**j * blocks[j] by Horner on ints: the digits over the
+        lcm m of their denominators, p over the lcm q of its own, and the
+        sum, for J the last digit, over m * q**J."""
+        m = lcm(*[c.denominator for b in blocks for d in b for c in d])
+        q = lcm(*[c.denominator for c in p])
+        P = [c.numerator * (q // c.denominator) for c in p]
+        col = []
+        for digits in zip(*blocks):
+            acc, w = [], 1
+            for d in reversed(digits):
+                d = [c.numerator * (m // c.denominator) * w for c in d]
+                acc = _list_sum(_int_mul(acc, P), d) if acc else _strip(d)
+                w *= q
+            col.append(_from_ints(acc, m * w // q))
+        return col
+
+
+INTEGER_ROWS = IntegerRows()
+
+
 class ResidueField(_ExactRows):
     """R/pR for a monic p of degree >= 1; p is assumed irreducible, and
     ``inv`` says otherwise when it meets a zero divisor."""
@@ -124,63 +244,3 @@ class ResidueField(_ExactRows):
                 f"{self.p.human_text()} is not irreducible: R/pR has zero divisors"
             )
         return u
-
-
-class ModularField:
-    """GF(q) for a prime q: ints in [0, q), every result reduced."""
-
-    zero = 0
-    one = 1
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.q)
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def scaled(self, row, c):
-        q = self.q
-        return [e * c % q for e in row]
-
-    def sub_multiple(self, row, f, support):
-        q = self.q
-        for j, b in support:
-            row[j] = (row[j] - f * b) % q
-
-    def reduce(self, values) -> list:
-        q = self.q
-        return [v % q for v in values]
-
-    def embed(self, values) -> list:
-        """Rationals mod q, with one inverse for their denominators.  A
-        denominator divisible by q, or a nonzero value that vanishes mod
-        q, raises UnluckyPrime: the reduction would lose it."""
-        q = self.q
-        if all(type(c) is int for c in values):
-            out = [c % q for c in values]
-        else:
-            m = lcm(*[c.denominator for c in values])
-            if m % q == 0:
-                raise UnluckyPrime
-            inv = pow(m, -1, q)
-            out = [c.numerator * (m // c.denominator) * inv % q for c in values]
-        if out.count(0) != values.count(0):
-            raise UnluckyPrime
-        return out
-
-    def dot(self, rows, chain) -> list:
-        q, mul, get = self.q, operator.mul, chain.__getitem__
-        return [sum(map(mul, vals, map(get, cols))) % q for cols, vals in rows]
-
-    def decode(self, blocks, p) -> list:
-        """sum_j p**j * blocks[j] mod q, entrywise by Horner."""
-        q, col = self.q, []
-        for digits in zip(*blocks):
-            acc = []
-            for d in reversed(digits):
-                acc = gf_from_int([a + b for a, b in zip_longest(gf_mul(acc, p, q), d, fillvalue=0)], q)
-            col.append(Poly(acc))
-        return col

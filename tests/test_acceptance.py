@@ -133,9 +133,8 @@ def test_oracle_equivalence():
 def test_variant_agreement_local_algorithms():
     """The residue-field algorithm and the base-field variant produce the
     same V matrix and exponent sequence on the full corpus.  Both public
-    variants take the modular route on rational input, so the exact lanes'
-    own chains, the residue lane's and the base-field lane's over K, are
-    compared too."""
+    variants run the base-field lane on rational input, so the residue
+    lane's own chains are compared with them too."""
     for key in GROUND_TRUTH:
         for r1, r2 in zip(locals_rpr(*key), locals_over_k(*key)):
             assert r1.p == r2.p

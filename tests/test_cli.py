@@ -33,13 +33,11 @@ def test_gen_compute_verify_roundtrip(tmp_path, capsys):
     assert (U @ E) == MatPoly.identity(4)
 
 
-def test_compute_on_a_coefficient_divisible_by_the_modular_prime(tmp_path):
-    """[[l, q], [0, l]], q the modular lane's first prime, is diag(l, l)
-    modulo q; `smith compute` still gives the exact D = diag(1, l^2)."""
-    from smithpoly.modular import PRIMES
-
+def test_compute_on_a_large_prime_coefficient(tmp_path):
+    """[[l, q], [0, l]] for the prime q = 2**127 - 1 is diag(l, l) modulo
+    q; `smith compute` gives its D = diag(1, l^2)."""
     a, out = tmp_path / "A.mp", tmp_path / "out"
-    write_matpoly_file(a, MatPoly([[X, Poly.const(PRIMES[0])], [Poly.zero(), X]]))
+    write_matpoly_file(a, MatPoly([[X, Poly.const(2**127 - 1)], [Poly.zero(), X]]))
     assert run("compute", str(a), "--out", str(out), "--with-U") == 0
     assert read_matpoly_file(out / "D.mp") == MatPoly.diag([Poly.one(), X**2])
     assert run("verify", "--A", str(a), "--E", str(out / "E.mp"),

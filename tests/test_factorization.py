@@ -61,6 +61,12 @@ def test_linear_factors_come_from_recombination():
     for k in range(1, 13):
         twelve = twelve * (X - k)
     assert _select_prime(_int_primitive(twelve)) == 13
+    # no prime below 41 keeps forty distinct roots apart: 41 passes trial
+    # division by the small primes and is proved prime by Miller-Rabin
+    forty = Poly.one()
+    for k in range(1, 41):
+        forty = forty * (X - k)
+    assert _select_prime(_int_primitive(forty)) == 41
     mixed = (2 * X - 1) * (3 * X + 2) * (X - Fraction(7, 11)) * (X**2 + 1) ** 2
     cases = [
         (twelve, 1, {X - k: 1 for k in range(1, 13)}),

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpus import GROUND_TRUTH, LIGHT, factored, instance, locals_rpr, pipeline
-from smithpoly import globalsmith, localsmith, modular
+from smithpoly import globalsmith, localsmith
 from smithpoly.errors import (
     DivisibilityFailure,
     EmptyInput,
@@ -870,10 +870,7 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
     self-check: a local multiplier with one faulty column gives a typed
     SmithError or a result that verify_smith accepts with the true D,
     never a raw exception or a wrong answer.  On one prime the faulty V
-    is its own splice and is triangularized like any other.  A
-    failed certificate makes the pipeline redo the run with the exact
-    lane's multipliers, which would repair the fault, so that entry point
-    returns the same faulty local."""
+    is its own splice and is triangularized like any other."""
     one_prime = (3, 2, "none")
     # (1, 4, "none") and (6, 4, "revcols") have several primes
     keys = [LIGHT[0], LIGHT[-1], one_prime]
@@ -891,8 +888,8 @@ def test_corrupted_local_multiplier_is_caught_or_harmless(monkeypatch):
                         continue
                     bad = LocalMultiplier(loc.p, MatPoly.from_columns(cols), loc.alphas)
                     by_prime = {l.p: (bad if m == j else l) for m, l in enumerate(locs)}
-                    for name in ("_local_multiplier", "exact_local_multiplier"):
-                        monkeypatch.setattr(globalsmith, name, lambda A, p, e: by_prime[p])
+                    monkeypatch.setattr(globalsmith, "_local_multiplier",
+                                        lambda A, p, e: by_prime[p])
                     try:
                         r = smith_with_multipliers(A)
                     except SmithError:
@@ -921,80 +918,35 @@ def test_one_prime_forms_only_det_A(monkeypatch, key):
     assert calls == [A]
 
 
-# -- the modular lane's certificate and fallback --------------------------------
+# -- rational inputs with a large prime in a coefficient or a minor -------------
+
+Q = 2**127 - 1
 
 
-def _exact_pipeline(monkeypatch, A, with_U=False):
-    """smith_with_multipliers with the exact lane's local multipliers only."""
-    with monkeypatch.context() as m:
-        m.setattr(globalsmith, "_local_multiplier", localsmith.exact_local_multiplier)
-        return smith_with_multipliers(A, with_U=with_U)
-
-
-def _spy_exact(monkeypatch):
-    calls = []
-    real = globalsmith.exact_local_multiplier
-
-    def spy(A, p, e):
-        calls.append(p)
-        return real(A, p, e)
-
-    monkeypatch.setattr(globalsmith, "exact_local_multiplier", spy)
-    return calls
-
-
-def test_pipeline_on_a_coefficient_divisible_by_q(monkeypatch):
-    """[[l, q], [0, l]] for q the modular lane's first prime: modulo q it
-    is diag(l, l), but the pipeline gives the exact D = diag(1, l^2)."""
+def test_pipeline_on_a_large_prime_coefficient():
+    """[[l, q], [0, l]] for the prime q = 2**127 - 1: modulo q it is
+    diag(l, l), and its Smith form is D = diag(1, l^2)."""
     x = Poly.x()
-    A = MatPoly([[x, Poly.const(modular.PRIMES[0])], [Poly.zero(), x]])
+    A = MatPoly([[x, Poly.const(Q)], [Poly.zero(), x]])
     r = smith_with_multipliers(A, with_U=True)
     assert r.D == MatPoly.diag([Poly.one(), x**2])
-    assert r == _exact_pipeline(monkeypatch, A, with_U=True)
     assert verify_smith(A, r.E, r.D, V=r.V).overall and r.U @ r.E == MatPoly.identity(A.rows)
 
 
-def test_failed_certificate_redoes_the_run_exactly(monkeypatch):
-    """A constant coefficient of rank 2 over Q and rank 1 modulo q, with no
-    coefficient divisible by q: the modular lane's exponents at l are
-    (0, 1, 1) against the true (0, 0, 2).  The certificate fails and the
-    run is redone with the exact lane at every prime."""
-    x, q = Poly.x(), Poly.const(modular.PRIMES[0])
+def test_pipeline_on_a_minor_divisible_by_a_large_prime():
+    """A constant coefficient of rank 2 over Q and rank 1 modulo q =
+    2**127 - 1, with no coefficient divisible by q: the exponents at l are
+    (0, 0, 2), not the (0, 1, 1) of the reduction mod q."""
+    x, q = Poly.x(), Poly.const(Q)
     A = MatPoly([
         [x**2 - x + 1, x**2 + x + 1, -(x**2) + x],
         [x + 1, 2 * x + q + 1, x**2],
         [-2 * x, -(x**2) + x, x**2],
     ])
-    truth = _exact_pipeline(monkeypatch, A, with_U=True)
-    assert localsmith._local_multiplier(A, x, 2).alphas == (0, 1, 1)
-    calls = _spy_exact(monkeypatch)
+    assert localsmith._local_multiplier(A, x, 2).alphas == (0, 0, 2)
     r = smith_with_multipliers(A, with_U=True)
-    assert calls == [p for p, _ in factor_determinant(A).factors]
-    assert r == truth and r.D[1, 1] == 1
+    assert r.D[1, 1] == 1
     assert verify_smith(A, r.E, r.D, V=r.V).overall and r.U @ r.E == MatPoly.identity(A.rows)
-
-
-@pytest.mark.parametrize("key", [(3, 2, "none"), (1, 4, "none"), (6, 4, "revcols")])
-def test_corrupted_reconstruction_is_redone_exactly(monkeypatch, key):
-    """A reconstruction that corrupts one coefficient of every modular V:
-    the pipeline's certificate fails and the exact run gives the true
-    outputs."""
-    A = instance(*key)
-    truth = _exact_pipeline(monkeypatch, A)
-    real = modular.reconstruct
-
-    def corrupt(image, M):
-        V = real(image, M)
-        if V is None:
-            return V
-        rows = [list(row) for row in V.entries]
-        rows[0][-1] = rows[0][-1] + 1
-        return MatPoly(rows)
-
-    monkeypatch.setattr(modular, "reconstruct", corrupt)
-    calls = _spy_exact(monkeypatch)
-    r = smith_with_multipliers(A)
-    assert calls and r == truth
 
 
 # -- the pipeline on random small matrices -------------------------------------

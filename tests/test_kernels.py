@@ -35,7 +35,7 @@ from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
 from smithpoly.matpoly import _exact_div, _rational_product
 from smithpoly.poly import _pack, _unpack
-from smithpoly.residue import BASE_FIELD, ResidueField
+from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField
 
 KERNELS = settings(max_examples=60)
 
@@ -533,11 +533,17 @@ def _echelon_cases(entry, zero, scale):
     return cases()
 
 
+def _values(rows, F):
+    """The scalars of rows held in F's row form."""
+    return [[F.entry(row, c) for c in range(len(row))] for row in rows]
+
+
 def _check_echelon(rows, F):
     """The reduced form is canonical (unit pivot columns, zero rows last),
     rank plus nullity is the width, and the transpose has the same rank."""
     ncols = len(rows[0])
     rref, pivots, null = _rref(rows, F)
+    rref = _values(rref, F)
     for i, c in enumerate(pivots):
         assert [row[c] for row in rref] == [F.one if k == i else F.zero for k in range(len(rref))]
     assert not any(any(row) for row in rref[len(pivots) :])
@@ -547,10 +553,21 @@ def _check_echelon(rows, F):
     return pivots, null
 
 
+# K = Q on lists of Fractions, and on integer rows, whose forms read as
+# Fractions must be BASE_FIELD's
+RATIONAL_FIELDS = pytest.mark.parametrize(
+    "F", [BASE_FIELD, INTEGER_ROWS], ids=["fractions", "integer rows"]
+)
+
+
 @KERNELS
+@RATIONAL_FIELDS
 @given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y))
-def test_rref_over_rationals(rows):
-    _, null = _check_echelon(rows, BASE_FIELD)
+def test_rref_over_rationals(F, rows):
+    pivots, null = _check_echelon(rows, F)
+    rref, ref_pivots, ref_null = _rref(rows, BASE_FIELD)
+    assert _typed(_values(_rref(rows, F)[0], F)) == _typed(rref)
+    assert pivots == ref_pivots and _typed(null) == _typed(ref_null)
     for vec in null:
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
@@ -587,17 +604,18 @@ def _typed(x):
     return (type(x), x)
 
 
-def _check_grown_by_blocks(rows, F, cuts):
+def _check_grown_by_blocks(rows, F, cuts, ref=None):
     """Extending block by block gives, after every block, the reduced rows,
-    pivots and null basis of _rref on the columns so far, and the null
-    vectors of the new free columns are that basis's tail."""
-    ncols = len(rows[0])
+    pivots and null basis of _rref over the field ref (F by default) on
+    the columns so far, and the null vectors of the new free columns are
+    that basis's tail."""
+    ncols, ref = len(rows[0]), ref or F
     bounds = [0] + sorted(set(c for c in cuts if 0 < c < ncols)) + [ncols]
     ech = _Echelon(F, len(rows))
     for lo, hi in zip(bounds, bounds[1:]):
         ech.extend([row[lo:hi] for row in rows])
-        whole, pivots, null = _rref([row[:hi] for row in rows], F)
-        assert _typed(ech.rows) == _typed(whole)
+        whole, pivots, null = _rref([row[:hi] for row in rows], ref)
+        assert _typed(_values(ech.rows, F)) == _typed(_values(whole, ref))
         assert ech.pivots == pivots
         assert _typed(ech.null_basis()) == _typed(null)
         old_free = lo - sum(1 for c in pivots if c < lo)
@@ -608,9 +626,10 @@ CUTS = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
 
 
 @KERNELS
+@RATIONAL_FIELDS
 @given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y), cuts=CUTS)
-def test_echelon_grown_by_blocks_over_rationals(rows, cuts):
-    _check_grown_by_blocks(rows, BASE_FIELD, cuts)
+def test_echelon_grown_by_blocks_over_rationals(F, rows, cuts):
+    _check_grown_by_blocks(rows, F, cuts, BASE_FIELD)
 
 
 @KERNELS

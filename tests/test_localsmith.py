@@ -1,8 +1,7 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix
@@ -15,32 +14,28 @@ from corpus import (
     locals_over_k,
     locals_rpr,
 )
-from smithpoly import localsmith, modular
 from smithpoly.errors import (
     MultiplicityMismatch,
     NotIrreducible,
     NotSquare,
     PrimeDoesNotDivideDet,
+    SmithError,
 )
 from smithpoly.field import GaussianRational
-from smithpoly.gfpoly import is_prime
 from smithpoly.localsmith import (
     _BaseFieldLane,
     _ResidueLane,
-    _local_multiplier,
-    _modular_multiplier,
-    exact_local_multiplier,
+    _local_chains,
     local_smith,
     local_smith_over_K,
     local_smith_reference,
     rref_over_residue,
 )
 from smithpoly.matpoly import MatPoly, mat_det
-from smithpoly.modular import PRIMES
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import BASE_FIELD, ModularField, ResidueField
+from smithpoly.residue import ResidueField
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -378,9 +373,8 @@ def test_gaussian_prime_local_form():
     _check_contract(A, p, res, 3)
 
 
-# -- the modular lane ------------------------------------------------------
+# -- the K lane on integer rows against the residue lane ------------------
 
-Q1 = PRIMES[0]
 # rational primes of degree 1-3
 SANDWICH_PRIMES = [
     X - Fraction(1, 3),
@@ -396,28 +390,6 @@ SANDWICH_PRIMES = [
 def _typed(M):
     """M's coefficients with their types, so Fraction(1) != 1 here."""
     return [[[(type(c), c) for c in e.coeffs] for e in row] for row in M.entries]
-
-
-def _bits(M):
-    return max(
-        (max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-         for row in M.entries for e in row for c in e.coeffs),
-        default=0,
-    )
-
-
-def _count_runs(monkeypatch):
-    """The modular lane's runs of _local_chains, one per prime tried."""
-    runs = []
-    real = localsmith._local_chains
-
-    def spy(A, p, mu, make_lane):
-        if isinstance(make_lane, partial):
-            runs.append(make_lane.keywords["F"].q)
-        return real(A, p, mu, make_lane)
-
-    monkeypatch.setattr(localsmith, "_local_chains", spy)
-    return runs
 
 
 def _sandwich(rng, n, p, exps, bits):
@@ -440,26 +412,54 @@ def _sandwich(rng, n, p, exps, bits):
 @given(
     n=st.integers(min_value=2, max_value=3),
     p=st.sampled_from(SANDWICH_PRIMES),
-    bits=st.sampled_from([4, 40, 90]),
+    bits=st.sampled_from([4, 40, 90, 256]),
     exps=st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_modular_lane_matches_exact_lane(n, p, bits, exps, seed):
-    """On rational sandwiches the modular lane gives the exact lane's
-    exponents and V, coefficient types included.  Large coefficients take
-    several primes; a V beyond the four primes' bound goes exact."""
+def test_K_lane_matches_residue_lane(n, p, bits, exps, seed):
+    """On rational sandwiches the K lane on integer rows gives the residue
+    lane's exponents and V, coefficient types included, at any coefficient
+    size."""
     exps = sorted(exps[:n])
     exps[-1] = max(exps[-1], 1)
     A = _sandwich(SplitMix64(seed), n, p, exps, bits)
     mu = sum(exps)
-    exact = exact_local_multiplier(A, p, mu)
-    loc = _modular_multiplier(A, p, mu)
-    if _bits(exact.V) < 240:  # within sqrt(M / 2**21) for M the four primes
-        assert loc is not None
-    if loc is not None:
-        assert loc.alphas == exact.alphas
-        assert _typed(loc.V) == _typed(exact.V)
-    assert _typed(_local_multiplier(A, p, mu).V) == _typed(exact.V)
+    k = _local_chains(A, p, mu, _BaseFieldLane)
+    residue = _local_chains(A, p, mu, _ResidueLane)
+    assert k.alphas == residue.alphas == tuple(exps)
+    assert _typed(k.V) == _typed(residue.V)
+
+
+def _outcome(A, p, mu, lane):
+    """The exponents and typed V of a lane's chains, or its error class."""
+    try:
+        loc = _local_chains(A, p, mu, lane)
+    except SmithError as exc:
+        return type(exc)
+    return loc.alphas, _typed(loc.V)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=3),
+    p=st.sampled_from(SANDWICH_PRIMES),
+    cofactor=st.sampled_from([None, *SANDWICH_PRIMES]),
+    exps=st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+    shift=st.integers(min_value=-3, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_lanes_fail_alike(n, p, cofactor, exps, shift, seed):
+    """On rational sandwiches at a reducible prime p * cofactor, or at p
+    with a wrong multiplicity, the K lane and the residue lane raise the
+    same SmithError subclass, or give the same form."""
+    exps = sorted(exps[:n])
+    A = _sandwich(SplitMix64(seed), n, p, exps, 8)
+    mu = max(sum(exps) + shift, 1)
+    if cofactor is None:
+        assume(mu != sum(exps))
+    else:
+        p = p * cofactor
+    assert _outcome(A, p, mu, _BaseFieldLane) == _outcome(A, p, mu, _ResidueLane)
 
 
 @settings(max_examples=30)
@@ -487,222 +487,3 @@ def test_row_scaling_leaves_the_base_field_lane_alone(n, p, exps, seed):
     assert scaled.alphas == base.alphas
     assert _typed(scaled.V) == _typed(base.V)
     assert scaled.E == S @ base.E
-
-
-@pytest.mark.parametrize("key", GROUND_TRUTH)
-def test_lane_over_gf_q_is_the_K_lane_mod_q(key):
-    """At every prime of the corpus the base-field lane over GF(q) gives
-    the exponents of the lane over K, and V coefficients congruent to its
-    V's mod q: the invariant that rational reconstruction relies on."""
-    A = instance(*key)
-    for q in PRIMES[:2]:
-        lane = partial(_BaseFieldLane, F=ModularField(q))
-        for res in locals_over_k(*key):
-            loc = localsmith._local_chains(A, res.p, sum(res.alphas), lane)
-            assert loc.alphas == res.alphas
-            for row_q, row_k in zip(loc.V.entries, res.V.entries):
-                for eq, ek in zip(row_q, row_k):
-                    image = [c.numerator * pow(c.denominator, -1, q) % q for c in ek.coeffs]
-                    assert [c.numerator for c in eq.coeffs] == image
-
-
-def test_large_coefficients_take_several_primes(monkeypatch):
-    """A V with 150-bit-plus coefficients needs CRT over two or more
-    primes, and comes out exact."""
-    A = _sandwich(SplitMix64(7), 3, X - Fraction(1, 3), [0, 0, 2], 60)
-    exact = exact_local_multiplier(A, X - Fraction(1, 3), 2)
-    assert _bits(exact.V) > 150
-    runs = _count_runs(monkeypatch)
-    loc = _modular_multiplier(A, X - Fraction(1, 3), 2)
-    assert len(runs) >= 2 and runs == list(PRIMES[: len(runs)])
-    assert loc is not None and loc.alphas == exact.alphas
-    assert _typed(loc.V) == _typed(exact.V)
-
-
-def test_prime_tuple():
-    assert len(set(PRIMES)) == len(PRIMES) >= 2
-    assert all(q < 2**127 and q.bit_length() == 127 and is_prime(q) for q in PRIMES)
-
-
-def test_unlucky_coefficient_goes_exact(monkeypatch):
-    """In [[l, q], [0, l]] the modular lane would see diag(l, l), alphas
-    (1, 1), where the truth is (0, 2): a q that divides a coefficient
-    hands the form to the exact lane as the lane reduces A."""
-    A = MatPoly([[X, Poly.const(Q1)], [Poly.zero(), X]])
-    runs = _count_runs(monkeypatch)
-    assert _modular_multiplier(A, X, 2) is None and runs == [Q1]
-    loc = _local_multiplier(A, X, 2)
-    assert loc.alphas == (0, 2) and loc.V == exact_local_multiplier(A, X, 2).V
-    res = local_smith(A, X, 2)
-    assert res.alphas == (0, 2) and res.diagonal() == MatPoly.diag([Poly.one(), X**2])
-    _check_contract(A, X, res, 2)
-
-
-@pytest.mark.parametrize(
-    "A, p, mu",
-    [
-        (MatPoly([[X, Poly.const(Fraction(1, Q1))], [Poly.zero(), X]]), X, 2),
-        (MatPoly([[X, Poly.const(Fraction(3, 2 * Q1))], [Poly.one(), X]]), X**2 - Fraction(3, 2 * Q1), 1),
-        (MatPoly.diag([X - Fraction(1, Q1), X - Fraction(1, Q1)]), X - Fraction(1, Q1), 2),
-    ],
-    ids=["in A", "in A and p", "in p"],
-)
-def test_denominator_divisible_by_q_goes_exact(A, p, mu):
-    assert _modular_multiplier(A, p, mu) is None
-    res = local_smith(A, p, mu)
-    assert res.V == exact_local_multiplier(A, p, mu).V
-    _check_contract(A, p, res, mu)
-
-
-# A 3x3 matrix whose constant coefficient [[1, 1, 0], [1, 1 + q, 0], [0, 0,
-# 0]] has rank 2 over Q and rank 1 mod q, with no coefficient divisible by
-# q: modulo q the lane finds exponents (0, 1, 1), the truth is (0, 0, 2).
-def _minor_divisible_by_q(q=Q1):
-    q = Poly.const(q)
-    return MatPoly([
-        [X**2 - X + 1, X**2 + X + 1, -(X**2) + X],
-        [X + 1, 2 * X + q + 1, X**2],
-        [-2 * X, -(X**2) + X, X**2],
-    ])
-
-
-def test_certificate_catches_an_unlucky_prime():
-    """The modular lane returns wrong exponents that sum to mu; local_smith's
-    det V and compute_E checks send it to the exact lane."""
-    A = _minor_divisible_by_q()
-    loc = _modular_multiplier(A, X, 2)
-    assert loc is not None and loc.alphas == (0, 1, 1)
-    exact = exact_local_multiplier(A, X, 2)
-    assert exact.alphas == (0, 0, 2)
-    res = local_smith(A, X, 2)
-    assert res.alphas == (0, 0, 2) and res.V == exact.V
-    _check_contract(A, X, res, 2)
-
-
-# primes near 2**20: one gives a bound of 0, two of about 724, three of
-# about 740,000 (sqrt(M / 2**21))
-TINY_PRIMES = (1048573, 1048571, 1048559)
-
-
-def test_tiny_primes_force_several_then_the_cap(monkeypatch):
-    monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
-    runs = _count_runs(monkeypatch)
-    p = X**2 + 1
-    small = _sandwich(SplitMix64(3), 2, p, [1, 2], 2)
-    exact = exact_local_multiplier(small, p, 3)
-    assert 1 <= _bits(exact.V) <= 9
-    loc = _modular_multiplier(small, p, 3)
-    assert runs == list(TINY_PRIMES[:2])
-    assert _typed(loc.V) == _typed(exact.V)
-    runs.clear()
-    large = _sandwich(SplitMix64(3), 2, p, [1, 2], 40)
-    exact = exact_local_multiplier(large, p, 3)
-    assert _bits(exact.V) > 20
-    assert _modular_multiplier(large, p, 3) is None
-    assert runs == list(TINY_PRIMES)
-    assert _typed(_local_multiplier(large, p, 3).V) == _typed(exact.V)
-
-
-def test_exponents_that_differ_between_primes_go_exact(monkeypatch):
-    """Modulo the first tiny prime the exponents are the true (0, 0, 2),
-    modulo the second, which divides a minor, (0, 1, 1): the lane stops
-    there and hands over, rather than joining the two images."""
-    monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
-    A = _minor_divisible_by_q(TINY_PRIMES[1])
-    runs = _count_runs(monkeypatch)
-    assert _modular_multiplier(A, X, 2) is None
-    assert runs == list(TINY_PRIMES[:2])
-    assert local_smith(A, X, 2).alphas == (0, 0, 2)
-
-
-def _corrupt_reconstruction(monkeypatch, fault):
-    """Reconstruction that applies `fault` to the rows of every V."""
-    real = modular.reconstruct
-
-    def corrupt(image, M):
-        V = real(image, M)
-        return V if V is None else MatPoly(fault([list(row) for row in V.entries]))
-
-    monkeypatch.setattr(modular, "reconstruct", corrupt)
-
-
-def _plus_one(rows):
-    # A V no longer divisible by D: compute_E fails
-    rows[0][-1] = rows[0][-1] + 1
-    return rows
-
-
-def _times_l_minus_7(rows):
-    # compute_E still passes, but det V gains the factor l - 7
-    return [row[:-1] + [row[-1] * (X - 7)] for row in rows]
-
-
-@pytest.mark.parametrize("fault", [_plus_one, _times_l_minus_7])
-@pytest.mark.parametrize("key", [(3, 2, "none"), (1, 4, "none"), (6, 4, "revcols")])
-def test_corrupted_reconstruction_falls_back(monkeypatch, key, fault):
-    """local_smith's checks, compute_E and a constant det V, catch a
-    corrupted modular V, and the exact lane gives the true form."""
-    A = instance(*key)
-    truth = [(r.alphas, _typed(r.V), _typed(r.E)) for r in locals_rpr(*key)]
-    _corrupt_reconstruction(monkeypatch, fault)
-    got = [
-        (r.alphas, _typed(r.V), _typed(r.E))
-        for r in (local_smith(A, p, mu) for p, mu in factored(*key).factors)
-    ]
-    assert got == truth
-
-
-def _spy_lanes(monkeypatch):
-    """The fields of every base-field lane built, and a residue lane that
-    fails the test if it is ever built."""
-    fields, real = [], localsmith._BaseFieldLane
-
-    def base(A, p, mu, F=BASE_FIELD):
-        fields.append(F)
-        return real(A, p, mu, F)
-
-    def residue(*args):
-        raise AssertionError("local_smith_over_K reached the residue lane")
-
-    monkeypatch.setattr(localsmith, "_BaseFieldLane", base)
-    monkeypatch.setattr(localsmith, "_ResidueLane", residue)
-    return fields
-
-
-def _fallback_cases():
-    p = X**2 + 1
-    i = GaussianRational(0, 1)
-    gaussian = MatPoly([[X - i, Poly.one()], [Poly.zero(), X + 1]])
-    yield pytest.param(None, gaussian, X - i, 1, id="gaussian")
-    tiny = _sandwich(SplitMix64(3), 2, p, [1, 2], 40)
-    yield pytest.param("primes", tiny, p, 3, id="tiny-primes")
-    for fault in (_plus_one, _times_l_minus_7):
-        for key in [(3, 2, "none"), (1, 4, "none")]:
-            for q, mu in factored(*key).factors:
-                name = f"{fault.__name__}-{key[0]}-{key[1]}-{q.human_text()}"
-                yield pytest.param(fault, instance(*key), q, mu, id=name)
-
-
-@pytest.mark.parametrize("patch, A, p, mu", _fallback_cases())
-def test_over_K_falls_back_to_the_K_lane(monkeypatch, patch, A, p, mu):
-    """Where the modular route gives no V (Gaussian input, too many bits for
-    tiny primes) or a V that fails the certificate, local_smith_over_K runs
-    the base-field lane over K and never the residue lane; its form is the
-    exact one."""
-    truth = exact_local_multiplier(A, p, mu)
-    if patch == "primes":
-        monkeypatch.setattr(modular, "PRIMES", TINY_PRIMES)
-    elif patch:
-        _corrupt_reconstruction(monkeypatch, patch)
-    fields = _spy_lanes(monkeypatch)
-    res = local_smith_over_K(A, p, mu)
-    assert fields[-1] is BASE_FIELD and fields.count(BASE_FIELD) == 1
-    moduli = [F.q for F in fields[:-1]]
-    if patch is None:
-        assert moduli == []
-    elif patch == "primes":
-        assert moduli == list(TINY_PRIMES)
-    else:
-        assert moduli == list(PRIMES[: len(moduli)]) and moduli
-    assert res.alphas == truth.alphas and _typed(res.V) == _typed(truth.V)
-    _check_contract(A, p, res, mu)
