@@ -8,7 +8,8 @@ of products a coefficient adds; verify's use of it is checked in
 test_verify.py), for the exact integer division of the fraction-free
 eliminations (mat_det itself is checked in test_matpoly.py), and for the
 echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
-columns (_Echelon).
+columns (_Echelon), with each row operation of the integer rows against
+the same operation on lists of Fractions.
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands run the same
@@ -16,9 +17,10 @@ list kernels on field coefficients; their quotients and remainders keep
 the reference's types too."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import companion_product, digits_in_p, integer_scaled
@@ -640,3 +642,108 @@ def test_echelon_grown_by_blocks_over_residue_field(data, p, cuts):
     entry = st.lists(scalars, min_size=s, max_size=s).map(Poly)
     rows = data.draw(_echelon_cases(entry, Poly.zero(), F.mul))
     _check_grown_by_blocks(rows, F, cuts)
+
+
+# -- integer rows against lists of Fractions ----------------------------------
+
+int_or_rational = st.one_of(small_ints, rationals)
+rational_rows = st.lists(int_or_rational, min_size=1, max_size=6)
+nonzero_ints = st.integers(min_value=-99, max_value=99).filter(bool)
+
+
+def _read(row):
+    """An integer row's values, once its form is checked: a positive den
+    and gcd(den, *ints) = 1."""
+    assert type(row.den) is int and row.den > 0 and gcd(row.den, *row) == 1
+    return _typed(_values([row], INTEGER_ROWS)[0])
+
+
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
+def _pivot(values):
+    """The column of values' first nonzero entry: its pivot as a pivot row."""
+    assume(any(values))
+    return next(j for j, v in enumerate(values) if v)
+
+
+@KERNELS
+@given(values=rational_rows)
+def test_integer_row_holds_its_values(values):
+    """A row of ints and Fractions is held in lowest terms and reads back
+    as Fractions."""
+    assert _read(INTEGER_ROWS.row(values)) == _typed(_fractions(values))
+
+
+@KERNELS
+@given(head=rational_rows, tail=rational_rows)
+def test_integer_row_join(head, tail):
+    """Columns appended over the lcm of both denominators; the old entries
+    are rescaled only when that lcm grows."""
+    row, new = INTEGER_ROWS.row(head), INTEGER_ROWS.row(tail)
+    before, den = list(row), row.den
+    INTEGER_ROWS.join(row, new)
+    assert _typed(_values([row], INTEGER_ROWS)[0]) == _typed(_fractions(head + tail))
+    assert row.den == lcm(den, new.den) > 0
+    if row.den == den:
+        assert row[: len(before)] == before
+
+
+@KERNELS
+@given(values=rational_rows)
+def test_integer_row_unit(values):
+    """The pivot row scaled to 1 at its pivot, and the pivot inverse as an
+    integer pair, match BASE_FIELD's."""
+    c = _pivot(values)
+    row, ref = INTEGER_ROWS.row(values), _fractions(values)
+    u, w = INTEGER_ROWS.unit(row, c)
+    assert Fraction(u, w) == BASE_FIELD.unit(ref, c)
+    assert _read(row) == _typed(ref) and ref[c] == 1
+
+
+@KERNELS
+@given(values=rational_rows, u=nonzero_ints, w=nonzero_ints)
+def test_integer_row_scaled(values, u, w):
+    row = INTEGER_ROWS.row(values)
+    scaled = INTEGER_ROWS.scaled(row, (u, w))
+    assert _read(scaled) == _typed(BASE_FIELD.scaled(_fractions(values), Fraction(u, w)))
+
+
+@KERNELS
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6), unit=st.booleans())
+def test_integer_row_sub_multiple(data, n, unit):
+    """row -= f * top over top's support, with f the multiplier that
+    clears row at top's pivot, from a unit pivot row (a reduction step)
+    or from any row (a replay of the log), matches BASE_FIELD's."""
+    same = st.lists(int_or_rational, min_size=n, max_size=n)
+    top_values = data.draw(same)
+    c = _pivot(top_values)
+    values = data.draw(same)
+    top, ref_top = INTEGER_ROWS.row(top_values), _fractions(top_values)
+    if unit:
+        INTEGER_ROWS.unit(top, c)
+        BASE_FIELD.unit(ref_top, c)
+    row, ref = INTEGER_ROWS.row(values), _fractions(values)
+    f, ref_f = INTEGER_ROWS.multiplier(row, c), BASE_FIELD.multiplier(ref, c)
+    assert Fraction(*f) == ref_f
+    INTEGER_ROWS.sub_multiple(row, f, top, [(j, b) for j, b in enumerate(top) if b])
+    BASE_FIELD.sub_multiple(ref, ref_f, ref_top, [(j, b) for j, b in enumerate(ref_top) if b])
+    assert _read(row) == _typed(ref)
+    if unit:
+        assert not ref[c]
+
+
+@KERNELS
+@given(
+    data=st.data(),
+    p=st.sampled_from([[Fraction(-1, 3), 1], [2, 1], [1, 0, 1], [Fraction(1, 2), 1, 1], [-2, 0, 0, 1]]),
+    k=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=3),
+)
+def test_integer_rows_decode(data, p, k, n):
+    """A chain's k blocks of n digits, each of deg p Fraction coefficients,
+    decode to BASE_FIELD's column of sum_j p**j block_j, types included."""
+    digit = st.lists(rationals, min_size=len(p) - 1, max_size=len(p) - 1)
+    blocks = [[data.draw(digit) for _ in range(n)] for _ in range(k)]
+    assert _typed(INTEGER_ROWS.decode(blocks, p)) == _typed(BASE_FIELD.decode(blocks, p))

@@ -14,6 +14,7 @@ from corpus import (
     locals_over_k,
     locals_rpr,
 )
+from smithpoly import localsmith
 from smithpoly.errors import (
     MultiplicityMismatch,
     NotIrreducible,
@@ -35,7 +36,7 @@ from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import ResidueField
+from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -487,3 +488,152 @@ def test_row_scaling_leaves_the_base_field_lane_alone(n, p, exps, seed):
     assert scaled.alphas == base.alphas
     assert _typed(scaled.V) == _typed(base.V)
     assert scaled.E == S @ base.E
+
+
+def _bits(M):
+    return max(
+        (max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+         for row in M.entries for e in row for c in e.coeffs),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize("key", GROUND_TRUTH)
+def test_integer_rows_are_the_fraction_lane(monkeypatch, key):
+    """At every prime of the corpus the base-field lane on integer rows
+    gives the exponents and V, coefficient types included, of the same
+    lane on lists of Fractions (BASE_FIELD)."""
+    A = instance(*key)
+    for p, mu in factored(*key).factors:
+        assert _BaseFieldLane(A, p, mu).F is INTEGER_ROWS
+        ints = _local_chains(A, p, mu, _BaseFieldLane)
+        with monkeypatch.context() as m:
+            m.setattr(localsmith, "INTEGER_ROWS", BASE_FIELD)
+            assert _BaseFieldLane(A, p, mu).F is BASE_FIELD
+            fractions = _local_chains(A, p, mu, _BaseFieldLane)
+        assert ints.alphas == fractions.alphas
+        assert _typed(ints.V) == _typed(fractions.V)
+
+
+def _spy_lanes(monkeypatch):
+    """The scalars of every lane built: its field for a base-field lane,
+    "residue" for a residue lane."""
+    built = []
+    base, residue = localsmith._BaseFieldLane, localsmith._ResidueLane
+
+    def spy_base(A, p, mu):
+        lane = base(A, p, mu)
+        built.append(lane.F)
+        return lane
+
+    def spy_residue(A, p, mu):
+        built.append("residue")
+        return residue(A, p, mu)
+
+    monkeypatch.setattr(localsmith, "_BaseFieldLane", spy_base)
+    monkeypatch.setattr(localsmith, "_ResidueLane", spy_residue)
+    return built
+
+
+def _corpus_prime(key=(1, 4, "none")):
+    p, mu = factored(*key).factors[0]
+    return instance(*key), p, mu
+
+
+# (A, p, mu) makers, and whether A and p are rational
+ROUTES = {
+    "gaussian": (lambda: (MatPoly([[X - I, Poly.one()], [Poly.zero(), X + 1]]), X - I, 1), False),
+    "gaussian-prime": (
+        lambda: (MatPoly([[X**2 + 1, Poly.one()], [Poly.zero(), X + 1]]), X - I, 1), False
+    ),
+    "sandwich": (lambda: (_sandwich(SplitMix64(3), 2, X**2 + 1, [1, 2], 40), X**2 + 1, 3), True),
+    "corpus": (_corpus_prime, True),
+}
+
+
+@pytest.mark.parametrize("fn", ALL_LOCAL)
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_entry_point_runs_its_lane(monkeypatch, fn, route):
+    """On rational A and p both local forms run the base-field lane on
+    integer rows.  Otherwise local_smith runs the residue lane and
+    local_smith_over_K the base-field lane on K's scalars.  Every lane
+    gives the residue lane's form."""
+    make, rational = ROUTES[route]
+    A, p, mu = make()
+    truth = _local_chains(A, p, mu, _ResidueLane)
+    built = _spy_lanes(monkeypatch)
+    res = fn(A, p, mu)
+    if rational:
+        assert built == [INTEGER_ROWS]
+    else:
+        assert built == (["residue"] if fn is local_smith else [BASE_FIELD])
+    assert res.alphas == truth.alphas and res.V == truth.V
+    _check_contract(A, p, res, mu)
+
+
+Q = 2**127 - 1
+
+
+@pytest.mark.parametrize("fn", ALL_LOCAL)
+@pytest.mark.parametrize(
+    "A, p, mu",
+    [
+        (MatPoly([[X, Poly.const(Fraction(1, Q))], [Poly.zero(), X]]), X, 2),
+        (MatPoly([[X, Poly.const(Fraction(3, 2 * Q))], [Poly.one(), X]]), X**2 - Fraction(3, 2 * Q), 1),
+        (MatPoly.diag([X - Fraction(1, Q), X - Fraction(1, Q)]), X - Fraction(1, Q), 2),
+    ],
+    ids=["in A", "in A and p", "in p"],
+)
+def test_denominator_with_a_large_prime(fn, A, p, mu):
+    """A denominator of 2**127 - 1 in A, in p or in both: the integer rows
+    carry it and give the residue lane's V."""
+    res = fn(A, p, mu)
+    assert _typed(res.V) == _typed(_local_chains(A, p, mu, _ResidueLane).V)
+    _check_contract(A, p, res, mu)
+
+
+def test_coefficient_divisible_by_a_large_prime():
+    """[[l, q], [0, l]] for the prime q = 2**127 - 1: modulo q it is
+    diag(l, l), exponents (1, 1), but over Q they are (0, 2)."""
+    A = MatPoly([[X, Poly.const(Q)], [Poly.zero(), X]])
+    for fn in ALL_LOCAL:
+        res = fn(A, X, 2)
+        assert res.alphas == (0, 2) and res.diagonal() == MatPoly.diag([Poly.one(), X**2])
+        _check_contract(A, X, res, 2)
+
+
+def _minor_divisible_by(q):
+    """A 3x3 matrix whose constant coefficient [[1, 1, 0], [1, 1 + q, 0],
+    [0, 0, 0]] has rank 2 over Q and rank 1 mod q, with no coefficient
+    divisible by q: modulo q its exponents at l are (0, 1, 1), over Q
+    (0, 0, 2)."""
+    q = Poly.const(q)
+    return MatPoly([
+        [X**2 - X + 1, X**2 + X + 1, -(X**2) + X],
+        [X + 1, 2 * X + q + 1, X**2],
+        [-2 * X, -(X**2) + X, X**2],
+    ])
+
+
+@pytest.mark.parametrize("q", [Q, 1048571])
+def test_minor_divisible_by_a_prime(q):
+    A = _minor_divisible_by(q)
+    truth = _local_chains(A, X, 2, _ResidueLane)
+    assert truth.alphas == (0, 0, 2)
+    for fn in ALL_LOCAL:
+        res = fn(A, X, 2)
+        assert res.alphas == (0, 0, 2) and _typed(res.V) == _typed(truth.V)
+        _check_contract(A, X, res, 2)
+
+
+def test_large_coefficients_stay_exact():
+    """A V with 150-bit-plus coefficients comes out of both local forms
+    as the residue lane's."""
+    p = X - Fraction(1, 3)
+    A = _sandwich(SplitMix64(7), 3, p, [0, 0, 2], 60)
+    truth = _local_chains(A, p, 2, _ResidueLane)
+    assert _bits(truth.V) > 150
+    for fn in ALL_LOCAL:
+        res = fn(A, p, 2)
+        assert res.alphas == truth.alphas and _typed(res.V) == _typed(truth.V)
+        _check_contract(A, p, res, 2)
