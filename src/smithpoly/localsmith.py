@@ -214,7 +214,15 @@ def local_smith(A: MatPoly, p: Poly, mu: int) -> LocalSmithResult:
 
 def _local_multiplier(A: MatPoly, p: Poly, mu: int) -> LocalMultiplier:
     """The p, V and alphas of local_smith, without its E."""
-    return _local_chains(A, p, mu, _BaseFieldLane if _rational(A, p) else _ResidueLane)
+    return _local_chains(A, p, mu, _exact_lane)
+
+
+def _exact_lane(A: MatPoly, p: Poly, mu: int):
+    """The base-field lane where it runs on integer rows (rational A and
+    p), else the residue lane.  The rule that picks the field lives in
+    _BaseFieldLane alone; building that lane reads no digit of A."""
+    lane = _BaseFieldLane(A, p, mu)
+    return lane if lane.F is INTEGER_ROWS else _ResidueLane(A, p, mu)
 
 
 def _rational(A: MatPoly, p: Poly) -> bool:

@@ -102,8 +102,26 @@ class BaseField(_ExactRows):
         return out
 
     def decode(self, blocks, p) -> list:
-        """sum_j p**j * blocks[j], each entry of a block a coefficient list."""
-        return lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
+        """sum_j p**j * blocks[j], each entry of a block a coefficient list.
+        Rational digits are scaled to ints by the lcm m of their
+        denominators and p by the lcm q of its own, and each entry is
+        summed by Horner on ints, over m * q**J for J the last digit.
+        Gaussian ones go through lambda_iso, which keeps their types."""
+        digits = [c for b in blocks for d in b for c in d]
+        if not all(type(c) in (int, Fraction) for c in [*p, *digits]):
+            return lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
+        m = lcm(*[c.denominator for c in digits])
+        q = lcm(*[c.denominator for c in p])
+        P = [c.numerator * (q // c.denominator) for c in p]
+        col = []
+        for entry in zip(*blocks):
+            acc, w = [], 1
+            for d in reversed(entry):
+                d = [c.numerator * (m // c.denominator) * w for c in d]
+                acc = _list_sum(_int_mul(acc, P), d) if acc else _strip(d)
+                w *= q
+            col.append(_from_ints(acc, m * w // q))
+        return col
 
 
 BASE_FIELD = BaseField()
@@ -196,23 +214,6 @@ class IntegerRows(BaseField):
         if g != 1:
             row[:] = [v // g for v in row]
         row.den = den // g
-
-    def decode(self, blocks, p) -> list:
-        """sum_j p**j * blocks[j] by Horner on ints: the digits over the
-        lcm m of their denominators, p over the lcm q of its own, and the
-        sum, for J the last digit, over m * q**J."""
-        m = lcm(*[c.denominator for b in blocks for d in b for c in d])
-        q = lcm(*[c.denominator for c in p])
-        P = [c.numerator * (q // c.denominator) for c in p]
-        col = []
-        for digits in zip(*blocks):
-            acc, w = [], 1
-            for d in reversed(digits):
-                d = [c.numerator * (m // c.denominator) * w for c in d]
-                acc = _list_sum(_int_mul(acc, P), d) if acc else _strip(d)
-                w *= q
-            col.append(_from_ints(acc, m * w // q))
-        return col
 
 
 INTEGER_ROWS = IntegerRows()

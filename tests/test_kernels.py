@@ -741,9 +741,11 @@ def test_integer_row_sub_multiple(data, n, unit):
     k=st.integers(min_value=1, max_value=3),
     n=st.integers(min_value=1, max_value=3),
 )
-def test_integer_rows_decode(data, p, k, n):
-    """A chain's k blocks of n digits, each of deg p Fraction coefficients,
-    decode to BASE_FIELD's column of sum_j p**j block_j, types included."""
-    digit = st.lists(rationals, min_size=len(p) - 1, max_size=len(p) - 1)
+def test_rational_decode_is_lambda_iso(data, p, k, n):
+    """A chain's k blocks of n digits, each of deg p int or Fraction
+    coefficients, decode by Horner on ints to lambda_iso's column of
+    sum_j p**j block_j, types included."""
+    digit = st.lists(int_or_rational, min_size=len(p) - 1, max_size=len(p) - 1)
     blocks = [[data.draw(digit) for _ in range(n)] for _ in range(k)]
-    assert _typed(INTEGER_ROWS.decode(blocks, p)) == _typed(BASE_FIELD.decode(blocks, p))
+    ref = lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
+    assert _typed(BASE_FIELD.decode(blocks, p)) == _typed(ref)
