@@ -14,7 +14,13 @@ extends the rest.  The two lanes differ only in the scalars it runs on:
   a base field (s = deg p), the tableau has width s*n, chain columns come
   in supercolumns of s, of which the first is kept, and residuals are
   linear maps of A's digits.  On rational input it runs over Q on
-  integer rows (``residue.IntegerRows``), otherwise over K.
+  integer rows (``residue.IntegerRows``): echelon rows, null vectors,
+  chains and residuals are ints over one denominator, and only V's
+  coefficients are Fractions.  Otherwise it runs over K.
+
+The chain form is the field object's: ``_local_chains`` reads null
+vectors, combines chains and turns residuals into tableau rows through
+it, and is the one driver of both lanes.
 
 ``local_smith_over_K`` runs the base-field lane.  ``local_smith`` runs it
 too on rational input, and the residue lane on Gaussian input.  Both lanes
@@ -98,10 +104,10 @@ class _Echelon:
         self.log = []
         self.ncols = 0
 
-    def extend(self, block):
-        """Append the columns of `block` (one list per row)."""
+    def extend(self, new):
+        """Append the columns of `new`, one row per row in F's row form
+        (F.row, F.columns); its rows are used up."""
         F, rows, log = self.F, self.rows, self.log
-        new = [F.row(b) for b in block]
         for r, piv, inv, cleared in log:
             new[r], new[piv] = new[piv], new[r]
             top = new[r] = F.scaled(new[r], inv)
@@ -136,29 +142,25 @@ class _Echelon:
             r += 1
 
     def null_basis(self, start=0):
-        """Null-space basis columns for the free columns from `start` on:
-        1 in the free position, the negated reduced coefficients in the
-        pivot positions."""
+        """Null-space basis columns for the free columns from `start` on,
+        in F's chain form: 1 in the free position, the negated reduced
+        coefficients in the pivot positions (F.null_vector)."""
         F, rows, pivots = self.F, self.rows, self.pivots
         pivot_set = set(pivots)
-        out = []
-        for c in range(start, self.ncols):
-            if c in pivot_set:
-                continue
-            vec = [F.zero] * self.ncols
-            vec[c] = F.one
-            for pr, pc in enumerate(pivots):
-                if rows[pr][c]:
-                    vec[pc] = F.neg(F.entry(rows[pr], c))
-            out.append(vec)
-        return out
+        return [
+            F.null_vector(
+                [(pc, rows[pr]) for pr, pc in enumerate(pivots) if rows[pr][c]], c, self.ncols
+            )
+            for c in range(start, self.ncols)
+            if c not in pivot_set
+        ]
 
 
 def _rref(rows, F):
     """The echelon kernel on all columns at once: (reduced rows, pivot
     column indices, null-space basis columns)."""
     ech = _Echelon(F, len(rows))
-    ech.extend(rows)
+    ech.extend([F.row(r) for r in rows])
     return ech.rows, ech.pivots, ech.null_basis()
 
 
@@ -267,9 +269,9 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
     if mu < 1:
         raise PrimeDoesNotDivideDet("algebraic multiplicity must be >= 1")
     lane = make_lane(A, p, mu)  # either lane rejects a non-monic or constant p
-    n, s, width, zero = A.rows, lane.s, lane.width, lane.F.zero
-    ech = _Echelon(lane.F, width)
-    ech.extend(lane.tableau())
+    n, s, width, F = A.rows, lane.s, lane.width, lane.F
+    ech = _Echelon(F, width)
+    ech.extend([F.row(r) for r in lane.tableau()])
     null_basis = ech.null_basis()
     free_super, pivot_super = _group_supercolumns(ech.pivots, ech.ncols, s, 0, p)
     r0 = len(free_super)
@@ -282,13 +284,12 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
     ]
     R = r0
     chains = null_basis
-    stacked = list(chains)  # every kernel chain so far, zero-padded on top
+    stacked = list(chains)  # every kernel chain so far, one per tableau column past width
     k = 0
     while R < mu:
         k += 1
         prev_cols = ech.ncols
-        new_cols = [lane.residual(c, k) for c in chains]
-        ech.extend([[col[i] for col in new_cols] for i in range(width)])
+        ech.extend(F.columns([lane.residual(c, k) for c in chains], width))
         _, pivot_super = _group_supercolumns(ech.pivots, ech.ncols, s, prev_cols, p)
         new_null = ech.null_basis(prev_cols)
         if len(new_null) % s != 0:
@@ -301,29 +302,11 @@ def _local_chains(A: MatPoly, p: Poly, mu: int, make_lane) -> LocalMultiplier:
         R += rk
         for g in pivot_super:
             accepted.append((k, lane.decode(chains[g * s])))
-        next_chains = []
-        for vec in new_null:
-            head = _chain_combination(stacked, vec[width:], width * k, zero)
-            next_chains.append(lane.extend(head, vec[:width], k))
-        stacked = [[zero] * width + c for c in stacked] + next_chains
-        chains = next_chains
+        chains = [lane.extend(F.chain(stacked, vec, width, width * k), k) for vec in new_null]
+        stacked += chains
     for g in range(len(chains) // s):
         accepted.append((k + 1, lane.decode(chains[g * s])))
     return _finish_local(p, accepted, mu)
-
-
-def _chain_combination(stacked, u, rows, zero):
-    """stacked (rows x len(u)) times the kernel coefficients u."""
-    out = [zero] * rows
-    for m, coeff in enumerate(u):
-        if not coeff:
-            continue
-        col = stacked[m]
-        for r in range(rows):
-            e = col[r]
-            if e:
-                out[r] = out[r] + e * coeff
-    return out
 
 
 def _group_supercolumns(pivots, ncols, s, base, p):
@@ -389,11 +372,12 @@ class _ResidueLane:
                     acc[i] = e
         return [hi[i] % p + lo[i] // p for i in range(n)]
 
-    def extend(self, head, y, k):
-        """[rem(head, p); y] + quo(shift-down(head), p): k+1 digit blocks."""
+    def extend(self, chain, k):
+        """[rem(head, p); y] + quo(shift-down(head), p) for the chain
+        [head; y] of k+1 digit blocks."""
         n, p = self.n, self.p
-        qr = [e.divmod(p) for e in head]
-        out = [r for _, r in qr] + y
+        qr = [e.divmod(p) for e in chain[: n * k]]
+        out = [r for _, r in qr] + chain[n * k :]
         for r in range(n, n * (k + 1)):
             out[r] = out[r] + qr[r - n][0]
         return out
@@ -480,15 +464,12 @@ class _BaseFieldLane:
     def residual(self, chain, k):
         return self.F.dot(self._rows(k), chain)
 
-    def extend(self, head, y, k):
-        return head + y
+    @staticmethod
+    def extend(chain, k):
+        return chain
 
-    def decode(self, vec):
-        """The polynomial column sum_j p**j * digit_j of a stacked
-        coefficient vector."""
-        s, w = self.s, self.width
-        blocks = [[vec[b : b + s] for b in range(j, j + w, s)] for j in range(0, len(vec), w)]
-        return self.F.decode(blocks, self.p)
+    def decode(self, chain):
+        return self.F.decode(chain, self.p, self.s, self.width)
 
 
 def _plane_digits(A: MatPoly, p: list, F):

@@ -2,23 +2,20 @@
 integer rows, and the residue field R/pR held as polynomials of degree
 < deg p.
 
-A field object gives ``zero``, ``one``, ``inv`` and ``neg`` on scalars,
-and the kernel's row operations: ``row`` (a new row from a list of
-scalars), ``join`` (columns appended to a row), ``unit`` (a pivot row
-scaled to 1 at its pivot, giving the log's pivot inverse), ``scaled`` (a
-row times such an inverse), ``multiplier`` (the f that clears a row at
-a column), ``sub_multiple`` (row -= f * top in place, over the pivot row
-top's support of (j, b) pairs) and ``entry`` (the scalar at a column).
-K and R/pR hold a row as a list of scalars, and give the ``mul`` those
-use; in R/pR a product is the polynomial product reduced mod p, and an
-inverse comes from the extended Euclidean algorithm.  ``IntegerRows``
-holds a row over Q as ints over one positive denominator, and so runs
-the K lane's elimination on rational input without Fraction arithmetic.
-
-The K fields also give what is field-specific in the base-field lane
-(``localsmith._BaseFieldLane``): ``embed`` takes A's and p's coefficients
-into the field, ``dot`` is the residuals' dot product and ``decode`` turns
-a chain into a column of V.
+A field object gives the kernel's row operations: ``row`` (a new row from
+a list of scalars), ``join`` (columns appended to a row), ``unit`` (a
+pivot row scaled to 1 at its pivot, giving the log's pivot inverse),
+``scaled`` (a row times such an inverse), ``multiplier`` (the f that
+clears a row at a column) and ``sub_multiple`` (row -= f * top in place,
+over the pivot row top's support of (j, b) pairs); and the chain
+operations of localsmith._local_chains: ``null_vector``, ``columns`` and
+``chain``.  K and R/pR hold rows and chains as lists of scalars, in their
+own ``mul`` (in R/pR reduced mod p, inverses by the extended Euclidean
+algorithm).  ``IntegerRows`` holds them over Q as ints over one positive
+denominator, so the K lane builds no Fraction between echelon passes.
+The K fields also give the base-field lane's ``embed`` (A's and p's
+coefficients into the field), ``dot`` (the residuals) and ``decode`` (a
+chain to a column of V).
 """
 
 from __future__ import annotations
@@ -39,94 +36,6 @@ def check_modulus(p: Poly) -> None:
         raise DegreeZero("residue arithmetic needs degree >= 1")
 
 
-class _ExactRows:
-    """The row operations of an exact field on lists of its scalars, in
-    its own mul."""
-
-    neg = staticmethod(operator.neg)
-    row = staticmethod(list)
-    join = staticmethod(list.extend)
-
-    @staticmethod
-    def entry(row, c):
-        return row[c]
-
-    multiplier = entry
-
-    def unit(self, row, c):
-        inv = self.inv(row[c])
-        row[c:] = self.scaled(row[c:], inv)
-        return inv
-
-    def scaled(self, row, c):
-        mul = self.mul
-        return [mul(e, c) if e else e for e in row]
-
-    def sub_multiple(self, row, f, top, support):
-        mul = self.mul
-        for j, b in support:
-            row[j] = row[j] - mul(f, b)
-
-
-class BaseField(_ExactRows):
-    """K itself: Fraction or GaussianRational scalars."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    mul = staticmethod(operator.mul)
-
-    def inv(self, a):
-        return self.one / a
-
-    def embed(self, values) -> list:
-        """Integral Fractions as ints, the rest as they are."""
-        return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in values]
-
-    def dot(self, rows, chain) -> list:
-        """Each sparse row (cols, vals) times the chain.  A chain of
-        Fractions is scaled to ints by the lcm m of its denominators, so a
-        row of ints gives one integer dot product and one Fraction.  Other
-        rows (over Q(i), or for a non-integral p) add their products with
-        the nonzero chain entries, as polynomial products would."""
-        mul, out = operator.mul, []
-        rational = all(type(c) is Fraction for c in chain)
-        if rational:
-            m = lcm(*[c.denominator for c in chain])
-            get = [c.numerator * (m // c.denominator) for c in chain].__getitem__
-        for cols, vals in rows:
-            t = sum(map(mul, vals, map(get, cols))) if rational else None
-            if type(t) is int:
-                out.append(Fraction(t, m))
-            else:
-                out.append(sum(v * chain[c] for c, v in zip(cols, vals) if chain[c]))
-        return out
-
-    def decode(self, blocks, p) -> list:
-        """sum_j p**j * blocks[j], each entry of a block a coefficient list.
-        Rational digits are scaled to ints by the lcm m of their
-        denominators and p by the lcm q of its own, and each entry is
-        summed by Horner on ints, over m * q**J for J the last digit.
-        Gaussian ones go through lambda_iso, which keeps their types."""
-        digits = [c for b in blocks for d in b for c in d]
-        if not all(type(c) in (int, Fraction) for c in [*p, *digits]):
-            return lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
-        m = lcm(*[c.denominator for c in digits])
-        q = lcm(*[c.denominator for c in p])
-        P = [c.numerator * (q // c.denominator) for c in p]
-        col = []
-        for entry in zip(*blocks):
-            acc, w = [], 1
-            for d in reversed(entry):
-                d = [c.numerator * (m // c.denominator) * w for c in d]
-                acc = _list_sum(_int_mul(acc, P), d) if acc else _strip(d)
-                w *= q
-            col.append(_from_ints(acc, m * w // q))
-        return col
-
-
-BASE_FIELD = BaseField()
-
-
 class _IntRow(list):
     """A row of ints over one positive denominator ``den``: its value is
     row[j] / den, with gcd(den, *row) = 1."""
@@ -144,21 +53,131 @@ def _int_row(ints, den) -> _IntRow:
     return row
 
 
+def _over(values, den=1) -> _IntRow:
+    """Ints and Fractions divided by den, as an _IntRow over den times
+    the lcm of their denominators."""
+    m = lcm(*[v.denominator for v in values])
+    return _int_row([v.numerator * (m // v.denominator) for v in values], den * m)
+
+
+class _ExactRows:
+    """The row operations of an exact field on lists of its scalars, in
+    its own mul, and its chains: lists of scalars too."""
+
+    row = staticmethod(list)
+    join = staticmethod(list.extend)
+
+    @staticmethod
+    def multiplier(row, c):
+        return row[c]
+
+    def unit(self, row, c):
+        inv = self.inv(row[c])
+        row[c:] = self.scaled(row[c:], inv)
+        return inv
+
+    def scaled(self, row, c):
+        mul = self.mul
+        return [mul(e, c) if e else e for e in row]
+
+    def sub_multiple(self, row, f, top, support):
+        mul = self.mul
+        for j, b in support:
+            row[j] = row[j] - mul(f, b)
+
+    def null_vector(self, reads, c, ncols):
+        """The null vector of reduced rows for the free column c: 1 at c,
+        and -row[c] at the pivot column of each (pivot column, row) pair
+        of `reads`, the rows nonzero at c."""
+        vec = [self.zero] * ncols
+        vec[c] = self.one
+        for pc, row in reads:
+            vec[pc] = -row[c]
+        return vec
+
+    @staticmethod
+    def columns(cols, nrows):
+        """The rows of the columns cols, each of nrows scalars."""
+        return [[col[i] for col in cols] for i in range(nrows)]
+
+    def chain(self, stacked, vec, width, rows):
+        """The chain of a kernel vector vec = [y; u]: the chains of
+        `stacked`, each zero-padded on top to `rows` entries, times u,
+        with y appended."""
+        out = [self.zero] * rows
+        for coeff, col in zip(vec[width:], stacked):
+            if coeff:
+                for r, e in enumerate(col, rows - len(col)):
+                    if e:
+                        out[r] = out[r] + e * coeff
+        return out + vec[:width]
+
+
+class BaseField(_ExactRows):
+    """K itself: Fraction or GaussianRational scalars."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    mul = staticmethod(operator.mul)
+
+    def inv(self, a):
+        return self.one / a
+
+    def embed(self, values) -> list:
+        """Integral Fractions as ints, the rest as they are."""
+        return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in values]
+
+    @staticmethod
+    def dot(rows, chain) -> list:
+        """Each sparse row (cols, vals) times the chain: its products with
+        the nonzero chain entries added, as polynomial products would."""
+        return [sum(v * chain[c] for c, v in zip(cols, vals) if chain[c]) for cols, vals in rows]
+
+    @staticmethod
+    def decode(chain, p, s, width) -> list:
+        """The polynomial column sum_j p**j * digit_j of a chain of digit
+        blocks of `width` coefficients, s per entry.  Over Q the chain is
+        an _IntRow (a list of Fractions is put over the lcm of their
+        denominators first) and p is scaled to ints by the lcm q of its
+        denominators, so each entry is summed by Horner on ints, over
+        den * q**J for J the last digit.  Gaussian chains go through
+        lambda_iso, which keeps their types."""
+        if type(chain) is not _IntRow:
+            if not all(type(c) in (int, Fraction) for c in [*p, *chain]):
+                blocks = [
+                    [Poly(chain[b : b + s]) for b in range(j, j + width, s)]
+                    for j in range(0, len(chain), width)
+                ]
+                return lambda_iso(blocks, Poly(p))
+            chain = _over(chain)
+        q = lcm(*[c.denominator for c in p])
+        P = [c.numerator * (q // c.denominator) for c in p]
+        col = []
+        for i in range(0, width, s):
+            acc, w = [], 1
+            for j in range(len(chain) - width + i, -1, -width):
+                d = [c * w for c in chain[j : j + s]]
+                acc = _list_sum(_int_mul(acc, P), d) if acc else _strip(d)
+                w *= q
+            col.append(_from_ints(acc, chain.den * w // q))
+        return col
+
+
+BASE_FIELD = BaseField()
+
+
 class IntegerRows(BaseField):
-    """K = Q with each echelon row held as an _IntRow, so elimination is
-    fraction-free (Bareiss, Math. Comp. 1968).  A pivot row is scaled to
-    1 by taking its pivot as its denominator, and a row is cleared by
+    """K = Q with each echelon row and each chain held as an _IntRow, so
+    elimination is fraction-free (Bareiss, Math. Comp. 1968) and no
+    Fraction is built between echelon passes.  A pivot row is scaled to 1
+    by taking its pivot as its denominator, and a row is cleared by
     cross-multiplication and one gcd.  The log's pivot inverses are
     integer pairs (u, w), meaning u / w: a row's pivot inverse
-    (den, pivot) and its multiplier (row[c], den).  Every row holds the
-    value the same step gives over BASE_FIELD, and ``entry`` reads a
-    value as a lowest-terms Fraction, so the null vectors, the chains and
-    V are BASE_FIELD's."""
+    (den, pivot) and its multiplier (row[c], den).  Every row, null
+    vector and chain holds the value the same step gives over BASE_FIELD,
+    so V is BASE_FIELD's."""
 
-    def row(self, values):
-        """Ints or Fractions over the lcm of their denominators."""
-        m = lcm(*[v.denominator for v in values])
-        return _int_row([v.numerator * (m // v.denominator) for v in values], m)
+    row = staticmethod(_over)
 
     @staticmethod
     def join(row, tail):
@@ -171,10 +190,6 @@ class IntegerRows(BaseField):
             row.den = m
         k = m // tail.den
         row.extend(tail if k == 1 else [v * k for v in tail])
-
-    @staticmethod
-    def entry(row, c):
-        return Fraction(row[c], row.den)
 
     @staticmethod
     def multiplier(row, c):
@@ -214,6 +229,49 @@ class IntegerRows(BaseField):
         if g != 1:
             row[:] = [v // g for v in row]
         row.den = den // g
+
+    @staticmethod
+    def null_vector(reads, c, ncols):
+        """Read off the reduced rows: a row's pivot entry is its den, so
+        its value at c is row[c] / row.den, and the vector is L at c and
+        -row[c] * (L // row.den) at the pivot columns, over the lcm L of
+        the dens read."""
+        L = lcm(*[row.den for _, row in reads])
+        vec = [0] * ncols
+        vec[c] = L
+        for pc, row in reads:
+            vec[pc] = -row[c] * (L // row.den)
+        return _int_row(vec, L)
+
+    @staticmethod
+    def columns(cols, nrows):
+        """Rows over the lcm L of the columns' dens."""
+        L = lcm(*[col.den for col in cols])
+        cols = [col if col.den == L else [v * (L // col.den) for v in col] for col in cols]
+        return [_int_row([col[i] for col in cols], L) for i in range(nrows)]
+
+    @staticmethod
+    def chain(stacked, vec, width, rows):
+        """The sum of int columns over the lcm L of the combined chains'
+        dens, with y scaled by L, all over vec.den * L."""
+        terms = [(coeff, col) for coeff, col in zip(vec[width:], stacked) if coeff]
+        L = lcm(*[col.den for _, col in terms])
+        out = [0] * rows
+        for coeff, col in terms:
+            f = coeff * (L // col.den)
+            for r, e in enumerate(col, rows - len(col)):
+                if e:
+                    out[r] += e * f
+        out += [v * L for v in vec[:width]]
+        return _int_row(out, vec.den * L)
+
+    @staticmethod
+    def dot(rows, chain) -> _IntRow:
+        """Each sparse row (cols, vals) times the chain's ints, over its
+        den.  For a p that is not integral G's rows hold Fractions, and
+        the sums are taken over the lcm of their denominators."""
+        get, mul = chain.__getitem__, operator.mul
+        return _over([sum(map(mul, vals, map(get, cols))) for cols, vals in rows], chain.den)
 
 
 INTEGER_ROWS = IntegerRows()

@@ -8,8 +8,8 @@ of products a coefficient adds; verify's use of it is checked in
 test_verify.py), for the exact integer division of the fraction-free
 eliminations (mat_det itself is checked in test_matpoly.py), and for the
 echelon kernel over Q and over R/pR, whole (_rref) and grown by blocks of
-columns (_Echelon), with each row operation of the integer rows against
-the same operation on lists of Fractions.
+columns (_Echelon), with each row and chain operation of the integer
+rows against the same operation on lists of Fractions.
 
 Rational operands must give exactly the reference's coefficients, type
 included (every coefficient a Fraction).  Gaussian operands run the same
@@ -37,7 +37,7 @@ from smithpoly.field import GaussianRational
 from smithpoly.localsmith import _BaseFieldLane, _Echelon, _rref
 from smithpoly.matpoly import _exact_div, _rational_product
 from smithpoly.poly import _pack, _unpack
-from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField
+from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField, _IntRow
 
 KERNELS = settings(max_examples=60)
 
@@ -535,9 +535,18 @@ def _echelon_cases(entry, zero, scale):
     return cases()
 
 
-def _values(rows, F):
-    """The scalars of rows held in F's row form."""
-    return [[F.entry(row, c) for c in range(len(row))] for row in rows]
+def _values(rows):
+    """The scalars of rows or chains: a list's as they are, an integer
+    row's as Fractions, once its form is checked: a positive den and
+    gcd(den, *ints) = 1."""
+    out = []
+    for row in rows:
+        if isinstance(row, _IntRow):
+            assert type(row.den) is int and row.den > 0 and gcd(row.den, *row) == 1
+            assert all(type(v) is int for v in row)
+            row = [Fraction(v, row.den) for v in row]
+        out.append(list(row))
+    return out
 
 
 def _check_echelon(rows, F):
@@ -545,7 +554,7 @@ def _check_echelon(rows, F):
     rank plus nullity is the width, and the transpose has the same rank."""
     ncols = len(rows[0])
     rref, pivots, null = _rref(rows, F)
-    rref = _values(rref, F)
+    rref = _values(rref)
     for i, c in enumerate(pivots):
         assert [row[c] for row in rref] == [F.one if k == i else F.zero for k in range(len(rref))]
     assert not any(any(row) for row in rref[len(pivots) :])
@@ -568,9 +577,9 @@ RATIONAL_FIELDS = pytest.mark.parametrize(
 def test_rref_over_rationals(F, rows):
     pivots, null = _check_echelon(rows, F)
     rref, ref_pivots, ref_null = _rref(rows, BASE_FIELD)
-    assert _typed(_values(_rref(rows, F)[0], F)) == _typed(rref)
-    assert pivots == ref_pivots and _typed(null) == _typed(ref_null)
-    for vec in null:
+    assert _typed(_values(_rref(rows, F)[0])) == _typed(rref)
+    assert pivots == ref_pivots and _typed(_values(null)) == _typed(ref_null)
+    for vec in _values(null):
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
 
@@ -615,13 +624,13 @@ def _check_grown_by_blocks(rows, F, cuts, ref=None):
     bounds = [0] + sorted(set(c for c in cuts if 0 < c < ncols)) + [ncols]
     ech = _Echelon(F, len(rows))
     for lo, hi in zip(bounds, bounds[1:]):
-        ech.extend([row[lo:hi] for row in rows])
+        ech.extend([F.row(row[lo:hi]) for row in rows])
         whole, pivots, null = _rref([row[:hi] for row in rows], ref)
-        assert _typed(_values(ech.rows, F)) == _typed(_values(whole, ref))
+        assert _typed(_values(ech.rows)) == _typed(_values(whole))
         assert ech.pivots == pivots
-        assert _typed(ech.null_basis()) == _typed(null)
+        assert _typed(_values(ech.null_basis())) == _typed(_values(null))
         old_free = lo - sum(1 for c in pivots if c < lo)
-        assert _typed(ech.null_basis(lo)) == _typed(null[old_free:])
+        assert _typed(_values(ech.null_basis(lo))) == _typed(_values(null[old_free:]))
 
 
 CUTS = st.lists(st.integers(min_value=1, max_value=4), max_size=3)
@@ -652,10 +661,9 @@ nonzero_ints = st.integers(min_value=-99, max_value=99).filter(bool)
 
 
 def _read(row):
-    """An integer row's values, once its form is checked: a positive den
-    and gcd(den, *ints) = 1."""
-    assert type(row.den) is int and row.den > 0 and gcd(row.den, *row) == 1
-    return _typed(_values([row], INTEGER_ROWS)[0])
+    """An integer row's typed values, once its form is checked."""
+    assert isinstance(row, _IntRow)
+    return _typed(_values([row])[0])
 
 
 def _fractions(values):
@@ -684,7 +692,7 @@ def test_integer_row_join(head, tail):
     row, new = INTEGER_ROWS.row(head), INTEGER_ROWS.row(tail)
     before, den = list(row), row.den
     INTEGER_ROWS.join(row, new)
-    assert _typed(_values([row], INTEGER_ROWS)[0]) == _typed(_fractions(head + tail))
+    assert _read(row) == _typed(_fractions(head + tail))
     assert row.den == lcm(den, new.den) > 0
     if row.den == den:
         assert row[: len(before)] == before
@@ -744,8 +752,99 @@ def test_integer_row_sub_multiple(data, n, unit):
 def test_rational_decode_is_lambda_iso(data, p, k, n):
     """A chain's k blocks of n digits, each of deg p int or Fraction
     coefficients, decode by Horner on ints to lambda_iso's column of
-    sum_j p**j block_j, types included."""
-    digit = st.lists(int_or_rational, min_size=len(p) - 1, max_size=len(p) - 1)
+    sum_j p**j block_j, types included: as an integer row, and as a list
+    of Fractions, which is put over one denominator first."""
+    s = len(p) - 1
+    digit = st.lists(int_or_rational, min_size=s, max_size=s)
     blocks = [[data.draw(digit) for _ in range(n)] for _ in range(k)]
     ref = lambda_iso([[Poly(d) for d in b] for b in blocks], Poly(p))
-    assert _typed(BASE_FIELD.decode(blocks, p)) == _typed(ref)
+    chain = [c for b in blocks for d in b for c in d]
+    assert _typed(BASE_FIELD.decode(_fractions(chain), p, s, s * n)) == _typed(ref)
+    assert _typed(INTEGER_ROWS.decode(INTEGER_ROWS.row(chain), p, s, s * n)) == _typed(ref)
+
+
+# -- integer chains against lists of Fractions ---------------------------------
+#
+# On rational input the base-field lane holds its null vectors and chains as
+# integer rows too.  Each chain operation must give BASE_FIELD's values on
+# lists of Fractions, in lowest terms over a positive den (_values checks it).
+
+
+@KERNELS
+@RATIONAL_FIELDS
+@given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y))
+def test_null_vectors_are_read_off_the_reduced_rows(F, rows):
+    """null_vector on the reduced rows at each free column, from the
+    pivot rows nonzero there, is BASE_FIELD's null vector."""
+    ech = _Echelon(F, len(rows))
+    ech.extend([F.row(row) for row in rows])
+    ref = _rref(rows, BASE_FIELD)[2]
+    free = [c for c in range(ech.ncols) if c not in ech.pivots]
+    for c, want in zip(free, ref):
+        reads = [(pc, ech.rows[r]) for r, pc in enumerate(ech.pivots) if ech.rows[r][c]]
+        vec = F.null_vector(reads, c, ech.ncols)
+        assert isinstance(vec, _IntRow) == (F is INTEGER_ROWS)
+        assert _typed(_values([vec])[0]) == _typed(want)
+
+
+@st.composite
+def _stacked_chains(draw):
+    """(width, k, stacked, vec): the chains of rounds 0..k-1, a round-j
+    chain of width*(j+1) entries, and a kernel vector [y; u] over them."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    lengths = sorted(draw(st.lists(st.integers(min_value=1, max_value=k), min_size=1, max_size=4)))
+    cell = st.one_of(st.just(0), int_or_rational)
+    stacked = [[draw(cell) for _ in range(width * j)] for j in lengths]
+    vec = [draw(cell) for _ in range(width + len(stacked))]
+    return width, k, stacked, vec
+
+
+@KERNELS
+@given(case=_stacked_chains())
+def test_integer_chain_combination(case):
+    """The chain of a kernel vector: the earlier chains, each padded on
+    top to the round's length by its offset, times u, then y, as on lists
+    of Fractions."""
+    width, k, stacked, vec = case
+    ints = INTEGER_ROWS.chain(
+        [INTEGER_ROWS.row(c) for c in stacked], INTEGER_ROWS.row(vec), width, width * k
+    )
+    ref = BASE_FIELD.chain([_fractions(c) for c in stacked], _fractions(vec), width, width * k)
+    padded = [[0] * (width * k - len(c)) + c for c in stacked]
+    assert len(ref) == width * (k + 1)
+    assert ref[: width * k] == [sum(v * c[r] for v, c in zip(vec[width:], padded)) for r in range(width * k)]
+    assert _read(ints) == _typed(ref)
+
+
+@KERNELS
+@given(
+    data=st.data(),
+    width=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=1, max_value=6),
+    integral=st.booleans(),
+)
+def test_integer_dot(data, width, length, integral):
+    """Sparse rows (cols, vals) times a chain: ints over the chain's den,
+    or for Fraction rows (a p that is not integral) over the lcm of their
+    denominators, equal to the sums over lists of Fractions."""
+    vals = small_ints if integral else rationals
+    chain = data.draw(st.lists(st.one_of(st.just(0), int_or_rational), min_size=length, max_size=length))
+    rows = []
+    for _ in range(width):
+        cols = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=length - 1))))
+        rows.append((cols, [data.draw(vals.filter(bool)) for _ in cols]))
+    got = INTEGER_ROWS.dot(rows, INTEGER_ROWS.row(chain))
+    assert _values([got])[0] == BASE_FIELD.dot(rows, _fractions(chain))
+
+
+@KERNELS
+@given(data=st.data(), nrows=st.integers(min_value=1, max_value=4))
+def test_integer_rows_from_columns(data, nrows):
+    """Columns over several dens become rows over the lcm of their dens,
+    each in lowest terms, with the values of the transposed Fractions."""
+    column = st.lists(int_or_rational, min_size=nrows, max_size=nrows)
+    cols = data.draw(st.lists(column, min_size=1, max_size=4))
+    rows = INTEGER_ROWS.columns([INTEGER_ROWS.row(c) for c in cols], nrows)
+    ref = BASE_FIELD.columns([_fractions(c) for c in cols], nrows)
+    assert [_read(r) for r in rows] == [_typed(r) for r in ref]

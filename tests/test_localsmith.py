@@ -36,7 +36,7 @@ from smithpoly.matpoly import MatPoly, mat_det
 from smithpoly.oracle import minors_gcd_smith
 from smithpoly.poly import Poly
 from smithpoly.prng import SplitMix64
-from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField
+from smithpoly.residue import BASE_FIELD, INTEGER_ROWS, ResidueField, _IntRow
 
 X = Poly.x()
 ALL_LOCAL = [local_smith, local_smith_over_K]
@@ -318,11 +318,14 @@ def test_distinct_primes_run_concurrently():
 def test_base_field_lane_structure():
     """For a 1x1 matrix [l] at a quadratic prime, the base-field tableau is
     the companion matrix of p and the round-1 residuals are the carry of
-    multiplication by lambda: l * l = p - 1 carries 1, l * 1 carries 0."""
+    multiplication by lambda: l * l = p - 1 carries 1, l * 1 carries 0.
+    Chains and residuals are integer rows over one denominator."""
     lane = _BaseFieldLane(MatPoly([[X]]), X**2 + 1, 2)
     assert lane.tableau() == [[0, -1], [1, 0]]
-    assert lane.residual([Fraction(0), Fraction(1)], 1) == [1, 0]
-    assert lane.residual([Fraction(1), Fraction(0)], 1) == [0, 0]
+    for chain, carry in (([0, 3], [3, 0]), ([1, 0], [0, 0])):
+        for den in (1, 5):
+            res = lane.residual(INTEGER_ROWS.row([Fraction(v, den) for v in chain]), 1)
+            assert type(res) is _IntRow and res == carry and res.den == (den if any(carry) else 1)
 
 
 # -- the expansion cut at mu digits -----------------------------------------
@@ -498,13 +501,26 @@ def _bits(M):
     )
 
 
-@pytest.mark.parametrize("key", GROUND_TRUTH)
+# sandwiches L diag(p**e) R at monic primes that are not integral, so
+# that the rows of the lane's maps G_t hold Fractions
+FRACTIONAL = [
+    (X - Fraction(1, 2), (0, 1, 3)),
+    (Poly([Fraction(1, 3), Fraction(-1, 2), 1]), (1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("key", GROUND_TRUTH + FRACTIONAL)
 def test_integer_rows_are_the_fraction_lane(monkeypatch, key):
-    """At every prime of the corpus the base-field lane on integer rows
-    gives the exponents and V, coefficient types included, of the same
-    lane on lists of Fractions (BASE_FIELD)."""
-    A = instance(*key)
-    for p, mu in factored(*key).factors:
+    """At every prime of the corpus, and at primes with Fraction
+    coefficients, the base-field lane on integer rows gives the exponents
+    and V, coefficient types included, of the same lane on lists of
+    Fractions (BASE_FIELD)."""
+    if isinstance(key[0], Poly):
+        p, exps = key
+        A, factors = _sandwich(SplitMix64(11), len(exps), p, list(exps), 12), [(p, sum(exps))]
+    else:
+        A, factors = instance(*key), factored(*key).factors
+    for p, mu in factors:
         assert _BaseFieldLane(A, p, mu).F is INTEGER_ROWS
         ints = _local_chains(A, p, mu, _BaseFieldLane)
         with monkeypatch.context() as m:
