@@ -20,7 +20,7 @@ extends the rest.  The two lanes differ only in the scalars it runs on:
 
 The chain form is the field object's: ``_local_chains`` reads null
 vectors, combines chains and turns residuals into tableau rows through
-it, and is the one driver of both lanes.
+it, and serves both lanes.
 
 ``local_smith_over_K`` runs the base-field lane.  ``local_smith`` runs it
 too on rational input, and the residue lane on Gaussian input.  Both lanes
