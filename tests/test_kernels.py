@@ -579,6 +579,7 @@ def test_rref_over_rationals(F, rows):
     rref, ref_pivots, ref_null = _rref(rows, BASE_FIELD)
     assert _typed(_values(_rref(rows, F)[0])) == _typed(rref)
     assert pivots == ref_pivots and _typed(_values(null)) == _typed(ref_null)
+    assert all(isinstance(v, _IntRow) == (F is INTEGER_ROWS) for v in null)
     for vec in _values(null):
         for row in rows:
             assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
@@ -768,23 +769,6 @@ def test_rational_decode_is_lambda_iso(data, p, k, n):
 # On rational input the base-field lane holds its null vectors and chains as
 # integer rows too.  Each chain operation must give BASE_FIELD's values on
 # lists of Fractions, in lowest terms over a positive den (_values checks it).
-
-
-@KERNELS
-@RATIONAL_FIELDS
-@given(rows=_echelon_cases(rationals, Fraction(0), lambda c, y: c * y))
-def test_null_vectors_are_read_off_the_reduced_rows(F, rows):
-    """null_vector on the reduced rows at each free column, from the
-    pivot rows nonzero there, is BASE_FIELD's null vector."""
-    ech = _Echelon(F, len(rows))
-    ech.extend([F.row(row) for row in rows])
-    ref = _rref(rows, BASE_FIELD)[2]
-    free = [c for c in range(ech.ncols) if c not in ech.pivots]
-    for c, want in zip(free, ref):
-        reads = [(pc, ech.rows[r]) for r, pc in enumerate(ech.pivots) if ech.rows[r][c]]
-        vec = F.null_vector(reads, c, ech.ncols)
-        assert isinstance(vec, _IntRow) == (F is INTEGER_ROWS)
-        assert _typed(_values([vec])[0]) == _typed(want)
 
 
 @st.composite

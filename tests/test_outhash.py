@@ -1,15 +1,22 @@
 """tools/outhash.py: one sha256 over the program's exact outputs, which a
 change meant to keep them must leave alone.  The tool is loaded from its
-file, as it is run."""
+file, as it is run, and hashes the first corpus instance only."""
 
 import dataclasses
 import importlib.util
 from pathlib import Path
 
+import corpus
+import pytest
 import smithpoly
 from smithpoly import MatPoly, Poly
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outhash.py"
+
+
+@pytest.fixture(autouse=True)
+def _one_corpus_instance(monkeypatch):
+    monkeypatch.setattr(corpus, "GROUND_TRUTH", corpus.GROUND_TRUTH[:1])
 
 
 def _tool():
@@ -19,18 +26,22 @@ def _tool():
     return module
 
 
-def test_hash_is_stable_across_calls():
+def test_hash_is_stable_across_calls(monkeypatch):
+    """Two calls agree, and another corpus instance changes the hash."""
     outhash = _tool()
-    first = outhash.digest(corpus=False)
+    assert outhash._load()[2] is corpus
+    first = outhash.digest()
     assert len(first) == 64
-    assert outhash.digest(corpus=False) == first
+    assert outhash.digest() == first
+    monkeypatch.setattr(corpus, "GROUND_TRUTH", [(2, 1, "none")])
+    assert outhash.digest() != first
 
 
 def test_hash_sees_one_perturbed_coefficient_of_V(monkeypatch):
     """Adding 1 to the constant coefficient of V[0][0] of the first solve
     changes the hash."""
     outhash = _tool()
-    before = outhash.digest(corpus=False)
+    before = outhash.digest()
     solve, done = smithpoly.smith_with_multipliers, []
 
     def perturbed(A, **kwargs):
@@ -44,5 +55,5 @@ def test_hash_sees_one_perturbed_coefficient_of_V(monkeypatch):
         return dataclasses.replace(r, V=MatPoly(rows))
 
     monkeypatch.setattr(smithpoly, "smith_with_multipliers", perturbed)
-    assert outhash.digest(corpus=False) != before
+    assert outhash.digest() != before
     assert done

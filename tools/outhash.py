@@ -47,9 +47,9 @@ def _smith_text(r) -> str:
     return "|".join(_text(M) if M is not None else "-" for M in (r.D, r.V, r.E, r.U))
 
 
-def digest(seeds=None, corpus=True) -> str:
-    """The hex sha256 of the outputs at the given workload seeds, and of
-    the test corpus unless corpus is false."""
+def digest(seeds=None) -> str:
+    """The hex sha256 of the outputs at the given workload seeds and of
+    the test corpus."""
     sp, workloads, tests_corpus = _load()
     h = hashlib.sha256()
     for seed in seeds or [workloads.DEFAULT_SEED]:
@@ -63,16 +63,14 @@ def digest(seeds=None, corpus=True) -> str:
                     for fn in (sp.local_smith, sp.local_smith_over_K):
                         loc = fn(A, p, mu)
                         h.update(f"{loc.alphas}|{_text(loc.V)}|{_text(loc.E)}\n".encode())
-    if corpus:
-        for key in tests_corpus.GROUND_TRUTH:
-            r = sp.smith_with_multipliers(tests_corpus.instance(*key), with_U=True)
-            h.update(_smith_text(r).encode() + b"\n")
+    for key in tests_corpus.GROUND_TRUTH:
+        r = sp.smith_with_multipliers(tests_corpus.instance(*key), with_U=True)
+        h.update(_smith_text(r).encode() + b"\n")
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    print(digest([int(a) for a in args]))
+def main() -> int:
+    print(digest([int(a) for a in sys.argv[1:]]))
     return 0
 
 
